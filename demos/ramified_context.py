@@ -28,7 +28,7 @@ for idx, c in ram.nbhd.F[0].terms_sorted():
     print("F coefficient at", idx, "has v_r =", c.valuation())
 
 # Certification still runs on exact rationals: f^20(omega) = omega^(2^20)
-# is a ~630000-digit number, handled exactly. (This takes a few seconds.)
+# is a ~630000-digit number, handled exactly.
 cert = find_witness(ram.nbhd, ram.bound, search_budget=10, kmax=8)
 print("\nwitness:", cert.data["witness"],
       "| difference valuation:",

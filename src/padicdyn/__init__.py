@@ -11,8 +11,8 @@ certificates that explicit rational points are not preperiodic.
 __version__ = "0.1.0"
 
 from .certify import (Certificate, ClassifyResult, PeriodBound, classify,
-                      find_witness, height_growth_oracle, make_certificate,
-                      period_bound, run_pipeline, verify_certificate)
+                      find_witness, make_certificate, period_bound,
+                      run_pipeline, verify_certificate)
 from .dynamics import (CLEAR, INDETERMINATE, RAMIFIED, PeriodicPointRecord,
                        ReducedMap, find_periodic_point,
                        frobenius_orbit_period, locus_check, reduce_map)
@@ -31,8 +31,8 @@ from .series import TruncatedSeries, expand_at, poly_eval, series_compose
 
 __all__ = [
     "Certificate", "ClassifyResult", "PeriodBound", "classify",
-    "find_witness", "height_growth_oracle", "make_certificate",
-    "period_bound", "run_pipeline", "verify_certificate",
+    "find_witness", "make_certificate", "period_bound", "run_pipeline",
+    "verify_certificate",
     "CLEAR", "INDETERMINATE", "RAMIFIED", "PeriodicPointRecord",
     "ReducedMap", "find_periodic_point", "frobenius_orbit_period",
     "locus_check", "reduce_map",

@@ -11,17 +11,12 @@ precision the p-adic side used.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import itertools
 import json
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-# Certificates carry exact iterate values as digit strings; those integers
-# routinely exceed CPython's conversion guard for untrusted input.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
 
 from . import __version__
 from .dynamics import PeriodicPointRecord, find_periodic_point, reduce_map, \
@@ -217,6 +212,65 @@ def run_pipeline(f, prime="auto", e=1, precision=64, degree=8, m_max=6,
                           nbhd=nbhd, bound=bound)
 
 
+# -- exact decimal text -------------------------------------------------------
+
+# Integers of at most this many bits (at most 1,234 digits, well under
+# CPython's 4,300-digit int/str conversion guard) go through str(). Larger
+# ones are split on powers of 2 and reassembled in exact decimal arithmetic,
+# which is subquadratic where str() is quadratic (Brent & Zimmermann, Modern
+# Computer Arithmetic, sec. 1.7).
+TEXT_DIRECT_BITS = 4096
+_TEXT_LEAF_BITS = 128
+
+
+def _int_text(n):
+    """str(n) for any int, without CPython's quadratic conversion."""
+    if n.bit_length() <= TEXT_DIRECT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    D = decimal.Decimal
+    powers = {}
+
+    def pow2(w):
+        # the halving below asks only for widths w and w + 1 per level
+        result = powers.get(w)
+        if result is None:
+            if w <= _TEXT_LEAF_BITS:
+                result = D(2) ** w
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                result = pow2(w >> 1) * pow2(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(m, w):
+        # 0 <= m < 2^w
+        if w <= _TEXT_LEAF_BITS:
+            return D(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(hi, w - half) * pow2(half) + convert(m - (hi << half),
+                                                            half)
+
+    with decimal.localcontext() as dctx:
+        dctx.prec = decimal.MAX_PREC
+        dctx.Emax = decimal.MAX_EMAX
+        dctx.Emin = decimal.MIN_EMIN
+        dctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
+
+
+def fraction_text(x):
+    """Exactly str(Fraction(x)), in subquadratic time for huge terms."""
+    x = Fraction(x)
+    text = _int_text(x.numerator)
+    if x.denominator == 1:
+        return text
+    return f"{text}/{_int_text(x.denominator)}"
+
+
 # -- certificates -------------------------------------------------------------
 
 def _canonical_json(obj):
@@ -259,7 +313,9 @@ class Certificate:
     def from_json_text(cls, text):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # malformed JSON, or an integer literal past the interpreter's
+            # int/str conversion limit
             raise CertificateFormatError(f"bad certificate JSON: {exc}")
         if not isinstance(data, dict):
             raise CertificateFormatError("certificate must be a JSON object")
@@ -326,9 +382,9 @@ def make_certificate(nbhd, bound, omega, result, kmax=32):
             "bound": bound.bound,
             "formula": "bound = k * affine_order * p^analyticity_exponent",
         },
-        "witness": [str(Fraction(w)) for w in omega],
+        "witness": [fraction_text(w) for w in omega],
         "payload": {
-            "iterate": [str(w) for w in result.iterate],
+            "iterate": [fraction_text(w) for w in result.iterate],
             "differs_at": result.differs_at,
             "difference_valuation": result.difference_valuation,
         },
@@ -389,12 +445,37 @@ def _rebuild_record(data, p):
         enumeration_index=red["enumeration_index"], visited={})
 
 
+def _payload_problem(payload, iterate, omega, ctx):
+    """None when the payload is the canonical text of the exact replayed
+    f^N(omega), with the right differing coordinate and valuation; else what
+    is wrong. Canonical Fraction text is injective, so text equality is
+    exact rational equality."""
+    recorded = payload["iterate"]
+    if not isinstance(recorded, list) or len(recorded) != len(iterate):
+        return (f"payload iterate is not a list of {len(iterate)}"
+                " coordinates")
+    for i, (text, z) in enumerate(zip(recorded, iterate), 1):
+        if text != fraction_text(z):
+            return (f"payload iterate coordinate {i} is not the canonical"
+                    " text of the exact f^N(witness)")
+    differs = next((i for i, (a, b) in enumerate(zip(iterate, omega), 1)
+                    if a != b), None)
+    if differs is None:
+        return "exact f^N(witness) equals the witness"
+    if payload.get("differs_at") != differs:
+        return f"f^N(witness) first differs from the witness at {differs}"
+    dv = rational_vr(iterate[differs - 1] - omega[differs - 1], ctx)
+    if payload.get("difference_valuation") != dv:
+        return f"difference valuation is {dv}"
+    return None
+
+
 def verify_certificate(cert):
     """Independently replay every stage of a certificate.
 
     Returns a VerificationReport (truthy iff valid) naming each failed stage.
-    Equality checks on the witness payload use exact rational arithmetic
-    only.
+    The witness payload is checked against the exact rational f^N(witness):
+    its recorded text must be that value's canonical text.
     """
     rep = VerificationReport()
     data = cert.data
@@ -468,23 +549,9 @@ def verify_certificate(cert):
         rep.add("membership", rebuilt.membership(omega),
                 "witness is not in the neighborhood")
 
-        payload = data["payload"]
         iterate = f.iterate_fraction(omega, pb["bound"])
-        recorded = [Fraction(w) for w in payload["iterate"]]
-        it_ok = iterate == recorded
-        differs = None
-        for i, (a, b) in enumerate(zip(iterate, omega)):
-            if a != b:
-                differs = i + 1
-                break
-        it_ok = it_ok and differs is not None
-        it_ok = it_ok and differs == payload["differs_at"]
-        if it_ok:
-            dv = rational_vr(iterate[differs - 1] - omega[differs - 1], ctx)
-            it_ok = dv == payload["difference_valuation"]
-        rep.add("iterate", it_ok,
-                "exact f^N(witness) does not reproduce the payload"
-                " inequality")
+        problem = _payload_problem(data["payload"], iterate, omega, ctx)
+        rep.add("iterate", problem is None, problem)
 
         bound = PeriodBound(period_k=pb["k"], affine_order=pb["affine_order"],
                             analyticity_exponent=pb["analyticity_exponent"],
@@ -497,28 +564,3 @@ def verify_certificate(cert):
     except Exception as exc:  # any replay blow-up invalidates the certificate
         rep.add("replay", False, f"{type(exc).__name__}: {exc}")
     return rep
-
-
-# -- an independent growth oracle for tests and sanity checks -----------------
-
-def height_growth_oracle(f, omega, steps=12):
-    """Heuristic exact-height cross-check: 'periodic' on an exact return,
-    'escaping' when heights grow monotonically through the tail, else
-    'inconclusive'. Heights are max(|numerator|, |denominator|) over
-    coordinates."""
-    omega = tuple(Fraction(w) for w in omega)
-
-    def height(pt):
-        return max(max(abs(w.numerator), w.denominator) for w in pt)
-
-    z = omega
-    heights = [height(z)]
-    for _ in range(steps):
-        z = tuple(f.eval_fraction(z))
-        if z == omega:
-            return "periodic"
-        heights.append(height(z))
-    tail = heights[len(heights) // 2:]
-    if all(a < b for a, b in zip(tail, tail[1:])) and tail[-1] > heights[0]:
-        return "escaping"
-    return "inconclusive"

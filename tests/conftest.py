@@ -6,6 +6,7 @@ x^3 at p=5 and p=7, and the 2-dimensional map (x^2+y, y^2+x) at p=5.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -76,3 +77,26 @@ def brute_force_affine_order(nbhd):
             length += 1
         order = order * length // math.gcd(order, length)
     return order
+
+
+def height_growth_oracle(f, omega, steps=12):
+    """Independent exact-height cross-check: 'periodic' on an exact return,
+    'escaping' when heights grow monotonically through the tail, else
+    'inconclusive'. Heights are max(|numerator|, |denominator|) over
+    coordinates."""
+    omega = tuple(Fraction(w) for w in omega)
+
+    def height(pt):
+        return max(max(abs(w.numerator), w.denominator) for w in pt)
+
+    z = omega
+    heights = [height(z)]
+    for _ in range(steps):
+        z = tuple(f.eval_fraction(z))
+        if z == omega:
+            return "periodic"
+        heights.append(height(z))
+    tail = heights[len(heights) // 2:]
+    if all(a < b for a, b in zip(tail, tail[1:])) and tail[-1] > heights[0]:
+        return "escaping"
+    return "inconclusive"

@@ -19,8 +19,7 @@ import pytest
 from padicdyn import RationalSelfMap, run_pipeline
 from padicdyn.certify import (NON_PREPERIODIC, OUTSIDE, PERIODIC, Certificate,
                               _digest, classify, find_witness,
-                              height_growth_oracle, verify_certificate,
-                              witness_candidates)
+                              verify_certificate, witness_candidates)
 from padicdyn.dynamics import CLEAR, find_periodic_point, locus_check, \
     reduce_map
 from padicdyn.errors import SearchBudgetError
@@ -29,7 +28,7 @@ from padicdyn.mahler import (INFINITY, analyticity_exponent,
                              mahler_coefficients)
 from padicdyn.padics import PadicContext
 from tests.conftest import (SUITE_SPECS, brute_force_affine_order, build_map,
-                            build_pipeline)
+                            build_pipeline, height_growth_oracle)
 
 K_MAX = 32
 

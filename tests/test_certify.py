@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from padicdyn.certify import (NON_PREPERIODIC, OUTSIDE, PERIODIC, Certificate,
-                              _digest, classify, find_witness,
-                              height_growth_oracle, period_bound,
+                              _digest, classify, find_witness, period_bound,
                               run_pipeline, verify_certificate,
                               witness_candidates)
 from padicdyn.errors import SearchBudgetError, UnsupportedExtensionError
 from padicdyn.mahler import mahler_coefficients
 from padicdyn.polynomials import RationalSelfMap
-from tests.conftest import build_map, build_pipeline
+from tests.conftest import build_map, build_pipeline, height_growth_oracle
 
 
 def test_period_bound_examples(quad_p3_naive):
