@@ -24,7 +24,7 @@ from .dynamics import PeriodicPointRecord, find_periodic_point, reduce_map, \
 from .errors import (CertificateFormatError, IndeterminacyError,
                      InternalInconsistencyError, SearchBudgetError,
                      UnsupportedExtensionError)
-from .finitefields import FiniteField, FFElement
+from .finitefields import FiniteField
 from .mahler import INFINITY, analyticity_exponent, mahler_coefficients
 from .neighborhood import (GoodPrimeReport, build_neighborhood,
                            choose_good_prime, context_for_record, hensel_lift,
@@ -364,8 +364,7 @@ def make_certificate(nbhd, bound, omega, result, kmax=32):
             "field_modulus": record.field_modulus_indexes(),
             "point": record.point_coords(),
             "period": record.period,
-            "orbit": [[elt.abs_coords() for elt in pt]
-                      for pt in record.orbit],
+            "orbit": [[elt.coords() for elt in pt] for pt in record.orbit],
             "enumeration_index": record.enumeration_index,
         },
         "neighborhood": {
@@ -419,26 +418,37 @@ class VerificationReport:
         return f"<VerificationReport {status}, {len(self.stages)} stages>"
 
 
+def _field_ints(value, count, p, name):
+    """``value`` itself when it is a list of exactly ``count`` ints in
+    range(p), the only spelling make_certificate writes."""
+    if not (isinstance(value, list) and len(value) == count
+            and all(type(c) is int and 0 <= c < p for c in value)):
+        raise CertificateFormatError(
+            f"{name} must be a list of {count} integers in 0..{p - 1}")
+    return value
+
+
 def _rebuild_record(data, p):
     red = data["reduction"]
     m = red["m"]
-    fp = FiniteField(p)
-    if red["field_modulus"] is None:
-        fld = fp
-        if m != 1:
-            raise CertificateFormatError("missing field modulus for m > 1")
-
-        def mk_point(coords):
-            return tuple(fp.from_int(c[0]) for c in coords)
+    if type(m) is not int or m < 1:
+        raise CertificateFormatError("reduction.m must be a positive integer")
+    if m == 1:
+        if red["field_modulus"] is not None:
+            raise CertificateFormatError(
+                "reduction.field_modulus must be null for m = 1")
+        fld = FiniteField(p)
     else:
-        low = [fp.from_int(c) for c in red["field_modulus"]]
-        fld = FiniteField(p, modulus=low, base=fp)
+        fld = FiniteField(p, modulus=_field_ints(
+            red["field_modulus"], m, p, "reduction.field_modulus"))
 
-        def mk_point(coords):
-            return tuple(FFElement(fld, tuple(fp.from_int(a) for a in cs))
-                         for cs in coords)
-    point = mk_point(red["point"])
-    orbit = tuple(mk_point(cs) for cs in red["orbit"])
+    def mk_point(coords, name):
+        return tuple(fld.from_coords(_field_ints(c, m, p, name))
+                     for c in coords)
+
+    point = mk_point(red["point"], "reduction.point coordinate")
+    orbit = tuple(mk_point(cs, "reduction.orbit coordinate")
+                  for cs in red["orbit"])
     return PeriodicPointRecord(
         m=m, field=fld, point=point, period=red["period"], orbit=orbit,
         orbit_clear=True, cycle_jacobian_invertible=True,
@@ -546,6 +556,9 @@ def verify_certificate(cert):
                 "period bound factors do not reproduce")
 
         omega = [Fraction(w) for w in data["witness"]]
+        rep.add("witness", data["witness"] == [fraction_text(w)
+                                               for w in omega],
+                "witness is not the canonical text of its coordinates")
         rep.add("membership", rebuilt.membership(omega),
                 "witness is not in the neighborhood")
 

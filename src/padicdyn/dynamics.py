@@ -52,49 +52,10 @@ class FFPoly:
         return not self.terms
 
     def map_field(self, new_field):
-        """Re-express the polynomial over an extension field. Coefficients
-        embed either via new_field.embed (immediate base) or as ints."""
-        out = {}
-        for idx, c in self.terms.items():
-            out[idx] = new_field.embed(c)
-        return FFPoly(new_field, self.n, out)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out[idx] + c if idx in out else c
-        return FFPoly(self.field, self.n, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out[idx] - c if idx in out else -c
-        return FFPoly(self.field, self.n, out)
-
-    def __neg__(self):
-        return FFPoly(self.field, self.n,
-                      {i: -c for i, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                idx = tuple(a + b for a, b in zip(i1, i2))
-                prod = c1 * c2
-                out[idx] = out[idx] + prod if idx in out else prod
-        return FFPoly(self.field, self.n, out)
-
-    def partial(self, j):
-        out = {}
-        for idx, c in self.terms.items():
-            if idx[j] == 0:
-                continue
-            nidx = list(idx)
-            nidx[j] -= 1
-            scaled = c * idx[j]
-            nidx = tuple(nidx)
-            out[nidx] = out[nidx] + scaled if nidx in out else scaled
-        return FFPoly(self.field, self.n, out)
+        """Re-express the polynomial over an extension of its prime field."""
+        return FFPoly(new_field, self.n,
+                      {idx: new_field.from_int(c.rep)
+                       for idx, c in self.terms.items()})
 
     def evaluate(self, point):
         total = self.field.zero()
@@ -114,31 +75,18 @@ class FFPoly:
         return f"FFPoly(n={self.n}, terms={len(self.terms)})"
 
 
-def _ffpoly_matrix_det(fld, M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    det = FFPoly(fld, M[0][0].n, {})
-    for j in range(n):
-        minor = [[M[i][t] for t in range(n) if t != j]
-                 for i in range(1, n)]
-        term = M[0][j] * _ffpoly_matrix_det(fld, minor)
-        if j % 2:
-            term = -term
-        det = det + term
-    return det
-
-
 class ReducedMap:
     """A rational self-map over a finite field with its Jacobian data.
 
-    ``jacobian`` holds the polynomial matrix J[i][j] =
-    d(num_i)/dx_j * den_i - num_i * d(den_i)/dx_j; its determinant vanishes
-    at a point exactly where the true Jacobian determinant does (denominators
-    being units there).
+    ``jacobian_det`` reduces the determinant over Q of J[i][j] =
+    d(num_i)/dx_j * den_i - num_i * d(den_i)/dx_j, which
+    RationalSelfMap.jacobian_numerator_det() caches; reduction mod p
+    commutes with formal differentiation. It vanishes at a point exactly
+    where the true Jacobian determinant does (denominators being units
+    there).
     """
 
-    def __init__(self, fld, numerators, denominators):
+    def __init__(self, fld, numerators, denominators, jacobian_det):
         self.field = fld
         self.n = numerators[0].n
         self.numerators = tuple(numerators)
@@ -146,22 +94,20 @@ class ReducedMap:
         for den in denominators:
             if den.is_zero():
                 raise IndeterminacyError("denominator reduces to zero")
-        jac = []
-        for num, den in zip(numerators, denominators):
-            row = [num.partial(j) * den - num * den.partial(j)
-                   for j in range(self.n)]
-            jac.append(row)
-        self.jacobian = jac
-        self.jacobian_det = _ffpoly_matrix_det(fld, jac)
-        if self.jacobian_det.is_zero():
+        if jacobian_det.is_zero():
             raise InseparableError(
                 "Jacobian determinant is identically zero"
                 " (inseparable reduction)")
+        self.jacobian_det = jacobian_det
 
     def extend(self, new_field):
-        nums = [p.map_field(new_field) for p in self.numerators]
-        dens = [p.map_field(new_field) for p in self.denominators]
-        return ReducedMap(new_field, nums, dens)
+        """The same map over an extension of F_p, for a map over F_p;
+        coefficients are embedded, nothing is re-derived."""
+        return ReducedMap(
+            new_field,
+            [poly.map_field(new_field) for poly in self.numerators],
+            [poly.map_field(new_field) for poly in self.denominators],
+            self.jacobian_det.map_field(new_field))
 
     def apply(self, point):
         out = []
@@ -181,7 +127,8 @@ def reduce_map(f, ctx):
     fld = ctx.residue_field
     nums = [FFPoly.from_multipoly(p, fld, ctx.p) for p in f.numerators]
     dens = [FFPoly.from_multipoly(p, fld, ctx.p) for p in f.denominators]
-    return ReducedMap(fld, nums, dens)
+    det = FFPoly.from_multipoly(f.jacobian_numerator_det(), fld, ctx.p)
+    return ReducedMap(fld, nums, dens, det)
 
 
 def locus_check(fbar, point):
@@ -214,8 +161,8 @@ class PeriodicPointRecord:
     visited: dict = field(default_factory=dict, compare=False)
 
     def point_coords(self):
-        """Absolute F_p coordinates per coordinate of the point."""
-        return [elt.abs_coords() for elt in self.point]
+        """F_p coordinates per coordinate of the point."""
+        return [elt.coords() for elt in self.point]
 
     def field_modulus_indexes(self):
         return self.field.modulus_indexes()
@@ -326,7 +273,7 @@ def frobenius_orbit_period(polys, base_order):
             while cur != c:
                 cur = cur ** base_order
                 t += 1
-                if t > c.field.absolute_degree * 4:
+                if t > c.field.degree * 4:
                     raise RuntimeError("Frobenius period runaway")
             k = k * t // math.gcd(k, t)
     return k

@@ -1,15 +1,17 @@
-"""Exact finite-field arithmetic as explicit coefficient towers.
+"""Exact finite-field arithmetic over F_p and F_p[x]/(m(x)).
 
-A field is either F_p (``base is None``) or a quotient F_B[x]/(m(x)) over a
-smaller field B. Elements are immutable wrappers around an int (prime field)
-or a tuple of base-field elements. Everything is index-driven and
-deterministic: element enumeration order and the irreducible-modulus search
-are reproducible, which downstream certificates rely on.
+A field is either F_p, whose elements wrap an int in range(p), or a quotient
+F_p[x]/(m(x)) by a monic irreducible m of degree at least 2, whose elements
+wrap the tuple of their coefficients mod p, low to high. There are no
+towers: extending a field that is already an extension is unsupported.
+Everything is index-driven and deterministic: element enumeration order and
+the irreducible-modulus search are reproducible, which downstream
+certificates rely on.
 """
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, UnsupportedExtensionError
 
 
 def is_prime(n):
@@ -42,55 +44,31 @@ def _prime_factors(n):
 
 
 class FiniteField:
-    """F_p when ``base`` is None, else F_base[x]/(x^m + c_{m-1}x^{m-1}+...+c_0).
+    """F_p when ``modulus`` is None, else F_p[x]/(x^m + c_{m-1}x^{m-1}+...+c_0).
 
     ``modulus`` holds the low coefficients (c_0, ..., c_{m-1}) of the monic
-    modulus as elements of the base field.
+    modulus as ints mod p; it must be irreducible of degree m >= 2.
     """
 
-    def __init__(self, p, modulus=None, base=None, validate=True):
-        if base is None:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if modulus is not None:
-                raise ValueError("prime field takes no modulus")
-            self.p = p
-            self.base = None
+    def __init__(self, p, modulus=None):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        if modulus is None:
             self.modulus = None
             self.degree = 1
-            self.absolute_degree = 1
-            self.order = p
         else:
-            if p != base.p:
-                raise ValueError("characteristic mismatch")
-            mod = tuple(base.coerce(c) for c in modulus)
-            if not mod:
-                raise ValueError("modulus must have degree >= 1")
-            self.p = p
-            self.base = base
+            mod = tuple(c % p for c in modulus)
+            if len(mod) < 2:
+                raise ValueError("modulus must have degree >= 2")
+            if not is_irreducible(p, list(mod) + [1]):
+                raise ValueError("modulus is reducible")
             self.modulus = mod
             self.degree = len(mod)
-            self.absolute_degree = base.absolute_degree * len(mod)
-            self.order = base.order ** len(mod)
-        self._sig = self._signature()
-        self._zero = self._wrap_int(0)
-        self._one = self._wrap_int(1)
-        if self.base is not None and validate:
-            full = list(self.modulus) + [self.base.one()]
-            if not is_irreducible(self.base, full):
-                raise ValueError("modulus is reducible")
-
-    def _signature(self):
-        if self.base is None:
-            return (self.p,)
-        return (self.p, self.base._sig,
-                tuple(self.base.index_of(c) for c in self.modulus))
-
-    def _wrap_int(self, k):
-        if self.base is None:
-            return FFElement(self, k % self.p)
-        rep = [self.base.from_int(k)] + [self.base.zero()] * (self.degree - 1)
-        return FFElement(self, tuple(rep))
+        self.order = p ** self.degree
+        self._sig = (p, self.modulus)
+        self._zero = self.from_int(0)
+        self._one = self.from_int(1)
 
     def zero(self):
         return self._zero
@@ -99,7 +77,15 @@ class FiniteField:
         return self._one
 
     def from_int(self, k):
-        return self._wrap_int(k)
+        if self.modulus is None:
+            return FFElement(self, k % self.p)
+        return FFElement(self, (k % self.p,) + (0,) * (self.degree - 1))
+
+    def from_coords(self, coords):
+        """The element with these coefficients over F_p, low to high."""
+        if self.modulus is None:
+            return self.from_int(coords[0])
+        return FFElement(self, tuple(c % self.p for c in coords))
 
     def coerce(self, x):
         if isinstance(x, FFElement):
@@ -110,32 +96,24 @@ class FiniteField:
             return self.from_int(x)
         raise TypeError(f"cannot coerce {type(x).__name__}")
 
-    def embed(self, x):
-        """Embed an element of the immediate base field (or an int)."""
-        if isinstance(x, int) or self.base is None:
-            return self.coerce(x)
-        x = self.base.coerce(x)
-        rep = (x,) + tuple(self.base.zero() for _ in range(self.degree - 1))
-        return FFElement(self, rep)
-
     def element_from_index(self, i):
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
-        if self.base is None:
+        if self.modulus is None:
             return FFElement(self, i)
         digits = []
         for _ in range(self.degree):
-            i, r = divmod(i, self.base.order)
-            digits.append(self.base.element_from_index(r))
+            i, r = divmod(i, self.p)
+            digits.append(r)
         return FFElement(self, tuple(digits))
 
     def index_of(self, x):
         x = self.coerce(x)
-        if self.base is None:
+        if self.modulus is None:
             return x.rep
         idx = 0
         for c in reversed(x.rep):
-            idx = idx * self.base.order + self.base.index_of(c)
+            idx = idx * self.p + c
         return idx
 
     def elements(self):
@@ -143,54 +121,57 @@ class FiniteField:
             yield self.element_from_index(i)
 
     def extension(self, m):
-        """Degree-m extension with the smallest-index irreducible modulus."""
+        """Degree-m extension of F_p with the smallest-index irreducible
+        modulus. An extension field has no extension but itself."""
         if m == 1:
             return self
-        low = find_irreducible(self, m)
-        return FiniteField(self.p, modulus=low, base=self, validate=False)
+        if self.modulus is not None:
+            raise UnsupportedExtensionError(
+                f"cannot extend {self!r}: only F_p has extensions; tower"
+                " searches are not supported")
+        return FiniteField(self.p, modulus=find_irreducible(self.p, m))
 
     def modulus_indexes(self):
-        """Low-coefficient indexes of the modulus (None for a prime field)."""
-        if self.base is None:
-            return None
-        return [self.base.index_of(c) for c in self.modulus]
+        """Low coefficients of the modulus (None for a prime field)."""
+        return None if self.modulus is None else list(self.modulus)
 
     # -- raw rep arithmetic -------------------------------------------------
 
     def _radd(self, x, y):
-        if self.base is None:
-            return (x + y) % self.p
-        return tuple(a + b for a, b in zip(x, y))
+        p = self.p
+        if self.modulus is None:
+            return (x + y) % p
+        return tuple((a + b) % p for a, b in zip(x, y))
 
     def _rsub(self, x, y):
-        if self.base is None:
-            return (x - y) % self.p
-        return tuple(a - b for a, b in zip(x, y))
+        p = self.p
+        if self.modulus is None:
+            return (x - y) % p
+        return tuple((a - b) % p for a, b in zip(x, y))
 
     def _rneg(self, x):
-        if self.base is None:
-            return (-x) % self.p
-        return tuple(-a for a in x)
+        p = self.p
+        if self.modulus is None:
+            return (-x) % p
+        return tuple((-a) % p for a in x)
 
     def _rmul(self, x, y):
-        if self.base is None:
-            return (x * y) % self.p
-        base, m = self.base, self.degree
-        zero = base.zero()
-        prod = [zero] * (2 * m - 1)
+        p = self.p
+        if self.modulus is None:
+            return (x * y) % p
+        m = self.degree
+        prod = [0] * (2 * m - 1)
         for i, a in enumerate(x):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(y):
-                prod[i + j] = prod[i + j] + a * b
+            if a:
+                for j, b in enumerate(y):
+                    prod[i + j] += a * b
+        # x^m = -(c_0 + ... + c_{m-1} x^{m-1}), top degree first
         for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if c.is_zero():
-                continue
-            prod[i] = zero
-            for j, mj in enumerate(self.modulus):
-                prod[i - m + j] = prod[i - m + j] - c * mj
-        return tuple(prod[:m])
+            c = prod[i] % p
+            if c:
+                for j, mj in enumerate(self.modulus):
+                    prod[i - m + j] -= c * mj
+        return tuple(c % p for c in prod[:m])
 
     def __eq__(self, other):
         return isinstance(other, FiniteField) and self._sig == other._sig
@@ -199,9 +180,9 @@ class FiniteField:
         return hash(self._sig)
 
     def __repr__(self):
-        if self.base is None:
+        if self.modulus is None:
             return f"GF({self.p})"
-        return f"GF({self.p}^{self.absolute_degree})"
+        return f"GF({self.p}^{self.degree})"
 
 
 class FFElement:
@@ -266,12 +247,20 @@ class FFElement:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a finite field")
+        if self.field.modulus is None:
+            return FFElement(self.field, pow(self.rep, -1, self.field.p))
         return self ** (self.field.order - 2)
 
     def is_zero(self):
-        if self.field.base is None:
+        if self.field.modulus is None:
             return self.rep == 0
-        return all(c.is_zero() for c in self.rep)
+        return not any(self.rep)
+
+    def coords(self):
+        """Coefficients over F_p, low to high (length = field degree)."""
+        if self.field.modulus is None:
+            return [self.rep]
+        return list(self.rep)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -280,131 +269,115 @@ class FFElement:
         return self.rep == o.rep
 
     def __hash__(self):
-        return hash((self.field._sig, self.field.index_of(self)))
+        # reps are reduced mod p, so equal elements have equal reps
+        return hash((self.field._sig, self.rep))
 
     def __repr__(self):
         return f"ff({self.field.index_of(self)};q={self.field.order})"
 
-    def abs_coords(self):
-        """Coefficients over F_p, flattened low-to-high (length = abs degree)."""
-        if self.field.base is None:
-            return [self.rep]
-        out = []
-        for c in self.rep:
-            out.extend(c.abs_coords())
-        return out
 
+# -- univariate polynomials over F_p (dense low-to-high int lists) -----------
 
-# -- univariate polynomials over a field (dense low-to-high lists) ----------
-
-def upoly_trim(cs):
-    while cs and cs[-1].is_zero():
+def _upoly_trim(cs):
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
 
-def upoly_sub(field, a, b):
+def _upoly_sub(a, b, p):
     n = max(len(a), len(b))
-    zero = field.zero()
-    out = [(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
-           for i in range(n)]
-    return upoly_trim(out)
+    return _upoly_trim([((a[i] if i < len(a) else 0)
+                         - (b[i] if i < len(b) else 0)) % p
+                        for i in range(n)])
 
 
-def upoly_mul(field, a, b):
-    if not a or not b:
-        return []
-    zero = field.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return upoly_trim(out)
-
-
-def upoly_mod(field, a, f):
+def _upoly_mod(a, f, p):
     # f monic
-    a = list(a)
+    a = [c % p for c in a]
     m = len(f) - 1
     while len(a) > m:
         c = a.pop()
-        if c.is_zero():
+        if not c:
             continue
         for j in range(m):
-            a[len(a) - m + j] = a[len(a) - m + j] - c * f[j]
-    return upoly_trim(a)
+            k = len(a) - m + j
+            a[k] = (a[k] - c * f[j]) % p
+    return _upoly_trim(a)
 
 
-def upoly_mulmod(field, a, b, f):
-    return upoly_mod(field, upoly_mul(field, a, b), f)
+def _upoly_mulmod(a, b, f, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _upoly_mod(out, f, p)
 
 
-def upoly_powmod(field, a, k, f):
-    result = [field.one()]
-    a = upoly_mod(field, list(a), f)
+def _upoly_powmod(a, k, f, p):
+    result = [1]
+    a = _upoly_mod(a, f, p)
     while k:
         if k & 1:
-            result = upoly_mulmod(field, result, a, f)
-        a = upoly_mulmod(field, a, a, f)
+            result = _upoly_mulmod(result, a, f, p)
+        a = _upoly_mulmod(a, a, f, p)
         k >>= 1
     return result
 
 
-def upoly_gcd(field, a, b):
+def _upoly_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        lead_inv = b[-1].inverse()
-        bm = [c * lead_inv for c in b]
-        a = upoly_mod(field, a, bm)
+        lead_inv = pow(b[-1], -1, p)
+        a = _upoly_mod(a, [c * lead_inv % p for c in b], p)
         a, b = b, a
     if a:
-        lead_inv = a[-1].inverse()
-        a = [c * lead_inv for c in a]
+        lead_inv = pow(a[-1], -1, p)
+        a = [c * lead_inv % p for c in a]
     return a
 
 
-def is_irreducible(field, f):
-    """Rabin test for a monic polynomial f (full coefficient list) over field."""
+def is_irreducible(p, f):
+    """Rabin test for a monic polynomial f (full int coefficient list,
+    low to high, reduced mod p) over F_p."""
     m = len(f) - 1
-    if m < 1 or f[-1] != field.one():
+    if m < 1 or f[-1] != 1:
         raise ValueError("expected a monic polynomial of degree >= 1")
     if m == 1:
         return True
-    if f[0].is_zero():  # divisible by x
+    if f[0] == 0:  # divisible by x
         return False
-    q = field.order
-    x = [field.zero(), field.one()]
-    # frob[i] = x^(q^i) mod f, for the i we need
+    x = [0, 1]
+    # frob[i] = x^(p^i) mod f, for the i we need
     needed = {m // ell for ell in _prime_factors(m)}
     needed.add(m)
     frob = x
     powers = {}
     for i in range(1, m + 1):
-        frob = upoly_powmod(field, frob, q, f)
+        frob = _upoly_powmod(frob, p, f, p)
         if i in needed:
             powers[i] = frob
-    if upoly_sub(field, powers[m], x):
+    if _upoly_sub(powers[m], x, p):
         return False
     for ell in _prime_factors(m):
-        g = upoly_gcd(field, upoly_sub(field, powers[m // ell], x), f)
+        g = _upoly_gcd(_upoly_sub(powers[m // ell], x, p), f, p)
         if len(g) - 1 >= 1:
             return False
     return True
 
 
-def find_irreducible(field, m):
-    """Smallest-index monic irreducible of degree m; returns low coefficients."""
-    q = field.order
-    one = field.one()
-    for idx in range(q ** m):
+def find_irreducible(p, m):
+    """Smallest-index monic irreducible of degree m over F_p; returns its
+    low coefficients."""
+    for idx in range(p ** m):
         digits = []
         i = idx
         for _ in range(m):
-            i, r = divmod(i, q)
-            digits.append(field.element_from_index(r))
-        if is_irreducible(field, digits + [one]):
+            i, r = divmod(i, p)
+            digits.append(r)
+        if is_irreducible(p, digits + [1]):
             return tuple(digits)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
@@ -432,19 +405,6 @@ def _dot(xs, ys):
         term = x * y
         acc = term if acc is None else acc + term
     return acc
-
-
-def mat_det(field, A):
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    det = field.zero()
-    sign = field.one()
-    for j in range(n):
-        minor = [[A[i][t] for t in range(n) if t != j] for i in range(1, n)]
-        det = det + sign * A[0][j] * mat_det(field, minor)
-        sign = -sign
-    return det
 
 
 def mat_eq(A, B):

@@ -17,9 +17,9 @@ from .dynamics import CLEAR, locus_check, reduce_map
 from .errors import (DivisibilityError, IndeterminacyError, NoGoodPrimeError,
                      OrbitNotClearError, OrderCapError, RamificationLeakError,
                      ResidueMismatchError, UnsupportedExtensionError)
-from .finitefields import is_prime, mat_det, mat_eq, mat_identity, mat_mul, \
-    mat_vec
+from .finitefields import is_prime, mat_eq, mat_identity, mat_mul, mat_vec
 from .padics import PadicContext, PadicElement
+from .polynomials import matrix_det
 from .series import expand_at, series_compose
 
 FALLBACK_NOTE = ("analyticity fallback required: p <= 2(e+1), interpolation"
@@ -112,23 +112,16 @@ def choose_good_prime(f, scan_range=(3, 200), e=1):
 def context_for_record(p, record, e=1, precision=64, eis_poly=None):
     """Build the lifting context whose residue field is the record's field.
 
-    The search base field must be F_p itself (map coefficients are rational);
-    towers over a larger base would need an embedding choice and are
-    rejected.
+    The search base field must be F_p itself (map coefficients are rational),
+    so the record's field has degree m over F_p; a search over a larger base
+    field is rejected.
     """
-    if record.m == 1:
-        if record.field.base is not None:
-            raise UnsupportedExtensionError(
-                "search base field is already an extension; tower lifts are"
-                " not supported")
-        unram = [0, 1]
-    else:
-        if record.field.base is None or record.field.base.base is not None:
-            raise UnsupportedExtensionError(
-                "periodic point lives in a tower over a non-prime base;"
-                " unsupported")
-        base = record.field.base
-        unram = [base.index_of(c) for c in record.field.modulus] + [1]
+    if record.field.degree != record.m:
+        raise UnsupportedExtensionError(
+            "search base field is already an extension; tower lifts are not"
+            " supported")
+    modulus = record.field.modulus
+    unram = [0, 1] if modulus is None else list(modulus) + [1]
     if eis_poly is None and e > 1:
         eis_poly = [-p] + [0] * (e - 1) + [1]
     return PadicContext(p, unram_poly=unram, eis_poly=eis_poly,
@@ -403,7 +396,7 @@ def reduced_affine_order(nbhd, verify_samples=0, rng=None):
     fld = ctx.residue_field
     n = nbhd.n
     L, c = nbhd.affine_parts()
-    if mat_det(fld, L).is_zero():
+    if matrix_det(L).is_zero():
         raise RamificationLeakError(
             "linear part of the reduced map is singular")
     qn = fld.order ** n

@@ -71,13 +71,11 @@ class PadicContext:
         self.d = len(unram_poly) - 1
         self.q = p ** self.d
 
-        fp = FiniteField(p)
         if self.d == 1:
-            self.residue_field = fp
+            self.residue_field = FiniteField(p)
         else:
-            low = [fp.from_int(c) for c in unram_poly[:-1]]
             try:
-                self.residue_field = FiniteField(p, modulus=low, base=fp)
+                self.residue_field = FiniteField(p, modulus=unram_poly[:-1])
             except ValueError as exc:
                 raise ValueError(f"unram_poly not irreducible mod {p}: {exc}")
 
@@ -261,24 +259,13 @@ class PadicContext:
 
     def residue(self, a):
         """Image of a in F_q = O / (r); a ring homomorphism."""
-        a = self.coerce(a)
-        coords = [c % self.p for c in a.layers[0]]
-        return self.residue_from_coords(coords)
-
-    def residue_from_coords(self, coords):
-        fld = self.residue_field
-        if self.d == 1:
-            return fld.from_int(coords[0])
-        fp = fld.base
-        return FFElement(fld, tuple(fp.from_int(c) for c in coords))
+        return self.residue_field.from_coords(self.coerce(a).layers[0])
 
     def naive_lift(self, res):
         """Coordinate lift of a residue element (digits copied verbatim)."""
         res = self.residue_field.coerce(res)
-        coords = res.abs_coords()
         layers = [self._wzero()] * self.e
-        layers[0] = tuple(int(c if isinstance(c, int) else c.rep)
-                          for c in coords)
+        layers[0] = tuple(res.coords())
         return self._make(layers, self.precision)
 
     def teichmuller_lift(self, res):

@@ -324,7 +324,7 @@ class RationalSelfMap:
 
     def jacobian_numerator_det(self):
         if self._jac_det is None:
-            self._jac_det = poly_matrix_det(self.jacobian_numerators())
+            self._jac_det = matrix_det(self.jacobian_numerators())
         return self._jac_det
 
     def check_dominant(self):
@@ -355,15 +355,17 @@ class RationalSelfMap:
         return f"RationalSelfMap({self.canonical_text()!r})"
 
 
-def poly_matrix_det(M):
-    """Laplace-expansion determinant of a small square polynomial matrix."""
+def matrix_det(M):
+    """Laplace-expansion determinant of a small square matrix over any
+    commutative ring: polynomials here, residue-field elements in
+    neighborhood.reduced_affine_order."""
     n = len(M)
     if n == 1:
         return M[0][0]
     det = None
     for j in range(n):
         minor = [[M[i][t] for t in range(n) if t != j] for i in range(1, n)]
-        term = M[0][j] * poly_matrix_det(minor)
+        term = M[0][j] * matrix_det(minor)
         if j % 2:
             term = -term
         det = term if det is None else det + term

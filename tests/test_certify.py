@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from padicdyn.certify import (NON_PREPERIODIC, OUTSIDE, PERIODIC, Certificate,
-                              _digest, classify, find_witness, period_bound,
-                              run_pipeline, verify_certificate,
-                              witness_candidates)
-from padicdyn.errors import SearchBudgetError, UnsupportedExtensionError
+                              _digest, _rebuild_record, classify,
+                              find_witness, period_bound, run_pipeline,
+                              verify_certificate, witness_candidates)
+from padicdyn.errors import (CertificateFormatError, SearchBudgetError,
+                             UnsupportedExtensionError)
 from padicdyn.mahler import mahler_coefficients
 from padicdyn.polynomials import RationalSelfMap
 from tests.conftest import build_map, build_pipeline, height_growth_oracle
@@ -153,6 +154,43 @@ def test_semantic_tampering_with_recomputed_digest(quad_p3_naive):
     report2 = verify_certificate(Certificate(bad2))
     stages2 = dict((name, ok) for name, ok, _ in report2.stages)
     assert not report2.ok and not stages2["iterate"]
+
+
+# other spellings of a coordinate list that reduce to the same residues
+RESPELLINGS = {"plus_p": lambda cs, p: [cs[0] + p] + cs[1:],
+               "minus_p": lambda cs, p: [cs[0] - p] + cs[1:],
+               "trailing": lambda cs, p: cs + [5]}
+
+
+@pytest.mark.parametrize("spelling", sorted(RESPELLINGS))
+def test_non_canonical_reduction_coordinates_are_rejected(
+        quad_p3_naive, suite_pipelines, spelling):
+    respell = RESPELLINGS[spelling]
+    cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
+    red = cert.data["reduction"]
+    assert red["point"] == [[2]] and red["orbit"] == [[[2]]]
+    for name, forged in (("point", [respell([2], 3)]),
+                         ("orbit", [[respell([2], 3)]])):
+        bad = copy.deepcopy(cert.data)
+        bad["reduction"][name] = forged
+        bad["digest"] = _digest(bad)
+        failures = dict(verify_certificate(Certificate(bad)).failures())
+        assert list(failures) == ["replay"], (name, failures)
+        assert f"reduction.{name} coordinate must be" in failures["replay"]
+
+    # the F_25 record of x^2+1 at p=5, whose modulus x^2 + 2 is [2, 0]
+    rec = suite_pipelines["quad_p5"].record
+    data = {"reduction": {
+        "m": rec.m, "field_modulus": rec.field_modulus_indexes(),
+        "point": rec.point_coords(), "period": rec.period,
+        "orbit": [[c.coords() for c in pt] for pt in rec.orbit],
+        "enumeration_index": rec.enumeration_index}}
+    assert data["reduction"]["field_modulus"] == [2, 0]
+    assert _rebuild_record(data, 5) == rec
+    data["reduction"]["field_modulus"] = respell([2, 0], 5)
+    with pytest.raises(CertificateFormatError,
+                       match="reduction.field_modulus must be"):
+        _rebuild_record(data, 5)
 
 
 def test_mahler_consistency_with_classification():

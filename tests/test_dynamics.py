@@ -1,15 +1,27 @@
 """Reduction mod p, locus checks and the periodic-point search."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from padicdyn.certify import run_pipeline
 from padicdyn.dynamics import (CLEAR, INDETERMINATE, RAMIFIED, FFPoly,
                                find_periodic_point, frobenius_orbit_period,
                                locus_check, reduce_map, verify_record)
 from padicdyn.errors import (BadReductionError, InseparableError,
-                             NoPeriodicPointError)
+                             NoPeriodicPointError, UnsupportedExtensionError)
 from padicdyn.finitefields import FiniteField
+from padicdyn.mapfile import load_map_file
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import RationalSelfMap
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# the benchmark's reference search records for maps whose search climbs to
+# F_49 or F_1331
+EXTFIELD_REFERENCE = json.loads(
+    (PERFBENCH / "reference.json").read_text())["extfield"]
 
 
 def quad():
@@ -136,3 +148,26 @@ def test_record_tamper_detection():
     wrong_pt = (fbar.field.from_int(1),)
     bad2 = dataclasses.replace(rec, point=wrong_pt, orbit=(wrong_pt,))
     assert not verify_record(fbar, bad2)
+
+
+@pytest.mark.parametrize("name", sorted(EXTFIELD_REFERENCE))
+def test_extfield_search_records_match_reference(name):
+    cfg = load_map_file(PERFBENCH / "maps" / f"{name}.json")
+    pipe = run_pipeline(cfg.map, prime=cfg.prime, e=cfg.e,
+                        precision=cfg.precision, degree=cfg.degree,
+                        m_max=cfg.m_max, lift=cfg.lift)
+    rec = pipe.record
+    got = {"m": rec.m, "period": rec.period,
+           "enumeration_index": rec.enumeration_index,
+           "visited": {str(k): v for k, v in rec.visited.items()},
+           "bound": pipe.bound.bound}
+    assert got == EXTFIELD_REFERENCE[name]
+    fbar = reduce_map(cfg.map, PadicContext(pipe.ctx.p, precision=1))
+    assert verify_record(fbar, rec)
+
+
+def test_extension_of_an_extension_is_unsupported():
+    F25 = FiniteField(5).extension(2)
+    assert F25.extension(1) is F25
+    with pytest.raises(UnsupportedExtensionError):
+        F25.extension(2)

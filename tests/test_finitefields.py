@@ -1,0 +1,87 @@
+"""The flat finite fields F_p and F_p[x]/(m), and the reduced Jacobian.
+
+Field laws are checked on random elements of every F_{p^m}, p in {3, 5, 7}
+and m in 1..3. The reduced Jacobian determinant is checked against the exact
+rational determinant of the map over Q at integer lifts, an oracle that
+shares no code with the reduction.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padicdyn.dynamics import RAMIFIED, locus_check, reduce_map
+from padicdyn.errors import InseparableError
+from padicdyn.finitefields import FiniteField
+from padicdyn.padics import PadicContext
+from padicdyn.polynomials import MultiPoly, RationalSelfMap
+
+FIELDS = [FiniteField(p).extension(m) for p in (3, 5, 7) for m in (1, 2, 3)]
+
+
+@st.composite
+def field_elements(draw, count):
+    fld = draw(st.sampled_from(FIELDS))
+    return [fld.element_from_index(draw(st.integers(0, fld.order - 1)))
+            for _ in range(count)]
+
+
+@given(field_elements(3))
+def test_ring_laws(elts):
+    x, y, z = elts
+    fld = x.field
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + fld.zero() == x and x * fld.one() == x
+    assert x + (-x) == fld.zero() and (x - y) + y == x
+
+
+@given(field_elements(1))
+def test_inverse_frobenius_and_index_round_trip(elts):
+    (x,) = elts
+    fld = x.field
+    if not x.is_zero():
+        assert x * x.inverse() == fld.one()
+    assert x ** fld.order == x
+    i = fld.index_of(x)
+    assert fld.element_from_index(i) == x
+    assert fld.index_of(fld.element_from_index(i)) == i
+
+
+@st.composite
+def polynomial_maps(draw):
+    """Small integer polynomial self-maps of A^1 or A^2."""
+    n = draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    nums = [MultiPoly(n, draw(st.dictionaries(exponents, st.integers(-4, 4),
+                                              min_size=1, max_size=4)))
+            for _ in range(n)]
+    return RationalSelfMap(nums, [MultiPoly.constant(n, 1)] * n)
+
+
+def _explicit_det(f):
+    """Jacobian determinant of a polynomial map written out by hand."""
+    d = [[num.partial(j) for j in range(f.n)] for num in f.numerators]
+    if f.n == 1:
+        return d[0][0]
+    return d[0][0] * d[1][1] - d[0][1] * d[1][0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_maps(), st.sampled_from([3, 5, 7]))
+def test_ramified_exactly_where_the_rational_determinant_is_divisible(f, p):
+    det = f.jacobian_numerator_det()
+    assert det == _explicit_det(f)
+    try:
+        fbar = reduce_map(f, PadicContext(p, precision=1))
+    except InseparableError:
+        assert all(c.numerator % p == 0 for c in det.coefficients())
+        return
+    fld = fbar.field
+    for index in range(p ** f.n):
+        point = tuple(fld.element_from_index(index // p ** i % p)
+                      for i in range(f.n))
+        lift = [c.rep for c in point]
+        divisible = det.eval_fraction(lift).numerator % p == 0
+        assert (locus_check(fbar, point) == RAMIFIED) == divisible

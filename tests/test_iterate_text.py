@@ -1,8 +1,9 @@
 """Canonical decimal text of certificate iterates.
 
 fraction_text against str(), the ramified demo certificate's byte identity,
-the verifier's canonical-text check on the payload, and the interpreter's
-int/str conversion guard, which importing padicdyn must leave alone.
+the verifier's canonical-text checks on the payload and the witness, and the
+interpreter's int/str conversion guard, which importing padicdyn must leave
+alone.
 """
 
 import copy
@@ -141,21 +142,32 @@ def test_ramified_demo_certificate_is_byte_identical():
 
 
 def test_non_canonical_payload_text_is_rejected(quad_p3_naive):
+    # both texts a certificate records for rationals, the payload iterate and
+    # the witness, must be canonical
     cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
     text = cert.data["payload"]["iterate"][0]
     coordinate = "payload iterate coordinate 1 is not the canonical text"
     shape = "payload iterate is not a list of 1 coordinates"
-    cases = [(["+" + text], coordinate), ([text + "/1"], coordinate),
-             ([" " + text], coordinate), ([int(text)], coordinate),
-             ([text, text], shape), ([], shape), (text, shape)]
-    for forged, detail in cases:
+    cases = [(("payload", "iterate"), forged, "iterate", detail)
+             for forged, detail in [
+                 (["+" + text], coordinate), ([text + "/1"], coordinate),
+                 ([" " + text], coordinate), ([int(text)], coordinate),
+                 ([text, text], shape), ([], shape), (text, shape)]]
+    assert cert.data["witness"] == ["2"]
+    cases += [(("witness",), [forged], "witness",
+               "witness is not the canonical text")
+              for forged in ("+2", "2/1", " 2", "4/2")]
+    for path, forged, stage, detail in cases:
+        bad = copy.deepcopy(cert.data)
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
         if isinstance(forged, list) and forged and isinstance(forged[0], str):
             # the same rational, so only the text check can catch it
-            assert Fraction(forged[0]) == Fraction(text)
-        bad = copy.deepcopy(cert.data)
-        bad["payload"]["iterate"] = forged
+            assert Fraction(forged[0]) == Fraction(node[path[-1]][0])
+        node[path[-1]] = forged
         bad["digest"] = _digest(bad)
         report = verify_certificate(Certificate(bad))
         failures = dict(report.failures())
-        assert set(failures) == {"iterate"}, (forged, failures)
-        assert failures["iterate"].startswith(detail), (forged, failures)
+        assert set(failures) == {stage}, (forged, failures)
+        assert failures[stage].startswith(detail), (forged, failures)
