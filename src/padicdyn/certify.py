@@ -418,6 +418,30 @@ class VerificationReport:
         return f"<VerificationReport {status}, {len(self.stages)} stages>"
 
 
+# The integer scalars make_certificate writes, apart from the payload's
+# (checked in the iterate stage). JSON also spells numbers as true or 2.0,
+# which Python compares equal to 1 and 2, so the verifier requires each of
+# these to be an int and nothing else.
+_INT_FIELDS = (("map", "n"), ("context", "p"), ("context", "d"),
+               ("context", "e"), ("context", "precision"),
+               ("reduction", "period"), ("reduction", "enumeration_index"),
+               ("neighborhood", "k"), ("neighborhood", "affine_order"),
+               ("neighborhood", "divisibility_degree"),
+               ("period_bound", "k"), ("period_bound", "affine_order"),
+               ("period_bound", "analyticity_exponent"),
+               ("period_bound", "bound"), ("mahler_profile", "k_max"))
+
+
+def _is_int(value, expected):
+    return type(value) is int and value == expected
+
+
+def _non_int_problem(data):
+    bad = [f"{section}.{key}" for section, key in _INT_FIELDS
+           if type(data[section][key]) is not int]
+    return f"not JSON integers: {', '.join(bad)}" if bad else None
+
+
 def _field_ints(value, count, p, name):
     """``value`` itself when it is a list of exactly ``count`` ints in
     range(p), the only spelling make_certificate writes."""
@@ -472,10 +496,10 @@ def _payload_problem(payload, iterate, omega, ctx):
                     if a != b), None)
     if differs is None:
         return "exact f^N(witness) equals the witness"
-    if payload.get("differs_at") != differs:
+    if not _is_int(payload.get("differs_at"), differs):
         return f"f^N(witness) first differs from the witness at {differs}"
     dv = rational_vr(iterate[differs - 1] - omega[differs - 1], ctx)
-    if payload.get("difference_valuation") != dv:
+    if not _is_int(payload.get("difference_valuation"), dv):
         return f"difference valuation is {dv}"
     return None
 
@@ -494,9 +518,12 @@ def verify_certificate(cert):
         if not rep.add("digest", data.get("digest") == _digest(data),
                        "integrity digest mismatch"):
             return rep
-        fmt_ok = (data.get("format") == CERT_FORMAT
-                  and data.get("version") == __version__)
-        if not rep.add("format", fmt_ok, "unknown format or version"):
+        if (data.get("format") != CERT_FORMAT
+                or data.get("version") != __version__):
+            problem = "unknown format or version"
+        else:
+            problem = _non_int_problem(data)
+        if not rep.add("format", problem is None, problem):
             return rep
 
         mp = data["map"]
@@ -572,7 +599,9 @@ def verify_certificate(cert):
         prof = data["mahler_profile"]
         recomputed, _ = _mahler_profile(rebuilt, bound, omega,
                                         prof["k_max"])
-        rep.add("mahler_profile", recomputed == prof,
+        # as JSON text, so that true or 3.0 cannot stand in for 1 or 3
+        rep.add("mahler_profile",
+                _canonical_json(recomputed) == _canonical_json(prof),
                 "interpolation valuation profile does not reproduce")
     except Exception as exc:  # any replay blow-up invalidates the certificate
         rep.add("replay", False, f"{type(exc).__name__}: {exc}")

@@ -110,12 +110,15 @@ class ReducedMap:
             self.jacobian_det.map_field(new_field))
 
     def apply(self, point):
+        one = self.field.one().rep
         out = []
         for num, den in zip(self.numerators, self.denominators):
             dval = den.evaluate(point)
             if dval.is_zero():
                 raise IndeterminacyError("denominator vanishes at the point")
-            out.append(num.evaluate(point) * dval.inverse())
+            value = num.evaluate(point)
+            # dividing by 1 is exact in any field: skip the Fermat inverse
+            out.append(value if dval.rep == one else value * dval.inverse())
         return tuple(out)
 
     def __repr__(self):

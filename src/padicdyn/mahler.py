@@ -30,8 +30,11 @@ def orbit(phi, omega, count, rational_shadow=None):
     """omega, Phi(omega), ..., Phi^count(omega) at working precision.
 
     ``phi`` is any callable on coordinate vectors; an IteratedMap is used
-    through its ``orbit`` method so the whole run costs one digit of
-    precision rather than one per step. When ``rational_shadow`` is given as
+    through its ``orbit`` method, which applies f^(k*multiplier) in ambient
+    coordinates with ``PadicNeighborhood.apply_fk`` (one cached-coefficient
+    ``map_eval_padic`` per application of f) and converts each point to
+    local coordinates once, so the whole run costs one digit of precision
+    rather than one per step. When ``rational_shadow`` is given as
     (exact_step_function, exact_start), a parallel exact-rational orbit is
     computed and cross-checked against the p-adic one.
     """

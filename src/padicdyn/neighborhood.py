@@ -20,7 +20,8 @@ from .errors import (DivisibilityError, IndeterminacyError, NoGoodPrimeError,
 from .finitefields import is_prime, mat_eq, mat_identity, mat_mul, mat_vec
 from .padics import PadicContext, PadicElement
 from .polynomials import matrix_det
-from .series import expand_at, series_compose
+from .series import (embed_terms, evaluate_terms, expand_at,
+                     point_powers, series_compose)
 
 FALLBACK_NOTE = ("analyticity fallback required: p <= 2(e+1), interpolation"
                  " will only be analytic on a smaller disc")
@@ -152,19 +153,53 @@ def hensel_lift(record, ctx, convention="teichmuller"):
     return tuple(lifts)
 
 
+def _embedded_map(f, ctx):
+    """Per component of f, (numerator terms, denominator terms, scale) for
+    evaluate_terms, embedded once per context and cached on f.
+
+    A constant unit denominator is inverted here: its terms are None and
+    scale is its inverse, or None when that inverse is exactly 1. Any other
+    denominator keeps its terms and is checked and inverted at each point.
+    """
+    cached = f._padic_terms.get(ctx)
+    if cached is None:
+        one = ctx.one()
+        cached = []
+        for num, den in zip(f.numerators, f.denominators):
+            den_terms = embed_terms(den, ctx)
+            num_terms = embed_terms(num, ctx)
+            scale = None
+            if den.total_degree() == 0:
+                dval = evaluate_terms(ctx, den_terms, ())
+                if dval.is_unit():
+                    scale = dval.inverse()
+                    den_terms = None
+                    if scale == one:
+                        scale = None
+            cached.append((num_terms, den_terms, scale))
+        cached = f._padic_terms[ctx] = tuple(cached)
+    return cached
+
+
 def map_eval_padic(f, point, ctx=None):
     """Evaluate a RationalSelfMap at a vector of PadicElements exactly (to
-    precision). Denominators must be units."""
-    from .series import poly_eval
+    precision). Denominators must be units; a coefficient that is not
+    p-integral raises BadReductionError before any denominator is checked."""
     if ctx is None:
         ctx = point[0].ctx
+    if len(point) != f.n:
+        raise ValueError("point dimension mismatch")
+    powers = point_powers(point)
     out = []
-    for num, den in zip(f.numerators, f.denominators):
-        dval = poly_eval(den, point, ctx)
-        if dval.valuation() != 0:
-            raise IndeterminacyError(
-                "denominator is not a unit along the orbit")
-        out.append(poly_eval(num, point, ctx) * dval.inverse())
+    for num_terms, den_terms, scale in _embedded_map(f, ctx):
+        if den_terms is not None:
+            dval = evaluate_terms(ctx, den_terms, point, powers)
+            if dval.valuation() != 0:
+                raise IndeterminacyError(
+                    "denominator is not a unit along the orbit")
+            scale = dval.inverse()
+        value = evaluate_terms(ctx, num_terms, point, powers)
+        out.append(value if scale is None else value * scale)
     return tuple(out)
 
 
@@ -232,7 +267,8 @@ class PadicNeighborhood:
         return True
 
     def apply_fk(self, zvec, times=1):
-        """Exact p-adic application of f^(k*times) to an ambient point."""
+        """Exact p-adic application of f^(k*times) to an ambient point: the
+        one loop that applies f to neighborhood points."""
         for _ in range(self.period_k * times):
             zvec = map_eval_padic(self.map, zvec, self.ctx)
         return zvec
@@ -282,29 +318,28 @@ class PadicNeighborhood:
 class IteratedMap:
     """t -> local coordinates of f^(k*multiplier) applied exactly.
 
-    ``orbit`` iterates in ambient coordinates first and converts each point
-    once, so the whole orbit loses a single digit of precision instead of one
-    per step.
+    Both ``__call__`` and ``orbit`` go through ``PadicNeighborhood.apply_fk``.
+    ``orbit`` iterates in ambient coordinates and converts each point to
+    local coordinates once, so the whole orbit loses a single digit of
+    precision instead of one per step.
     """
 
     def __init__(self, nbhd, multiplier=1):
         self.nbhd = nbhd
         self.multiplier = multiplier
-        self.steps = nbhd.period_k * multiplier
 
     def __call__(self, tvec):
-        z = self.nbhd.from_local(tvec)
-        for _ in range(self.steps):
-            z = map_eval_padic(self.nbhd.map, z, self.nbhd.ctx)
-        return self.nbhd.to_local(z)
+        nbhd = self.nbhd
+        return nbhd.to_local(nbhd.apply_fk(nbhd.from_local(tvec),
+                                           self.multiplier))
 
     def orbit(self, t0, count):
-        z = self.nbhd.from_local(t0)
-        out = [self.nbhd.to_local(z)]
+        nbhd = self.nbhd
+        z = nbhd.from_local(t0)
+        out = [nbhd.to_local(z)]
         for _ in range(count):
-            for _ in range(self.steps):
-                z = map_eval_padic(self.nbhd.map, z, self.nbhd.ctx)
-            out.append(self.nbhd.to_local(z))
+            z = nbhd.apply_fk(z, self.multiplier)
+            out.append(nbhd.to_local(z))
         return out
 
 

@@ -104,6 +104,11 @@ class PadicContext:
         self.eis_low_raw = tuple(low_raw)
         self.ramification_degree = self.e  # v_r(p) = e
         self._unif_cache = None
+        self._hash = hash((p, self.unram_poly, self.eis_low, precision))
+
+    def modulus(self, prec):
+        """p^prec, without the power at the working precision."""
+        return self.pmod if prec == self.precision else self.p ** prec
 
     # -- W-layer helpers: tuples of d ints mod p^prec ------------------------
 
@@ -287,7 +292,7 @@ class PadicContext:
 
     def coerce(self, x):
         if isinstance(x, PadicElement):
-            if x.ctx != self:
+            if x.ctx is not self and x.ctx != self:
                 raise ContextMismatchError("mixed p-adic contexts")
             return x
         if isinstance(x, int):
@@ -304,7 +309,7 @@ class PadicContext:
                 and self.precision == other.precision)
 
     def __hash__(self):
-        return hash((self.p, self.unram_poly, self.eis_low, self.precision))
+        return self._hash
 
     def __repr__(self):
         return (f"PadicContext(p={self.p}, d={self.d}, e={self.e},"
@@ -328,10 +333,10 @@ class PadicElement:
             other = self.ctx.coerce(other)
         elif not isinstance(other, PadicElement):
             return None, None, None
-        elif other.ctx != self.ctx:
+        elif other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ContextMismatchError("mixed p-adic contexts")
         prec = min(self.prec, other.prec)
-        return other, prec, self.ctx.p ** prec
+        return other, prec, self.ctx.modulus(prec)
 
     def _tighten(self, prec, mod):
         if prec == self.prec:
@@ -363,13 +368,13 @@ class PadicElement:
 
     def __neg__(self):
         ctx = self.ctx
-        mod = ctx.p ** self.prec
+        mod = ctx.modulus(self.prec)
         return ctx._make([ctx._wneg(x, mod) for x in self.layers], self.prec)
 
     def __mul__(self, other):
         if isinstance(other, int):
             ctx = self.ctx
-            mod = ctx.p ** self.prec
+            mod = ctx.modulus(self.prec)
             return ctx._make([ctx._wscale(x, other, mod) for x in self.layers],
                              self.prec)
         o, prec, mod = self._pair(other)
@@ -458,9 +463,20 @@ class PadicElement:
     # -- division -----------------------------------------------------------
 
     def inverse(self):
-        """Multiplicative inverse of a unit, exact to stored precision."""
+        """Multiplicative inverse of a unit, exact to stored precision
+        (capped at the context's, as for every product)."""
         if self.valuation() != 0:
             raise NonUnitError("division by non-unit")
+        ctx = self.ctx
+        if ctx.d == 1 and ctx.e == 1:
+            prec = min(self.prec, ctx.precision)
+            return ctx._make(
+                [(pow(self.layers[0][0], -1, ctx.modulus(prec)),)], prec)
+        return self._newton_inverse()
+
+    def _newton_inverse(self):
+        """inverse() of a unit by Newton iteration from the residue-field
+        inverse; the only route when d > 1 or e > 1."""
         ctx = self.ctx
         res_inv = self.residue().inverse()
         x = ctx.naive_lift(res_inv)
@@ -521,7 +537,7 @@ class PadicElement:
             other = self.ctx.coerce(other)
         if not isinstance(other, PadicElement):
             return NotImplemented
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             return False
         prec = min(self.prec, other.prec)
         mod = self.ctx.p ** prec

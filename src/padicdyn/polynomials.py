@@ -278,6 +278,9 @@ class RationalSelfMap:
         self.n = n
         self._jac = None
         self._jac_det = None
+        # coefficients embedded per PadicContext, filled by
+        # neighborhood.map_eval_padic
+        self._padic_terms = {}
 
     @classmethod
     def from_texts(cls, n, numerators, denominators=None):

@@ -193,6 +193,50 @@ def test_non_canonical_reduction_coordinates_are_rejected(
         _rebuild_record(data, 5)
 
 
+# integer fields and the stage that must reject a bool or float spelling
+INT_FIELD_STAGES = {
+    ("reduction", "period"): "format",
+    ("reduction", "enumeration_index"): "format",
+    ("neighborhood", "k"): "format",
+    ("neighborhood", "affine_order"): "format",
+    ("neighborhood", "divisibility_degree"): "format",
+    ("period_bound", "k"): "format",
+    ("period_bound", "affine_order"): "format",
+    ("period_bound", "analyticity_exponent"): "format",
+    ("period_bound", "bound"): "format",
+    ("mahler_profile", "k_max"): "format",
+    ("map", "n"): "format",
+    ("context", "p"): "format",
+    ("context", "d"): "format",
+    ("context", "e"): "format",
+    ("context", "precision"): "format",
+    ("payload", "differs_at"): "iterate",
+    ("payload", "difference_valuation"): "iterate",
+}
+
+
+def test_non_int_json_numbers_are_rejected(quad_p3_naive):
+    cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
+    assert verify_certificate(cert).ok
+    cases = list(INT_FIELD_STAGES.items())
+    cases.append((("mahler_profile", "valuations", 0, 0), "mahler_profile"))
+    for path, stage in cases:
+        node = cert.data
+        for key in path:
+            node = node[key]
+        assert type(node) is int, path
+        # true is what Python reads as 1; the float has the same value
+        for spelling in (True, float(node)):
+            bad = copy.deepcopy(cert.data)
+            parent = bad
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = spelling
+            bad["digest"] = _digest(bad)
+            failures = dict(verify_certificate(Certificate(bad)).failures())
+            assert list(failures) == [stage], (path, spelling, failures)
+
+
 def test_mahler_consistency_with_classification():
     # nonzero interpolation coefficients for psi = Phi^(p^l_an) exactly when
     # the witness is non-preperiodic

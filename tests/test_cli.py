@@ -8,8 +8,8 @@ from padicdyn.certify import Certificate
 from padicdyn.mapfile import load_map_file, parse_map_config
 
 
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "padicdyn.cli", *args],
+def run_cli(*args, module="padicdyn.cli"):
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True)
 
 
@@ -50,6 +50,20 @@ def test_certify_and_verify_roundtrip(tmp_path):
     res2 = run_cli("verify", "--cert", cert_path)
     assert res2.returncode == 0, res2.stderr
     assert "certificate is valid" in res2.stdout
+
+
+def test_python_dash_m_padicdyn_runs_the_cli(tmp_path):
+    mp = write_map(tmp_path / "m.json", QUAD)
+    cert_path = str(tmp_path / "cert.json")
+    res = run_cli("certify", "--map", mp, "--out", cert_path,
+                  module="padicdyn")
+    assert res.returncode == 0, res.stderr
+    assert "period bound N = 9" in res.stdout
+    res2 = run_cli("verify", "--cert", cert_path, module="padicdyn")
+    assert res2.returncode == 0, res2.stderr
+    assert "certificate is valid" in res2.stdout
+    usage = run_cli(module="padicdyn")
+    assert usage.returncode == 2 and "usage: padicdyn" in usage.stderr
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

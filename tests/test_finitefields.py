@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdyn.dynamics import RAMIFIED, locus_check, reduce_map
-from padicdyn.errors import InseparableError
+from padicdyn.errors import (IndeterminacyError, InseparableError,
+                             PadicDynError)
 from padicdyn.finitefields import FiniteField
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import MultiPoly, RationalSelfMap
@@ -85,3 +86,46 @@ def test_ramified_exactly_where_the_rational_determinant_is_divisible(f, p):
         lift = [c.rep for c in point]
         divisible = det.eval_fraction(lift).numerator % p == 0
         assert (locus_check(fbar, point) == RAMIFIED) == divisible
+
+
+@st.composite
+def rational_maps(draw):
+    """Integer rational self-maps of A^1 or A^2; each denominator is 1, a
+    constant or a polynomial."""
+    n = draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+
+    def poly():
+        return MultiPoly(n, draw(st.dictionaries(
+            exponents, st.integers(-4, 4).filter(bool), min_size=1,
+            max_size=3)))
+
+    nums = [poly() for _ in range(n)]
+    dens = [draw(st.sampled_from([lambda: MultiPoly.constant(n, 1),
+                                  lambda: MultiPoly.constant(n, 2),
+                                  poly]))()
+            for _ in range(n)]
+    return RationalSelfMap(nums, dens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_maps(), st.sampled_from(FIELDS), st.randoms())
+def test_apply_divides_each_numerator_by_its_denominator(f, fld, rng):
+    try:
+        fbar = reduce_map(f, PadicContext(fld.p, precision=1))
+    except PadicDynError:
+        return
+    if fld.degree > 1:
+        fbar = fbar.extend(fld)
+    for _ in range(6):
+        point = tuple(fld.element_from_index(rng.randrange(fld.order))
+                      for _ in range(f.n))
+        values = [(num.evaluate(point), den.evaluate(point))
+                  for num, den in zip(fbar.numerators, fbar.denominators)]
+        if any(d.is_zero() for _, d in values):
+            try:
+                fbar.apply(point)
+                raise AssertionError("vanishing denominator accepted")
+            except IndeterminacyError:
+                continue
+        assert fbar.apply(point) == tuple(v * d.inverse() for v, d in values)

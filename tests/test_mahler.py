@@ -1,15 +1,29 @@
 """Orbit interpolation: finite differences, valuation law, analyticity."""
 
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from padicdyn.certify import run_pipeline
 from padicdyn.errors import PrecisionError, TheoryViolationError
 from padicdyn.mahler import (analyticity_exponent, analyticity_margins,
                              evaluate, mahler_coefficients, orbit)
+from padicdyn.mapfile import load_map_file
 from padicdyn.padics import INFINITY, PadicContext
 from tests.conftest import build_pipeline
+
+HENON_P5 = (Path(__file__).resolve().parents[1]
+            / "perfbench" / "maps" / "henon_p5.json")
+
+# sha256 of the orbit, the coefficients (digits and precision tags) and the
+# valuation table of psi's interpolation at t0 = (3, 11), as computed by the
+# evaluator that embedded every coefficient and Newton-inverted the constant
+# denominator 1 at each application of f
+HENON_P5_PIN = ("bd5b1deeba74fbfc2d4536b8b04ca716"
+                "d19903f72f963a7afb5d29481e4aa146")
 
 
 def test_orbit_examples():
@@ -249,3 +263,22 @@ def test_ck_margin_matches_slope_margin_at_l0():
     rep = analyticity_margins(interp, 0)
     for _, main, ck in rep.margins:
         assert main == ck
+
+
+def test_henon_mahler_data_is_pinned():
+    cfg = load_map_file(str(HENON_P5))
+    pipe = run_pipeline(cfg.map, prime=cfg.prime, e=cfg.e,
+                        precision=cfg.precision, degree=cfg.degree,
+                        m_max=cfg.m_max, lift=cfg.lift)
+    ctx, b = pipe.ctx, pipe.bound
+    assert (b.period_k, b.affine_order, b.bound) == (11, 4, 44)
+    psi = pipe.nbhd.iterated_local_map(
+        b.affine_order * ctx.p ** b.analyticity_exponent)
+    t0 = (ctx.from_int(3), ctx.from_int(11))
+    interp = mahler_coefficients(psi, t0, cfg.kmax)
+    data = {"orbit": [[(c.layers, c.prec) for c in pt]
+                      for pt in interp.orbit_points],
+            "coeffs": [[(c.layers, c.prec) for c in row]
+                       for row in interp.coeffs],
+            "vals": [[str(v) for v in row] for row in interp.valuations]}
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == HENON_P5_PIN
