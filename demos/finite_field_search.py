@@ -3,8 +3,7 @@
 # orbits get rejected, and when the search has to climb to an extension.
 
 from padicdyn import (RationalSelfMap, PadicContext, reduce_map,
-                      find_periodic_point, locus_check,
-                      frobenius_orbit_period)
+                      find_periodic_point, locus_check)
 from padicdyn.errors import (BadReductionError, InseparableError,
                              NoPeriodicPointError)
 
@@ -46,13 +45,3 @@ rec3 = find_periodic_point(fbar5, m_max=2)
 print("over F_25: modulus lows", rec3.field_modulus_indexes(),
       "| point index", rec3.field.index_of(rec3.point[0]),
       "| period", rec3.period, "| visited", rec3.visited)
-
-# Frobenius bookkeeping: coefficients inside F_q are fixed immediately,
-# an F_25-coefficient needs two applications of the 5-power map.
-from padicdyn.dynamics import FFPoly
-F25 = rec3.field
-gamma = F25.element_from_index(5)
-print("Frobenius period of a coefficient in F_5:",
-      frobenius_orbit_period([FFPoly(F25, 1, {(0,): F25.from_int(2)})], 5))
-print("Frobenius period of gamma in F_25:",
-      frobenius_orbit_period([FFPoly(F25, 1, {(0,): gamma})], 5))

@@ -14,8 +14,8 @@ from .certify import (Certificate, ClassifyResult, PeriodBound, classify,
                       find_witness, make_certificate, period_bound,
                       run_pipeline, verify_certificate)
 from .dynamics import (CLEAR, INDETERMINATE, RAMIFIED, PeriodicPointRecord,
-                       ReducedMap, find_periodic_point,
-                       frobenius_orbit_period, locus_check, reduce_map)
+                       ReducedMap, find_periodic_point, locus_check,
+                       reduce_map)
 from .mahler import (MahlerInterpolation, analyticity_exponent,
                      analyticity_margins, evaluate, mahler_coefficients,
                      orbit)
@@ -34,8 +34,7 @@ __all__ = [
     "find_witness", "make_certificate", "period_bound", "run_pipeline",
     "verify_certificate",
     "CLEAR", "INDETERMINATE", "RAMIFIED", "PeriodicPointRecord",
-    "ReducedMap", "find_periodic_point", "frobenius_orbit_period",
-    "locus_check", "reduce_map",
+    "ReducedMap", "find_periodic_point", "locus_check", "reduce_map",
     "MahlerInterpolation", "analyticity_exponent", "analyticity_margins",
     "evaluate", "mahler_coefficients", "orbit",
     "MapConfig", "load_map_file",

@@ -5,78 +5,36 @@ The search looks for *purely* periodic points whose whole orbit avoids the
 indeterminacy locus (a vanishing denominator) and the ramification locus
 (vanishing Jacobian determinant). Enumeration is index-driven and the first
 hit in canonical order wins, so results are deterministic and replayable.
+
+A reduced map stores each numerator, denominator and its Jacobian
+determinant as a tuple of (exponents, residue) terms, reduced once by
+``FiniteField.from_rational``; ``ReducedMap.extend`` embeds those F_p
+residues in F_{p^m}. Every value is computed by
+``polynomials.evaluate_terms``, which caches the powers of a point's
+coordinates; ``apply`` and ``locus_check`` share one cache per point across
+components.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .errors import (BadReductionError, IndeterminacyError, InseparableError,
-                     NoPeriodicPointError)
+from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
 from .finitefields import FiniteField
+from .polynomials import embed_terms, evaluate_terms, point_powers
 
 CLEAR = "clear"
 INDETERMINATE = "indeterminate"
 RAMIFIED = "ramified"
 
 
-class FFPoly:
-    """Sparse multivariate polynomial with finite-field coefficients."""
-
-    __slots__ = ("field", "n", "terms")
-
-    def __init__(self, fld, n, terms=None):
-        self.field = fld
-        self.n = n
-        clean = {}
-        for idx, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[tuple(idx)] = c
-        self.terms = clean
-
-    @classmethod
-    def from_multipoly(cls, poly, fld, p):
-        """Reduce a MultiPoly with p-integral rational coefficients."""
-        terms = {}
-        for idx, c in poly.terms.items():
-            if c.denominator % p == 0:
-                raise BadReductionError(
-                    f"coefficient {c} is not {p}-integral"
-                    " (bad-reduction coefficient)")
-            val = (c.numerator * pow(c.denominator, -1, p)) % p
-            terms[idx] = fld.from_int(val)
-        return cls(fld, poly.n, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def map_field(self, new_field):
-        """Re-express the polynomial over an extension of its prime field."""
-        return FFPoly(new_field, self.n,
-                      {idx: new_field.from_int(c.rep)
-                       for idx, c in self.terms.items()})
-
-    def evaluate(self, point):
-        total = self.field.zero()
-        for idx, c in self.terms.items():
-            term = c
-            for x, a in zip(point, idx):
-                for _ in range(a):
-                    term = term * x
-            total = total + term
-        return total
-
-    def __eq__(self, other):
-        return (isinstance(other, FFPoly) and self.field == other.field
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"FFPoly(n={self.n}, terms={len(self.terms)})"
-
-
 class ReducedMap:
     """A rational self-map over a finite field with its Jacobian data.
+
+    Each numerator, each denominator and ``jacobian_det`` is a tuple of
+    (exponents, coefficient) terms for polynomials.evaluate_terms, with a
+    coefficient of None for 1. Only nonzero residues are kept, so an empty
+    tuple is exactly the zero polynomial.
 
     ``jacobian_det`` reduces the determinant over Q of J[i][j] =
     d(num_i)/dx_j * den_i - num_i * d(den_i)/dx_j, which
@@ -86,15 +44,14 @@ class ReducedMap:
     there).
     """
 
-    def __init__(self, fld, numerators, denominators, jacobian_det):
+    def __init__(self, fld, n, numerators, denominators, jacobian_det):
         self.field = fld
-        self.n = numerators[0].n
+        self.n = n
         self.numerators = tuple(numerators)
         self.denominators = tuple(denominators)
-        for den in denominators:
-            if den.is_zero():
-                raise IndeterminacyError("denominator reduces to zero")
-        if jacobian_det.is_zero():
+        if not all(self.denominators):
+            raise IndeterminacyError("denominator reduces to zero")
+        if not jacobian_det:
             raise InseparableError(
                 "Jacobian determinant is identically zero"
                 " (inseparable reduction)")
@@ -103,20 +60,25 @@ class ReducedMap:
     def extend(self, new_field):
         """The same map over an extension of F_p, for a map over F_p;
         coefficients are embedded, nothing is re-derived."""
-        return ReducedMap(
-            new_field,
-            [poly.map_field(new_field) for poly in self.numerators],
-            [poly.map_field(new_field) for poly in self.denominators],
-            self.jacobian_det.map_field(new_field))
+        def embed(terms):
+            return tuple((idx, c if c is None else new_field.from_int(c.rep))
+                         for idx, c in terms)
+
+        return ReducedMap(new_field, self.n,
+                          [embed(t) for t in self.numerators],
+                          [embed(t) for t in self.denominators],
+                          embed(self.jacobian_det))
 
     def apply(self, point):
-        one = self.field.one().rep
+        fld = self.field
+        one = fld.one().rep
+        powers = point_powers(point)
         out = []
         for num, den in zip(self.numerators, self.denominators):
-            dval = den.evaluate(point)
+            dval = evaluate_terms(fld, den, point, powers)
             if dval.is_zero():
                 raise IndeterminacyError("denominator vanishes at the point")
-            value = num.evaluate(point)
+            value = evaluate_terms(fld, num, point, powers)
             # dividing by 1 is exact in any field: skip the Fermat inverse
             out.append(value if dval.rep == one else value * dval.inverse())
         return tuple(out)
@@ -125,13 +87,20 @@ class ReducedMap:
         return f"ReducedMap(n={self.n}, q={self.field.order})"
 
 
+def _reduce_terms(poly, fld):
+    """The terms of poly mod p, nonzero residues only."""
+    return tuple((idx, c) for idx, c in embed_terms(poly, fld)
+                 if c is None or not c.is_zero())
+
+
 def reduce_map(f, ctx):
-    """Reduce a RationalSelfMap modulo the context's maximal ideal."""
+    """Reduce a RationalSelfMap modulo the context's maximal ideal;
+    BadReductionError for the first coefficient that is not p-integral."""
     fld = ctx.residue_field
-    nums = [FFPoly.from_multipoly(p, fld, ctx.p) for p in f.numerators]
-    dens = [FFPoly.from_multipoly(p, fld, ctx.p) for p in f.denominators]
-    det = FFPoly.from_multipoly(f.jacobian_numerator_det(), fld, ctx.p)
-    return ReducedMap(fld, nums, dens, det)
+    return ReducedMap(fld, f.n,
+                      [_reduce_terms(p, fld) for p in f.numerators],
+                      [_reduce_terms(p, fld) for p in f.denominators],
+                      _reduce_terms(f.jacobian_numerator_det(), fld))
 
 
 def locus_check(fbar, point):
@@ -140,10 +109,12 @@ def locus_check(fbar, point):
     Indeterminacy (a vanishing denominator) is checked first since the
     Jacobian data is meaningless there.
     """
+    fld = fbar.field
+    powers = point_powers(point)
     for den in fbar.denominators:
-        if den.evaluate(point).is_zero():
+        if evaluate_terms(fld, den, point, powers).is_zero():
             return INDETERMINATE
-    if fbar.jacobian_det.evaluate(point).is_zero():
+    if evaluate_terms(fld, fbar.jacobian_det, point, powers).is_zero():
         return RAMIFIED
     return CLEAR
 
@@ -158,8 +129,6 @@ class PeriodicPointRecord:
     point: tuple                # FFElements
     period: int
     orbit: tuple                # the period-many orbit members
-    orbit_clear: bool
-    cycle_jacobian_invertible: bool
     enumeration_index: int
     visited: dict = field(default_factory=dict, compare=False)
 
@@ -172,7 +141,9 @@ class PeriodicPointRecord:
 
 
 def _walk_orbit(fbar, start, cap):
-    """Return (status, orbit) where status is 'periodic', 'tail' or a locus
+    """Return (status, orbit) where status is 'periodic' when start comes
+    back within cap steps, 'tail' when the walk enters a cycle that misses
+    start, 'unfinished' when neither happens within cap steps, or a locus
     label that interrupted the walk."""
     pos = {}
     path = []
@@ -188,15 +159,7 @@ def _walk_orbit(fbar, start, cap):
         pos[cur] = len(path)
         path.append(cur)
         cur = fbar.apply(cur)
-    raise RuntimeError("orbit walk exceeded the space size")  # unreachable
-
-
-def _cycle_jacobian_invertible(fbar, orbit):
-    fld = fbar.field
-    prod = fld.one()
-    for pt in orbit:
-        prod = prod * fbar.jacobian_det.evaluate(pt)
-    return not prod.is_zero()
+    return "unfinished", tuple(path)
 
 
 def find_periodic_point(fbar, m_max=6, constraints=None):
@@ -232,9 +195,6 @@ def find_periodic_point(fbar, m_max=6, constraints=None):
                 point=point,
                 period=len(orbit),
                 orbit=orbit,
-                orbit_clear=True,
-                cycle_jacobian_invertible=_cycle_jacobian_invertible(fm,
-                                                                     orbit),
                 enumeration_index=index,
                 visited=dict(visited),
             )
@@ -246,37 +206,10 @@ def find_periodic_point(fbar, m_max=6, constraints=None):
 
 def verify_record(fbar, record):
     """Re-check a PeriodicPointRecord against a reduced map: pure
-    periodicity, the stated period, and a fully clear orbit."""
+    periodicity, the stated period and orbit, and a fully clear orbit. The
+    walk stops after record.period steps."""
     fld = record.field
     fm = fbar if fld == fbar.field else fbar.extend(fld)
-    cur = record.point
-    seen = []
-    for _ in range(record.period):
-        if locus_check(fm, cur) != CLEAR:
-            return False
-        if cur in seen:
-            return False  # smaller period than recorded
-        seen.append(cur)
-        cur = fm.apply(cur)
-    if cur != record.point:
-        return False
-    if tuple(seen) != record.orbit:
-        return False
-    return _cycle_jacobian_invertible(fm, record.orbit)
-
-
-def frobenius_orbit_period(polys, base_order):
-    """Smallest k with the q-power Frobenius (q = base_order) fixing every
-    coefficient of every polynomial; 1 for an empty set."""
-    k = 1
-    for poly in polys:
-        for c in poly.terms.values():
-            t = 1
-            cur = c ** base_order
-            while cur != c:
-                cur = cur ** base_order
-                t += 1
-                if t > c.field.degree * 4:
-                    raise RuntimeError("Frobenius period runaway")
-            k = k * t // math.gcd(k, t)
-    return k
+    status, orbit = _walk_orbit(fm, record.point, record.period)
+    return (status == "periodic" and len(orbit) == record.period
+            and orbit == record.orbit)

@@ -7,11 +7,19 @@ towers: extending a field that is already an extension is unsupported.
 Everything is index-driven and deterministic: element enumeration order and
 the irreducible-modulus search are reproducible, which downstream
 certificates rely on.
+
+``FiniteField.from_rational`` is the one reduction of a rational mod p. A map
+reduced mod p keeps its polynomials as (exponents, coefficient) terms of such
+residues and is evaluated by ``polynomials.evaluate_terms``, the evaluator
+the p-adic path uses too; there is no finite-field polynomial class.
 """
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError, UnsupportedExtensionError
+from fractions import Fraction
+
+from .errors import (BadReductionError, FieldMismatchError,
+                     UnsupportedExtensionError)
 
 
 def is_prime(n):
@@ -80,6 +88,15 @@ class FiniteField:
         if self.modulus is None:
             return FFElement(self, k % self.p)
         return FFElement(self, (k % self.p,) + (0,) * (self.degree - 1))
+
+    def from_rational(self, x):
+        """The residue of a Fraction or int; BadReductionError when p divides
+        its denominator."""
+        x = Fraction(x)
+        if x.denominator % self.p == 0:
+            raise BadReductionError(
+                f"{x} is not {self.p}-integral (bad-reduction coefficient)")
+        return self.from_int(x.numerator * pow(x.denominator, -1, self.p))
 
     def from_coords(self, coords):
         """The element with these coefficients over F_p, low to high."""

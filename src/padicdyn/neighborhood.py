@@ -11,17 +11,16 @@ invertible affine map; its order is the second factor of the period bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .dynamics import CLEAR, locus_check, reduce_map
-from .errors import (DivisibilityError, IndeterminacyError, NoGoodPrimeError,
-                     OrbitNotClearError, OrderCapError, RamificationLeakError,
+from .errors import (BadReductionError, DivisibilityError, IndeterminacyError,
+                     NoGoodPrimeError, OrbitNotClearError, OrderCapError,
+                     PadicDynError, RamificationLeakError,
                      ResidueMismatchError, UnsupportedExtensionError)
 from .finitefields import is_prime, mat_eq, mat_identity, mat_mul, mat_vec
 from .padics import PadicContext, PadicElement
-from .polynomials import matrix_det
-from .series import (embed_terms, evaluate_terms, expand_at,
-                     point_powers, series_compose)
+from .polynomials import embed_terms, matrix_det, point_powers
+from .series import evaluate_padic, expand_at, series_compose
 
 FALLBACK_NOTE = ("analyticity fallback required: p <= 2(e+1), interpolation"
                  " will only be analytic on a smaller disc")
@@ -47,10 +46,6 @@ class GoodPrimeReport:
 
 def _prime_hard_reason(f, p):
     """None if p passes the reduction checks, else a short reason."""
-    from .errors import PadicDynError
-    for c in f.coefficients():
-        if c.denominator % p == 0:
-            return f"coefficient {c} is not {p}-integral"
     try:
         ctx = PadicContext(p, precision=1)
         reduce_map(f, ctx)
@@ -155,7 +150,7 @@ def hensel_lift(record, ctx, convention="teichmuller"):
 
 def _embedded_map(f, ctx):
     """Per component of f, (numerator terms, denominator terms, scale) for
-    evaluate_terms, embedded once per context and cached on f.
+    evaluate_padic, embedded once per context and cached on f.
 
     A constant unit denominator is inverted here: its terms are None and
     scale is its inverse, or None when that inverse is exactly 1. Any other
@@ -170,7 +165,7 @@ def _embedded_map(f, ctx):
             num_terms = embed_terms(num, ctx)
             scale = None
             if den.total_degree() == 0:
-                dval = evaluate_terms(ctx, den_terms, ())
+                dval = evaluate_padic(ctx, den_terms, ())
                 if dval.is_unit():
                     scale = dval.inverse()
                     den_terms = None
@@ -193,12 +188,12 @@ def map_eval_padic(f, point, ctx=None):
     out = []
     for num_terms, den_terms, scale in _embedded_map(f, ctx):
         if den_terms is not None:
-            dval = evaluate_terms(ctx, den_terms, point, powers)
+            dval = evaluate_padic(ctx, den_terms, point, powers)
             if dval.valuation() != 0:
                 raise IndeterminacyError(
                     "denominator is not a unit along the orbit")
             scale = dval.inverse()
-        value = evaluate_terms(ctx, num_terms, point, powers)
+        value = evaluate_padic(ctx, num_terms, point, powers)
         out.append(value if scale is None else value * scale)
     return tuple(out)
 
@@ -257,12 +252,10 @@ class PadicNeighborhood:
                 if (w - y).valuation() < 1:
                     return False
             else:
-                w = Fraction(w)
-                if w.denominator % self.ctx.p == 0:
-                    return False
-                r0 = (w.numerator
-                      * pow(w.denominator, -1, self.ctx.p)) % self.ctx.p
-                if self.ctx.residue_field.from_int(r0) != res:
+                try:
+                    if self.ctx.residue_field.from_rational(w) != res:
+                        return False
+                except BadReductionError:
                     return False
         return True
 

@@ -3,6 +3,10 @@
 Coefficients are exact Fractions throughout; p-adic coefficients only appear
 after local expansion (series module). The canonical text form used by map
 files and hashes looks like ``3*x1^2*x2 - 1/2`` with variables x1..xn.
+
+``embed_terms`` carries a polynomial into a PadicContext or a FiniteField as
+(exponents, coefficient) pairs, and ``evaluate_terms`` evaluates such pairs
+in either ring: one evaluator for the p-adic map and the reduced map mod p.
 """
 
 from __future__ import annotations
@@ -373,3 +377,47 @@ def matrix_det(M):
             term = -term
         det = term if det is None else det + term
     return det
+
+
+# -- evaluation in a ring: a PadicContext or a FiniteField --------------------
+
+def embed_terms(poly, ring):
+    """The (idx, c) pairs of a MultiPoly for evaluate_terms, each
+    coefficient embedded by ring.from_rational (None for 1);
+    BadReductionError for one that is not p-integral."""
+    return tuple((idx, None if c == 1 else ring.from_rational(c))
+                 for idx, c in poly.terms.items())
+
+
+def point_powers(point):
+    """A power cache for evaluate_terms; polynomials evaluated at the same
+    point may share it."""
+    return [{1: x} for x in point]
+
+
+def evaluate_terms(ring, terms, point, powers=None):
+    """Sum of c * prod_i point[i]^idx[i] over the (idx, c) pairs in terms,
+    in any ring with one() and zero().
+
+    A coefficient c of None stands for an exact 1 and costs no product.
+    Each power of a coordinate is computed once.
+    """
+    if powers is None:
+        powers = point_powers(point)
+
+    def power(i, a):
+        cache = powers[i]
+        if a not in cache:
+            cache[a] = power(i, a - 1) * point[i]
+        return cache[a]
+
+    total = None
+    for idx, c in terms:
+        term = c
+        for i, a in enumerate(idx):
+            if a:
+                term = power(i, a) if term is None else term * power(i, a)
+        if term is None:
+            term = ring.one()
+        total = term if total is None else total + term
+    return ring.zero() if total is None else total

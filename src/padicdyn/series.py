@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .errors import IndeterminacyError, RecenteringError
 from .padics import int_binomial
+from .polynomials import embed_terms, evaluate_terms
 
 
 class TruncatedSeries:
@@ -113,7 +114,7 @@ class TruncatedSeries:
         expansion, the result is only valid modulo the discarded tail."""
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
-        return evaluate_terms(self.ctx, self.coeffs.items(), point)
+        return evaluate_padic(self.ctx, self.coeffs.items(), point)
 
     def min_valuation(self):
         vals = [c.valuation() for c in self.coeffs.values()]
@@ -130,51 +131,17 @@ class TruncatedSeries:
         return f"TruncatedSeries(n={self.n}, cap={self.cap}, idx={keys})"
 
 
-def point_powers(point):
-    """A power cache for evaluate_terms; polynomials evaluated at the same
-    point may share it."""
-    return [{1: x} for x in point]
+def evaluate_padic(ctx, terms, point, powers=None):
+    """evaluate_terms over a PadicContext, capped at its precision.
 
-
-def evaluate_terms(ctx, terms, point, powers=None):
-    """Sum of c * prod_i point[i]^idx[i] over the (idx, c) pairs in terms.
-
-    A coefficient c of None stands for an exact 1 and costs no product.
-    Each power of a coordinate is computed once. Intermediate values may
-    keep more digits than the context's precision; the result is what the
-    sum started from ctx.zero() gives, in digits and precision tag.
+    Intermediate values may keep more digits than the context's precision;
+    the result is what the sum started from ctx.zero() gives, in digits and
+    precision tag.
     """
-    if powers is None:
-        powers = point_powers(point)
-
-    def power(i, a):
-        cache = powers[i]
-        if a not in cache:
-            cache[a] = power(i, a - 1) * point[i]
-        return cache[a]
-
-    total = None
-    for idx, c in terms:
-        term = c
-        for i, a in enumerate(idx):
-            if a:
-                term = power(i, a) if term is None else term * power(i, a)
-        if term is None:
-            term = ctx.one()
-        total = term if total is None else total + term
-    if total is None:
-        return ctx.zero()
+    total = evaluate_terms(ctx, terms, point, powers)
     if total.prec > ctx.precision or total.ctx is not ctx:
         total = ctx.zero() + total
     return total
-
-
-def embed_terms(poly, ctx):
-    """The (idx, c) pairs of a MultiPoly for evaluate_terms, each
-    coefficient embedded in ctx (None for 1); BadReductionError for one
-    that is not p-integral."""
-    return tuple((idx, None if c == 1 else ctx.from_rational(c))
-                 for idx, c in poly.terms.items())
 
 
 def poly_eval(poly, point, ctx=None):
@@ -187,7 +154,7 @@ def poly_eval(poly, point, ctx=None):
         ctx = point[0].ctx
     if len(point) != poly.n:
         raise ValueError("point dimension mismatch")
-    return evaluate_terms(ctx, embed_terms(poly, ctx), point)
+    return evaluate_padic(ctx, embed_terms(poly, ctx), point)
 
 
 def series_compose(outer, inners):

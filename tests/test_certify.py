@@ -156,6 +156,24 @@ def test_semantic_tampering_with_recomputed_digest(quad_p3_naive):
     assert not report2.ok and not stages2["iterate"]
 
 
+def test_a_bound_that_does_not_reproduce_is_never_iterated(quad_p3_naive):
+    # exact iteration of x^2+1 doubles the digits per step: replaying a
+    # forged N of 24, or the 27 of a forged analyticity exponent, would take
+    # seconds to forever
+    cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
+    pb = cert.data["period_bound"]
+    assert (pb["k"], pb["affine_order"], pb["analyticity_exponent"],
+            pb["bound"]) == (1, 3, 1, 9)
+    for forged, stages in (({"bound": 24}, ["period_bound"]),
+                           ({"analyticity_exponent": 2, "bound": 27},
+                            ["analyticity_exponent", "period_bound"])):
+        bad = copy.deepcopy(cert.data)
+        bad["period_bound"].update(forged)
+        bad["digest"] = _digest(bad)
+        failures = verify_certificate(Certificate(bad)).failures()
+        assert [name for name, _ in failures] == stages, forged
+
+
 # other spellings of a coordinate list that reduce to the same residues
 RESPELLINGS = {"plus_p": lambda cs, p: [cs[0] + p] + cs[1:],
                "minus_p": lambda cs, p: [cs[0] - p] + cs[1:],

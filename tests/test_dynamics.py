@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from padicdyn.certify import run_pipeline
-from padicdyn.dynamics import (CLEAR, INDETERMINATE, RAMIFIED, FFPoly,
-                               find_periodic_point, frobenius_orbit_period,
-                               locus_check, reduce_map, verify_record)
+from padicdyn.dynamics import (CLEAR, INDETERMINATE, RAMIFIED, _walk_orbit,
+                               find_periodic_point, locus_check, reduce_map,
+                               verify_record)
 from padicdyn.errors import (BadReductionError, InseparableError,
                              NoPeriodicPointError, UnsupportedExtensionError)
 from padicdyn.finitefields import FiniteField
@@ -55,7 +55,6 @@ def test_find_periodic_point_quadratic_f3():
     assert fbar.field.index_of(rec.point[0]) == 2
     assert rec.period == 1
     assert rec.visited == {1: 3}           # the search examined all of F_3
-    assert rec.orbit_clear and rec.cycle_jacobian_invertible
     assert verify_record(fbar, rec)
     # determinism
     rec2 = find_periodic_point(fbar, 1)
@@ -118,24 +117,19 @@ def test_orbits_terminate_within_space_size():
     # the search must terminate within q^(m n) steps for all start points
     fbar = reduce_map(RationalSelfMap.from_texts(1, ["x1^2 + 2"]),
                       PadicContext(7))
-    from padicdyn.dynamics import _walk_orbit
     for start in fbar.field.elements():
         status, orbit = _walk_orbit(fbar, (start,), 7)
         assert status in ("periodic", "tail", RAMIFIED, INDETERMINATE)
 
 
-def test_frobenius_orbit_period():
-    F3 = FiniteField(3)
-    F9 = F3.extension(2)
-    gamma = F9.element_from_index(3)
-    assert frobenius_orbit_period([FFPoly(F9, 1, {(1,): gamma})], 3) == 2
-    assert frobenius_orbit_period([FFPoly(F9, 1, {(1,): F9.from_int(2)})],
-                                  3) == 1
-    assert frobenius_orbit_period([], 3) == 1
-    F27 = F3.extension(3)
-    mixed = [FFPoly(F27, 1, {(0,): F27.element_from_index(5)}),
-             FFPoly(F27, 1, {(1,): F27.from_int(1)})]
-    assert frobenius_orbit_period(mixed, 3) == 3
+def test_walk_stops_at_the_cap():
+    # the 3-cycle of x + 1 over F_3 is not closed within 2 steps
+    fbar = reduce_map(RationalSelfMap.from_texts(1, ["x1 + 1"]),
+                      PadicContext(3))
+    start = (fbar.field.zero(),)
+    status, orbit = _walk_orbit(fbar, start, 2)
+    assert status == "unfinished" and len(orbit) == 3
+    assert _walk_orbit(fbar, start, 3)[0] == "periodic"
 
 
 def test_record_tamper_detection():
@@ -145,9 +139,17 @@ def test_record_tamper_detection():
     bad = dataclasses.replace(rec, period=2,
                               orbit=rec.orbit + rec.orbit)
     assert not verify_record(fbar, bad)
+    assert not verify_record(fbar, dataclasses.replace(rec, period=2))
     wrong_pt = (fbar.field.from_int(1),)
     bad2 = dataclasses.replace(rec, point=wrong_pt, orbit=(wrong_pt,))
     assert not verify_record(fbar, bad2)
+    # a period shorter than the true one stops the walk at the stated period
+    fcyc = reduce_map(RationalSelfMap.from_texts(1, ["x1 + 1"]),
+                      PadicContext(3))
+    cyc = find_periodic_point(fcyc, 1)
+    assert verify_record(fcyc, cyc)
+    assert not verify_record(fcyc, dataclasses.replace(
+        cyc, period=2, orbit=cyc.orbit[:2]))
 
 
 @pytest.mark.parametrize("name", sorted(EXTFIELD_REFERENCE))

@@ -1,17 +1,21 @@
-"""The flat finite fields F_p and F_p[x]/(m), and the reduced Jacobian.
+"""The flat finite fields F_p and F_p[x]/(m), and maps reduced mod p.
 
 Field laws are checked on random elements of every F_{p^m}, p in {3, 5, 7}
 and m in 1..3. The reduced Jacobian determinant is checked against the exact
-rational determinant of the map over Q at integer lifts, an oracle that
-shares no code with the reduction.
+rational determinant of the map over Q at integer lifts, and the reduced map
+against exact evaluation over Q followed by reduction mod p, which is a ring
+homomorphism: oracles that share no code with the reduction.
 """
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdyn.dynamics import RAMIFIED, locus_check, reduce_map
-from padicdyn.errors import (IndeterminacyError, InseparableError,
-                             PadicDynError)
+from padicdyn.errors import (BadReductionError, IndeterminacyError,
+                             InseparableError, PadicDynError)
 from padicdyn.finitefields import FiniteField
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import MultiPoly, RationalSelfMap
@@ -108,6 +112,27 @@ def rational_maps(draw):
     return RationalSelfMap(nums, dens)
 
 
+def residue(x, fld):
+    """x mod p by hand, for an oracle that shares no code with the
+    reduction."""
+    x = Fraction(x)
+    return fld.from_int(x.numerator * pow(x.denominator, -1, fld.p))
+
+
+def plain_poly_eval(poly, point, fld):
+    """Every coefficient reduced at every term, powers from fld.one()."""
+    total = fld.zero()
+    for idx, c in poly.terms.items():
+        term = residue(c, fld)
+        for x, a in zip(point, idx):
+            power = fld.one()
+            for _ in range(a):
+                power = power * x
+            term = term * power
+        total = total + term
+    return total
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_maps(), st.sampled_from(FIELDS), st.randoms())
 def test_apply_divides_each_numerator_by_its_denominator(f, fld, rng):
@@ -120,8 +145,9 @@ def test_apply_divides_each_numerator_by_its_denominator(f, fld, rng):
     for _ in range(6):
         point = tuple(fld.element_from_index(rng.randrange(fld.order))
                       for _ in range(f.n))
-        values = [(num.evaluate(point), den.evaluate(point))
-                  for num, den in zip(fbar.numerators, fbar.denominators)]
+        values = [(plain_poly_eval(num, point, fld),
+                   plain_poly_eval(den, point, fld))
+                  for num, den in zip(f.numerators, f.denominators)]
         if any(d.is_zero() for _, d in values):
             try:
                 fbar.apply(point)
@@ -129,3 +155,75 @@ def test_apply_divides_each_numerator_by_its_denominator(f, fld, rng):
             except IndeterminacyError:
                 continue
         assert fbar.apply(point) == tuple(v * d.inverse() for v, d in values)
+
+
+def reduction_error(f, p):
+    """The error reduce_map must raise for f at p, found by hand: the first
+    coefficient that is not p-integral, then a denominator all of whose
+    coefficients vanish mod p, then the same for the Jacobian determinant."""
+    if any(c.denominator % p == 0 for c in f.coefficients()):
+        return BadReductionError
+    if any(all(c.numerator % p == 0 for c in den.coefficients())
+           for den in f.denominators):
+        return IndeterminacyError
+    if all(c.numerator % p == 0
+           for c in f.jacobian_numerator_det().coefficients()):
+        return InseparableError
+    return None
+
+
+@st.composite
+def reductions(draw):
+    """A rational map of A^1 or A^2 whose coefficients have small
+    denominators (sometimes divisible by p), a prime and integer points."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    coefficient = st.fractions(min_value=-6, max_value=6,
+                               max_denominator=4).filter(bool)
+
+    def poly(max_size):
+        return MultiPoly(n, draw(st.dictionaries(
+            exponents, coefficient, min_size=1, max_size=max_size)))
+
+    nums = [poly(3) for _ in range(n)]
+    dens = [poly(2) if draw(st.booleans()) else MultiPoly.constant(n, 1)
+            for _ in range(n)]
+    points = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * n),
+                           min_size=1, max_size=4))
+    return RationalSelfMap(nums, dens), p, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(reductions())
+def test_reduction_commutes_with_exact_evaluation(case):
+    f, p, points = case
+    expected_error = reduction_error(f, p)
+    if expected_error is not None:
+        with pytest.raises(expected_error):
+            reduce_map(f, PadicContext(p, precision=1))
+        return
+    fbar = reduce_map(f, PadicContext(p, precision=1))
+    F = FiniteField(p)
+    for fld, fm in ((F, fbar), (F.extension(2), fbar.extend(F.extension(2)))):
+        for x in points:
+            point = tuple(fld.from_int(c) for c in x)
+            if any(den.eval_fraction(x).numerator % p == 0
+                   for den in f.denominators):
+                with pytest.raises(IndeterminacyError):
+                    fm.apply(point)
+                continue
+            image = tuple(residue(w, fld) for w in f.eval_fraction(x))
+            assert fm.apply(point) == image
+
+
+@given(st.sampled_from(FIELDS),
+       st.fractions(min_value=-50, max_value=50, max_denominator=30))
+def test_from_rational_is_reduction_mod_p(fld, x):
+    if x.denominator % fld.p == 0:
+        with pytest.raises(BadReductionError):
+            fld.from_rational(x)
+        return
+    r = fld.from_rational(x)
+    assert r * fld.from_int(x.denominator) == fld.from_int(x.numerator)
+    assert fld.from_rational(x.numerator) == fld.from_int(x.numerator)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              NotDominantError, RecenteringError)
@@ -30,6 +32,25 @@ def test_parse_and_format_roundtrip():
         parse_poly("x3", 2)
     with pytest.raises(ValueError):
         parse_poly("x1 +", 1)
+
+
+@st.composite
+def multipolys(draw):
+    n = draw(st.integers(1, 3))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * n),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        max_size=5))
+    return n, MultiPoly(n, terms)
+
+
+@given(multipolys())
+def test_poly_text_round_trips(case):
+    n, poly = case
+    text = poly_text(poly)
+    parsed = parse_poly(text, n)
+    assert parsed == poly
+    assert poly_text(parsed) == text
 
 
 def test_poly_arithmetic_and_derivative():
