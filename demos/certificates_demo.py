@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 # Certificates are ordinary JSON: emit one, replay it, and watch tampering
-# get caught. Every claim in the file is recomputed by the verifier, and the
-# decisive inequality f^N(omega) != omega is replayed in exact rational
-# arithmetic, so validity never depends on p-adic precision.
+# get caught. The verifier reads only the certificate's inputs, recomputes
+# every section with the code that wrote it and compares each one as
+# canonical JSON. The decisive inequality f^N(omega) != omega is replayed in
+# exact rational arithmetic, so validity never depends on p-adic precision.
 
 import copy
 import json
@@ -33,14 +34,16 @@ print("\nafter decrementing N:",
       [n for n, ok, _ in verify_certificate(Certificate(broken)).stages
        if not ok])
 
-# ...and even an attacker who recomputes the digest is caught by the
-# semantic replay stages.
+# ...and even an attacker who recomputes the digest is caught: the
+# period_bound section no longer equals its recomputation. Only the
+# recomputed N is ever iterated.
 broken["digest"] = _digest(broken)
 report2 = verify_certificate(Certificate(broken))
 print("with recomputed digest, failing stages:",
       [n for n, ok, _ in report2.stages if not ok])
 
-# Swapping the witness for the periodic center 1 fails the inequality replay.
+# Swapping the witness for the periodic center 1 stops the replay at the
+# witness stage: the exact orbit returns, so there is no payload to write.
 swapped = copy.deepcopy(cert.data)
 swapped["witness"] = ["1"]
 swapped["digest"] = _digest(swapped)

@@ -19,18 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .dynamics import PeriodicPointRecord, find_periodic_point, reduce_map, \
-    verify_record
+from .dynamics import (PeriodicPointRecord, _walk_orbit, find_periodic_point,
+                       point_at_index, reduce_map)
 from .errors import (CertificateFormatError, IndeterminacyError,
                      InternalInconsistencyError, SearchBudgetError,
                      UnsupportedExtensionError)
-from .finitefields import FiniteField
 from .mahler import INFINITY, analyticity_exponent, mahler_coefficients
 from .neighborhood import (GoodPrimeReport, build_neighborhood,
                            choose_good_prime, context_for_record, hensel_lift,
                            validate_prime)
 from .padics import PadicContext
-from .polynomials import RationalSelfMap
+from .polynomials import RationalSelfMap, poly_text
 
 CERT_FORMAT = "padicdyn-certificate"
 
@@ -334,15 +333,23 @@ class Certificate:
         return isinstance(other, Certificate) and self.data == other.data
 
 
-def make_certificate(nbhd, bound, omega, result, kmax=32):
+# The sections of a certificate besides format, version and digest, in the
+# order the verifier reports them.
+SECTIONS = ("map", "map_hash", "context", "reduction", "neighborhood",
+            "period_bound", "witness", "payload", "mahler_profile")
+
+
+def _certificate_data(nbhd, bound, omega, result, kmax):
+    """The certificate's data without its digest. The one writer of the
+    format: make_certificate runs it on the producer's results, and
+    verify_certificate on what it recomputes from a certificate's inputs."""
     ctx = nbhd.ctx
     f = nbhd.map
     record = nbhd.record
     if record is None:
         raise ValueError("neighborhood carries no periodic point record")
     profile, _ = _mahler_profile(nbhd, bound, omega, kmax)
-    from .polynomials import poly_text
-    data = {
+    return {
         "format": CERT_FORMAT,
         "version": __version__,
         "map": {
@@ -389,6 +396,10 @@ def make_certificate(nbhd, bound, omega, result, kmax=32):
         },
         "mahler_profile": profile,
     }
+
+
+def make_certificate(nbhd, bound, omega, result, kmax=32):
+    data = _certificate_data(nbhd, bound, omega, result, kmax)
     data["digest"] = _digest(data)
     return Certificate(data)
 
@@ -418,97 +429,119 @@ class VerificationReport:
         return f"<VerificationReport {status}, {len(self.stages)} stages>"
 
 
-# The integer scalars make_certificate writes, apart from the payload's
-# (checked in the iterate stage). JSON also spells numbers as true or 2.0,
-# which Python compares equal to 1 and 2, so the verifier requires each of
-# these to be an int and nothing else.
-_INT_FIELDS = (("map", "n"), ("context", "p"), ("context", "d"),
-               ("context", "e"), ("context", "precision"),
-               ("reduction", "period"), ("reduction", "enumeration_index"),
-               ("neighborhood", "k"), ("neighborhood", "affine_order"),
-               ("neighborhood", "divisibility_degree"),
-               ("period_bound", "k"), ("period_bound", "affine_order"),
-               ("period_bound", "analyticity_exponent"),
-               ("period_bound", "bound"), ("mahler_profile", "k_max"))
+class _Stop(Exception):
+    """A rebuild step that cannot go on; ``stage`` names the section whose
+    inputs stop it."""
+
+    def __init__(self, stage, detail):
+        super().__init__(detail)
+        self.stage = stage
 
 
-def _is_int(value, expected):
-    return type(value) is int and value == expected
+def _input(data, section, key):
+    """An input field; a missing one stops the replay at its section."""
+    try:
+        return data[section][key]
+    except (KeyError, TypeError):
+        raise _Stop(section, f"{section}.{key} is missing")
 
 
-def _non_int_problem(data):
-    bad = [f"{section}.{key}" for section, key in _INT_FIELDS
-           if type(data[section][key]) is not int]
-    return f"not JSON integers: {', '.join(bad)}" if bad else None
-
-
-def _field_ints(value, count, p, name):
-    """``value`` itself when it is a list of exactly ``count`` ints in
-    range(p), the only spelling make_certificate writes."""
-    if not (isinstance(value, list) and len(value) == count
-            and all(type(c) is int and 0 <= c < p for c in value)):
-        raise CertificateFormatError(
-            f"{name} must be a list of {count} integers in 0..{p - 1}")
+def _int_input(data, section, key, low):
+    """An integer input. JSON also spells numbers as true or 2.0, which
+    Python compares equal to 1 and 2, so nothing but an int is accepted."""
+    value = _input(data, section, key)
+    if type(value) is not int or value < low:
+        raise _Stop(section, f"{section}.{key} must be an integer >= {low}")
     return value
 
 
-def _rebuild_record(data, p):
-    red = data["reduction"]
-    m = red["m"]
-    if type(m) is not int or m < 1:
-        raise CertificateFormatError("reduction.m must be a positive integer")
-    if m == 1:
-        if red["field_modulus"] is not None:
-            raise CertificateFormatError(
-                "reduction.field_modulus must be null for m = 1")
-        fld = FiniteField(p)
-    else:
-        fld = FiniteField(p, modulus=_field_ints(
-            red["field_modulus"], m, p, "reduction.field_modulus"))
-
-    def mk_point(coords, name):
-        return tuple(fld.from_coords(_field_ints(c, m, p, name))
-                     for c in coords)
-
-    point = mk_point(red["point"], "reduction.point coordinate")
-    orbit = tuple(mk_point(cs, "reduction.orbit coordinate")
-                  for cs in red["orbit"])
-    return PeriodicPointRecord(
-        m=m, field=fld, point=point, period=red["period"], orbit=orbit,
-        enumeration_index=red["enumeration_index"], visited={})
+def _replay_record(fbar, m, index, cap):
+    """The record find_periodic_point makes for the point at ``index`` of
+    F_{p^m}^n, walking at most ``cap`` steps; None when that point is not
+    purely periodic with a clear orbit."""
+    fld = fbar.field.extension(m)
+    if index >= fld.order ** fbar.n:
+        return None
+    point = point_at_index(fld, fbar.n, index)
+    status, orbit = _walk_orbit(fbar if m == 1 else fbar.extend(fld), point,
+                                cap)
+    if status != "periodic":
+        return None
+    return PeriodicPointRecord(m=m, field=fld, point=point,
+                               period=len(orbit), orbit=orbit,
+                               enumeration_index=index)
 
 
-def _payload_problem(payload, iterate, omega, ctx):
-    """None when the payload is the canonical text of the exact replayed
-    f^N(omega), with the right differing coordinate and valuation; else what
-    is wrong. Canonical Fraction text is injective, so text equality is
-    exact rational equality."""
-    recorded = payload["iterate"]
-    if not isinstance(recorded, list) or len(recorded) != len(iterate):
-        return (f"payload iterate is not a list of {len(iterate)}"
-                " coordinates")
-    for i, (text, z) in enumerate(zip(recorded, iterate), 1):
-        if text != fraction_text(z):
-            return (f"payload iterate coordinate {i} is not the canonical"
-                    " text of the exact f^N(witness)")
-    differs = next((i for i, (a, b) in enumerate(zip(iterate, omega), 1)
-                    if a != b), None)
-    if differs is None:
-        return "exact f^N(witness) equals the witness"
-    if not _is_int(payload.get("differs_at"), differs):
-        return f"f^N(witness) first differs from the witness at {differs}"
-    dv = rational_vr(iterate[differs - 1] - omega[differs - 1], ctx)
-    if not _is_int(payload.get("difference_valuation"), dv):
-        return f"difference valuation is {dv}"
-    return None
+def _replay(data):
+    """What the producer writes for the certificate's inputs, built the way
+    run_pipeline and find_witness build it; _Stop when a step cannot go
+    on."""
+    n = _int_input(data, "map", "n", 1)
+    numerators = _input(data, "map", "numerators")
+    denominators = _input(data, "map", "denominators")
+    p = _int_input(data, "context", "p", 2)
+    e = _int_input(data, "context", "e", 1)
+    precision = _int_input(data, "context", "precision", 1)
+    m = _int_input(data, "reduction", "m", 1)
+    index = _int_input(data, "reduction", "enumeration_index", 0)
+    period = _int_input(data, "reduction", "period", 1)
+    lift = _input(data, "neighborhood", "lift_convention")
+    cap = _int_input(data, "neighborhood", "divisibility_degree", 1)
+    witness = data["witness"]          # the format stage requires the key
+    kmax = _int_input(data, "mahler_profile", "k_max", 1)
+
+    try:
+        f = RationalSelfMap.from_texts(n, numerators, denominators)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise _Stop("map", f"map does not parse: {exc}")
+    try:
+        ok, reason, _fallback = validate_prime(f, p, e=e)
+    except ValueError as exc:  # p is not prime
+        ok, reason = False, str(exc)
+    if not ok:
+        raise _Stop("context", f"prime {p} rejected: {reason}")
+
+    # the recorded period only caps the walk, as in verify_record
+    record = _replay_record(reduce_map(f, PadicContext(p, precision=1)), m,
+                            index, period)
+    if record is None:
+        raise _Stop("reduction", "no clear periodic point of period at most"
+                    f" {period} at enumeration index {index} of"
+                    f" F_{p}^{m}")
+
+    ctx = context_for_record(p, record, e=e, precision=precision)
+    try:
+        center = hensel_lift(record, ctx, convention=lift)
+    except ValueError as exc:  # unknown lift convention
+        raise _Stop("neighborhood", str(exc))
+    nbhd = build_neighborhood(f, record.period, center, ctx, cap=cap,
+                              record=record, lift_convention=lift)
+    bound = period_bound(nbhd)
+
+    try:
+        omega = tuple(Fraction(w) for w in witness)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise _Stop("witness", f"witness does not parse: {exc}")
+    if len(omega) != f.n:
+        raise _Stop("witness", f"witness needs {f.n} coordinates")
+    # only the recomputed N is iterated
+    result = classify(nbhd, bound, omega)
+    if result.kind == OUTSIDE:
+        raise _Stop("witness", "witness is not in the neighborhood")
+    if result.kind == PERIODIC:
+        raise _Stop("witness",
+                    f"witness is periodic with period {result.period}")
+    return _certificate_data(nbhd, bound, omega, result, kmax)
 
 
 def verify_certificate(cert):
-    """Independently replay every stage of a certificate.
+    """Independently replay a certificate: recompute it from its inputs with
+    the code that writes certificates, and require each section to equal
+    the recorded one as canonical JSON.
 
-    Returns a VerificationReport (truthy iff valid) naming each failed stage.
-    The witness payload is checked against the exact rational f^N(witness):
-    its recorded text must be that value's canonical text.
+    Returns a VerificationReport (truthy iff valid) naming each failed
+    stage: ``digest``, ``format``, then one stage per section. A rebuild step
+    that cannot go on ends the replay at the stage of its section.
     """
     rep = VerificationReport()
     data = cert.data
@@ -517,94 +550,23 @@ def verify_certificate(cert):
         if not rep.add("digest", data.get("digest") == _digest(data),
                        "integrity digest mismatch"):
             return rep
-        if (data.get("format") != CERT_FORMAT
-                or data.get("version") != __version__):
-            problem = "unknown format or version"
-        else:
-            problem = _non_int_problem(data)
-        if not rep.add("format", problem is None, problem):
+        if not rep.add("format",
+                       data.get("format") == CERT_FORMAT
+                       and data.get("version") == __version__
+                       and set(data) == {"format", "version", "digest",
+                                         *SECTIONS},
+                       "unknown format, version or top-level keys"):
             return rep
-
-        mp = data["map"]
-        f = RationalSelfMap.from_texts(mp["n"], mp["numerators"],
-                                       mp["denominators"])
-        rep.add("map_hash", f.map_hash() == data["map_hash"],
-                "map hash mismatch")
-
-        cctx = data["context"]
-        p = cctx["p"]
-        ok, reason, _fallback = validate_prime(f, p, e=cctx["e"])
-        rep.add("prime", ok, reason or "")
-
-        ctx = PadicContext(p, unram_poly=cctx["unram_poly"],
-                           eis_poly=cctx["eis_poly"],
-                           precision=cctx["precision"])
-        rep.add("context", ctx.d == cctx["d"] and ctx.e == cctx["e"],
-                "context parameters inconsistent")
-
-        record = _rebuild_record(data, p)
-        base_ctx = PadicContext(p, precision=1)
-        fbar = reduce_map(f, base_ctx)
-        point_ok = verify_record(fbar, record)
-        idx = 0
-        for c in reversed(record.point):
-            idx = idx * record.field.order + record.field.index_of(c)
-        point_ok = point_ok and idx == record.enumeration_index
-        rep.add("periodic_point", point_ok,
-                "periodic point failed re-verification")
-        if not point_ok:
+        try:
+            rebuilt = _replay(data)
+        except _Stop as stop:
+            rep.add(stop.stage, False, str(stop))
             return rep
-
-        nb = data["neighborhood"]
-        center = hensel_lift(record, ctx, convention=nb["lift_convention"])
-        rebuilt = build_neighborhood(
-            f, record.period, center, ctx, cap=nb["divisibility_degree"],
-            record=record, lift_convention=nb["lift_convention"])
-        rep.add("center",
-                _center_digits(rebuilt) == nb["center_digits"],
-                "re-lifted center differs")
-        rep.add("neighborhood",
-                rebuilt.period_k == nb["k"]
-                and rebuilt.affine_order == nb["affine_order"],
-                "k or affine order mismatch")
-
-        pb = data["period_bound"]
-        l_an = analyticity_exponent(ctx)
-        rep.add("analyticity_exponent", l_an == pb["analyticity_exponent"],
-                "analyticity exponent mismatch")
-        n_expected = rebuilt.period_k * rebuilt.affine_order * p ** l_an
-        # only the recomputed N is iterated below
-        if not rep.add("period_bound",
-                       pb["k"] == rebuilt.period_k
-                       and pb["affine_order"] == rebuilt.affine_order
-                       and pb["analyticity_exponent"] == l_an
-                       and pb["bound"] == n_expected
-                       and pb.get("formula") ==
-                       "bound = k * affine_order * p^analyticity_exponent",
-                       "period bound factors do not reproduce"):
-            return rep
-
-        omega = [Fraction(w) for w in data["witness"]]
-        rep.add("witness", data["witness"] == [fraction_text(w)
-                                               for w in omega],
-                "witness is not the canonical text of its coordinates")
-        rep.add("membership", rebuilt.membership(omega),
-                "witness is not in the neighborhood")
-
-        iterate = f.iterate_fraction(omega, pb["bound"])
-        problem = _payload_problem(data["payload"], iterate, omega, ctx)
-        rep.add("iterate", problem is None, problem)
-
-        bound = PeriodBound(period_k=pb["k"], affine_order=pb["affine_order"],
-                            analyticity_exponent=pb["analyticity_exponent"],
-                            bound=pb["bound"])
-        prof = data["mahler_profile"]
-        recomputed, _ = _mahler_profile(rebuilt, bound, omega,
-                                        prof["k_max"])
-        # as JSON text, so that true or 3.0 cannot stand in for 1 or 3
-        rep.add("mahler_profile",
-                _canonical_json(recomputed) == _canonical_json(prof),
-                "interpolation valuation profile does not reproduce")
+        for name in SECTIONS:
+            rep.add(name,
+                    _canonical_json(rebuilt[name]) ==
+                    _canonical_json(data[name]),
+                    f"{name} differs from its recomputation")
     except Exception as exc:  # any replay blow-up invalidates the certificate
         rep.add("replay", False, f"{type(exc).__name__}: {exc}")
     return rep

@@ -149,17 +149,29 @@ def _walk_orbit(fbar, start, cap):
     path = []
     cur = start
     while len(path) <= cap:
-        status = locus_check(fbar, cur)
-        if status != CLEAR:
-            return status, tuple(path)
+        # a revisited point already passed locus_check as clear
         if cur in pos:
             if pos[cur] == 0:
                 return "periodic", tuple(path)
             return "tail", tuple(path)
+        status = locus_check(fbar, cur)
+        if status != CLEAR:
+            return status, tuple(path)
         pos[cur] = len(path)
         path.append(cur)
         cur = fbar.apply(cur)
     return "unfinished", tuple(path)
+
+
+def point_at_index(fld, n, index):
+    """The point of F_q^n with the given index in the search order: its
+    coordinates are the base-q digits of the index, least significant
+    first."""
+    digits = []
+    for _ in range(n):
+        index, r = divmod(index, fld.order)
+        digits.append(fld.element_from_index(r))
+    return tuple(digits)
 
 
 def find_periodic_point(fbar, m_max=6, constraints=None):
@@ -177,12 +189,7 @@ def find_periodic_point(fbar, m_max=6, constraints=None):
         space = fld.order ** n
         visited[m] = 0
         for index in range(space):
-            digits = []
-            i = index
-            for _ in range(n):
-                i, r = divmod(i, fld.order)
-                digits.append(fld.element_from_index(r))
-            point = tuple(digits)
+            point = point_at_index(fld, n, index)
             if constraints is not None and not constraints(point):
                 continue
             visited[m] += 1

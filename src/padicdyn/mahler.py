@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InternalInconsistencyError, PrecisionError,
-                     TheoryViolationError)
+from .errors import PrecisionError, TheoryViolationError
 from .padics import (INFINITY, binomial_eval, factorial_valuation,
                      int_binomial)
 
 
-def orbit(phi, omega, count, rational_shadow=None):
+def orbit(phi, omega, count):
     """omega, Phi(omega), ..., Phi^count(omega) at working precision.
 
     ``phi`` is any callable on coordinate vectors; an IteratedMap is used
@@ -34,9 +33,7 @@ def orbit(phi, omega, count, rational_shadow=None):
     coordinates with ``PadicNeighborhood.apply_fk`` (one cached-coefficient
     ``map_eval_padic`` per application of f) and converts each point to
     local coordinates once, so the whole run costs one digit of precision
-    rather than one per step. When ``rational_shadow`` is given as
-    (exact_step_function, exact_start), a parallel exact-rational orbit is
-    computed and cross-checked against the p-adic one.
+    rather than one per step.
     """
     omega = tuple(omega)
     if hasattr(phi, "orbit"):
@@ -53,18 +50,6 @@ def orbit(phi, omega, count, rational_shadow=None):
                 raise PrecisionError(
                     f"precision collapsed at orbit index {j},"
                     f" coordinate {i + 1}")
-    if rational_shadow is not None:
-        step, start = rational_shadow
-        exact = [tuple(Fraction(x) for x in start)]
-        for _ in range(count):
-            exact.append(tuple(step(exact[-1])))
-        ctx = pts[0][0].ctx
-        for j, (pvec, evec) in enumerate(zip(pts, exact)):
-            for i, (pc, ec) in enumerate(zip(pvec, evec)):
-                if pc != ctx.from_rational(ec, pc.prec):
-                    raise InternalInconsistencyError(
-                        f"exact and p-adic orbits disagree at index {j},"
-                        f" coordinate {i + 1}")
     return pts
 
 
@@ -94,16 +79,9 @@ class MahlerInterpolation:
         """v_r(b_ik), both indexes 1-based."""
         return self.valuations[i - 1][k - 1]
 
-    def coefficient_bound(self, k):
-        """The guaranteed lower bound ceil((k+1)/2) on v_r(b_ik)."""
-        return (k + 2) // 2
-
     def tail_valuation(self):
         """Guaranteed v_r of the discarded tail when evaluating on Z_p."""
         return (self.k_max + 3) // 2
-
-    def is_constant_to_precision(self):
-        return all(v is INFINITY for row in self.valuations for v in row)
 
     def min_valuation_row(self):
         """Per-k minimum of v_r(b_ik) over the coordinates i."""

@@ -413,12 +413,11 @@ def build_neighborhood(f, k, center, ctx, cap=8, fbar=None, record=None,
     return nbhd
 
 
-def reduced_affine_order(nbhd, verify_samples=0, rng=None):
+def reduced_affine_order(nbhd):
     """Order of the reduction of F mod r as an affine map of F_q^n.
 
     Iterates symbolically as pairs (L^j, sum L^i c); capped by the affine
-    group order times q, which any element order divides. Optionally
-    verifies F^order(z) = z mod r on random samples via exact iteration.
+    group order times q, which any element order divides.
     """
     ctx = nbhd.ctx
     fld = ctx.residue_field
@@ -444,13 +443,4 @@ def reduced_affine_order(nbhd, verify_samples=0, rng=None):
     if order is None:
         raise OrderCapError("affine order iteration exceeded the group"
                             " order cap")
-    if verify_samples:
-        phi = nbhd.iterated_local_map(order)
-        for _ in range(verify_samples):
-            z = [ctx.random_element(rng) for _ in range(n)]
-            image = phi(z)
-            for a, b in zip(image, z):
-                if (a - b).valuation() < 1:
-                    raise RamificationLeakError(
-                        "F^order is not the identity mod r on a sample")
     return order

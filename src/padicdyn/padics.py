@@ -102,7 +102,6 @@ class PadicContext:
         self.eis_low = tuple(tuple(x % self.pmod for x in c)
                              for c in low_raw)
         self.eis_low_raw = tuple(low_raw)
-        self.ramification_degree = self.e  # v_r(p) = e
         self._unif_cache = None
         self._hash = hash((p, self.unram_poly, self.eis_low, precision))
 
@@ -214,16 +213,6 @@ class PadicContext:
         layers = [tuple(c % mod for c in coords[j * self.d:(j + 1) * self.d])
                   for j in range(self.e)]
         return self._make(layers, prec)
-
-    def unram_generator(self):
-        """The root b of unram_poly (zero when the layer is trivial, x)."""
-        layers = [self._wzero()] * self.e
-        if self.d > 1:
-            layers[0] = tuple([0, 1] + [0] * (self.d - 2))
-        else:
-            # root of the degree-1 polynomial x + c0
-            layers[0] = ((-self.unram_poly[0]) % self.pmod,)
-        return self._make(layers, self.precision)
 
     def uniformizer(self):
         if self.e == 1:
@@ -437,9 +426,6 @@ class PadicElement:
                 best = v
         return best
 
-    def is_zero_to_precision(self):
-        return self.valuation() is INFINITY
-
     def is_unit(self):
         return self.valuation() == 0
 
@@ -449,13 +435,6 @@ class PadicElement:
         if any(layer != zero for layer in self.layers[1:]):
             return False
         return all(c == 0 for c in self.layers[0][1:])
-
-    def base_int(self):
-        """The Z_p representative as an integer mod p^prec (requires
-        in_base_subring)."""
-        if not self.in_base_subring():
-            raise ValueError("element is not in the base subring Z_p")
-        return self.layers[0][0]
 
     def residue(self):
         return self.ctx.residue(self)

@@ -120,9 +120,6 @@ class TruncatedSeries:
         vals = [c.valuation() for c in self.coeffs.values()]
         return min(vals, default=self.ctx.zero().valuation())
 
-    def is_integral(self):
-        return self.min_valuation() >= 0
-
     def terms_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 

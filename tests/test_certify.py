@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from padicdyn.certify import (NON_PREPERIODIC, OUTSIDE, PERIODIC, Certificate,
-                              _digest, _rebuild_record, classify,
+                              _digest, _replay_record, classify,
                               find_witness, period_bound, run_pipeline,
                               verify_certificate, witness_candidates)
-from padicdyn.errors import (CertificateFormatError, SearchBudgetError,
-                             UnsupportedExtensionError)
-from padicdyn.mahler import mahler_coefficients
+from padicdyn.dynamics import reduce_map
+from padicdyn.errors import SearchBudgetError, UnsupportedExtensionError
+from padicdyn.mahler import INFINITY, mahler_coefficients
+from padicdyn.padics import PadicContext
 from padicdyn.polynomials import RationalSelfMap
 from tests.conftest import build_map, build_pipeline, height_growth_oracle
 
@@ -142,8 +143,7 @@ def test_semantic_tampering_with_recomputed_digest(quad_p3_naive):
     bad["period_bound"]["bound"] -= 1
     bad["digest"] = _digest(bad)
     report = verify_certificate(Certificate(bad))
-    stages = dict((name, ok) for name, ok, _ in report.stages)
-    assert not report.ok and not stages["period_bound"]
+    assert [name for name, _ in report.failures()] == ["period_bound"]
 
     # witness replaced by the periodic center of x^3 at p = 5
     pipe = build_pipeline("cube_p5")
@@ -151,9 +151,9 @@ def test_semantic_tampering_with_recomputed_digest(quad_p3_naive):
     bad2 = copy.deepcopy(cert3.data)
     bad2["witness"] = ["1"]              # the fixed point
     bad2["digest"] = _digest(bad2)
-    report2 = verify_certificate(Certificate(bad2))
-    stages2 = dict((name, ok) for name, ok, _ in report2.stages)
-    assert not report2.ok and not stages2["iterate"]
+    failures = dict(verify_certificate(Certificate(bad2)).failures())
+    assert list(failures) == ["witness"]
+    assert failures["witness"] == "witness is periodic with period 1"
 
 
 def test_a_bound_that_does_not_reproduce_is_never_iterated(quad_p3_naive):
@@ -164,14 +164,12 @@ def test_a_bound_that_does_not_reproduce_is_never_iterated(quad_p3_naive):
     pb = cert.data["period_bound"]
     assert (pb["k"], pb["affine_order"], pb["analyticity_exponent"],
             pb["bound"]) == (1, 3, 1, 9)
-    for forged, stages in (({"bound": 24}, ["period_bound"]),
-                           ({"analyticity_exponent": 2, "bound": 27},
-                            ["analyticity_exponent", "period_bound"])):
+    for forged in ({"bound": 24}, {"analyticity_exponent": 2, "bound": 27}):
         bad = copy.deepcopy(cert.data)
         bad["period_bound"].update(forged)
         bad["digest"] = _digest(bad)
         failures = verify_certificate(Certificate(bad)).failures()
-        assert [name for name, _ in failures] == stages, forged
+        assert [name for name, _ in failures] == ["period_bound"], forged
 
 
 # other spellings of a coordinate list that reduce to the same residues
@@ -193,52 +191,39 @@ def test_non_canonical_reduction_coordinates_are_rejected(
         bad["reduction"][name] = forged
         bad["digest"] = _digest(bad)
         failures = dict(verify_certificate(Certificate(bad)).failures())
-        assert list(failures) == ["replay"], (name, failures)
-        assert f"reduction.{name} coordinate must be" in failures["replay"]
+        assert list(failures) == ["reduction"], (name, failures)
+        assert failures["reduction"] == \
+            "reduction differs from its recomputation"
 
-    # the F_25 record of x^2+1 at p=5, whose modulus x^2 + 2 is [2, 0]
+    # the F_25 record of x^2+1 at p=5, whose modulus x^2 + 2 is [2, 0]: the
+    # verifier rebuilds it from m, the enumeration index and the period
+    # alone, so the modulus it compares is the canonical list
     rec = suite_pipelines["quad_p5"].record
-    data = {"reduction": {
-        "m": rec.m, "field_modulus": rec.field_modulus_indexes(),
-        "point": rec.point_coords(), "period": rec.period,
-        "orbit": [[c.coords() for c in pt] for pt in rec.orbit],
-        "enumeration_index": rec.enumeration_index}}
-    assert data["reduction"]["field_modulus"] == [2, 0]
-    assert _rebuild_record(data, 5) == rec
-    data["reduction"]["field_modulus"] = respell([2, 0], 5)
-    with pytest.raises(CertificateFormatError,
-                       match="reduction.field_modulus must be"):
-        _rebuild_record(data, 5)
+    fbar = reduce_map(build_map("quad_p5"), PadicContext(5, precision=1))
+    rebuilt = _replay_record(fbar, rec.m, rec.enumeration_index, rec.period)
+    assert rebuilt == rec
+    assert rebuilt.field_modulus_indexes() == [2, 0]
 
 
-# integer fields and the stage that must reject a bool or float spelling
-INT_FIELD_STAGES = {
-    ("reduction", "period"): "format",
-    ("reduction", "enumeration_index"): "format",
-    ("neighborhood", "k"): "format",
-    ("neighborhood", "affine_order"): "format",
-    ("neighborhood", "divisibility_degree"): "format",
-    ("period_bound", "k"): "format",
-    ("period_bound", "affine_order"): "format",
-    ("period_bound", "analyticity_exponent"): "format",
-    ("period_bound", "bound"): "format",
-    ("mahler_profile", "k_max"): "format",
-    ("map", "n"): "format",
-    ("context", "p"): "format",
-    ("context", "d"): "format",
-    ("context", "e"): "format",
-    ("context", "precision"): "format",
-    ("payload", "differs_at"): "iterate",
-    ("payload", "difference_valuation"): "iterate",
-}
+# integer fields: a bool or float spelling of one fails the stage of its
+# section, whether the field is an input or recomputed
+INT_FIELDS = (
+    ("reduction", "period"), ("reduction", "enumeration_index"),
+    ("neighborhood", "k"), ("neighborhood", "affine_order"),
+    ("neighborhood", "divisibility_degree"), ("period_bound", "k"),
+    ("period_bound", "affine_order"), ("period_bound", "analyticity_exponent"),
+    ("period_bound", "bound"), ("mahler_profile", "k_max"), ("map", "n"),
+    ("context", "p"), ("context", "d"), ("context", "e"),
+    ("context", "precision"), ("payload", "differs_at"),
+    ("payload", "difference_valuation"),
+    ("mahler_profile", "valuations", 0, 0))
 
 
 def test_non_int_json_numbers_are_rejected(quad_p3_naive):
     cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
     assert verify_certificate(cert).ok
-    cases = list(INT_FIELD_STAGES.items())
-    cases.append((("mahler_profile", "valuations", 0, 0), "mahler_profile"))
-    for path, stage in cases:
+    for path in INT_FIELDS:
+        stage = path[0]
         node = cert.data
         for key in path:
             node = node[key]
@@ -255,6 +240,98 @@ def test_non_int_json_numbers_are_rejected(quad_p3_naive):
             assert list(failures) == [stage], (path, spelling, failures)
 
 
+# other texts of the same map, another uniformizer or spelling of the
+# Eisenstein polynomial, and keys the format does not have; each verified as
+# valid once the digest was recomputed, when the verifier checked fields one
+# by one
+RESPELLED_SECTIONS = (
+    (("map", "numerators"), ["1 + x1^2"], "map"),
+    (("map", "numerators"), ["x1^2+1"], "map"),
+    (("map", "numerators"), ["x1*x1 + 1"], "map"),
+    (("map", "denominators"), ["2/2"], "map"),
+    (("context", "eis_poly"), [[6], [1]], "context"),
+    (("context", "eis_poly"), [[-3], 1], "context"),
+    (("context", "eis_poly"), [-3, 1], "context"),
+    (("note",), "extra", "format"),
+    (("neighborhood", "note"), "extra", "neighborhood"),
+    (("payload", "note"), "extra", "payload"),
+)
+
+
+def test_respelled_sections_are_rejected(quad_p3_naive):
+    cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
+    assert cert.data["map"]["numerators"] == ["x1^2 + 1"]
+    assert cert.data["context"]["eis_poly"] == [[-3], [1]]
+    for path, forged, stage in RESPELLED_SECTIONS:
+        bad = copy.deepcopy(cert.data)
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = forged
+        bad["digest"] = _digest(bad)
+        failures = verify_certificate(Certificate(bad)).failures()
+        assert [name for name, _ in failures] == [stage], (path, forged)
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _leaves(val, path + (key,))
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from _leaves(val, path + (i,))
+    else:
+        yield path, obj
+
+
+def _spoofs(value):
+    """A bool, the same number as a float, its text and +-1 for an int;
+    other spellings for a string; a bool or text for null."""
+    yield from (True, False)
+    if type(value) is int:
+        yield from (float(value), str(value), value + 1, value - 1)
+    elif isinstance(value, str):
+        yield from ("+" + value, " " + value, value + "/1")
+    else:
+        yield "null"
+
+
+# leaves whose +-1 is still a true claim: the producer writes exactly that
+# certificate when run with that setting (run_pipeline keyword)
+STILL_TRUE = {("neighborhood", "divisibility_degree"): "degree",
+              ("context", "precision"): "precision"}
+
+
+@pytest.mark.parametrize("name", ["quad_p3", "twodim_p5"])
+def test_every_leaf_spoof_with_recomputed_digest_is_rejected(name):
+    kw = {"lift": "naive"} if name == "quad_p3" else {}
+    pipe = build_pipeline(name, **kw)
+    cert = find_witness(pipe.nbhd, pipe.bound, 50, kmax=4)
+    leaves = [(path, value) for path, value in _leaves(cert.data)
+              if path != ("digest",)]
+    assert len(leaves) > 30
+    for path, value in leaves:
+        for spoof in _spoofs(value):
+            bad = copy.deepcopy(cert.data)
+            node = bad
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = spoof
+            bad["digest"] = _digest(bad)
+            report = verify_certificate(Certificate(bad))
+            names = [stage for stage, _ in report.failures()]
+            if path in STILL_TRUE and type(spoof) is int:
+                other = build_pipeline(name, **kw, **{STILL_TRUE[path]: spoof})
+                again = find_witness(other.nbhd, other.bound, 50, kmax=4)
+                assert report.ok and again.data == bad, (path, spoof)
+                continue
+            assert names and "digest" not in names, (path, spoof, names)
+            assert "replay" not in names, (path, spoof, report.failures())
+            # the spoofed section fails, and sections derived from it may
+            assert {"version": "format"}.get(path[0], path[0]) in names, \
+                (path, spoof, names)
+
+
 def test_mahler_consistency_with_classification():
     # nonzero interpolation coefficients for psi = Phi^(p^l_an) exactly when
     # the witness is non-preperiodic
@@ -269,7 +346,9 @@ def test_mahler_consistency_with_classification():
         assert res.kind == expected
         t0 = pipe.nbhd.to_local((ctx.from_rational(omega),))
         interp = mahler_coefficients(psi, t0, 8)
-        assert interp.is_constant_to_precision() == (expected == PERIODIC)
+        constant = all(v is INFINITY for row in interp.valuations
+                       for v in row)
+        assert constant == (expected == PERIODIC)
 
 
 def test_growth_oracle_agreement():
@@ -338,7 +417,6 @@ def test_two_cycle_center_end_to_end():
     # Mahler valuation law on the k=2 data
     phi = nbhd.iterated_local_map(nbhd.affine_order)
     interp = mahler_coefficients(phi, (ctx.one(),), 16)
-    from padicdyn.mahler import INFINITY
     for k in range(1, 17):
         v = interp.valuation(1, k)
         assert v is INFINITY or v >= (k + 2) // 2

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from padicdyn import dynamics
 from padicdyn.certify import run_pipeline
 from padicdyn.dynamics import (CLEAR, INDETERMINATE, RAMIFIED, _walk_orbit,
                                find_periodic_point, locus_check, reduce_map,
@@ -130,6 +131,23 @@ def test_walk_stops_at_the_cap():
     status, orbit = _walk_orbit(fbar, start, 2)
     assert status == "unfinished" and len(orbit) == 3
     assert _walk_orbit(fbar, start, 3)[0] == "periodic"
+
+
+def test_walk_checks_each_orbit_point_once(monkeypatch):
+    # the walk over the 3-cycle of x + 1 over F_3 closes on its start point,
+    # which passed the locus check when it was first visited
+    fbar = reduce_map(RationalSelfMap.from_texts(1, ["x1 + 1"]),
+                      PadicContext(3))
+    checked = []
+
+    def counting_check(fm, point):
+        checked.append(point)
+        return locus_check(fm, point)
+
+    monkeypatch.setattr(dynamics, "locus_check", counting_check)
+    status, orbit = _walk_orbit(fbar, (fbar.field.zero(),), 3)
+    assert status == "periodic" and len(orbit) == 3
+    assert checked == list(orbit)
 
 
 def test_record_tamper_detection():

@@ -1,9 +1,9 @@
 """Canonical decimal text of certificate iterates.
 
 fraction_text against str(), the ramified demo certificate's byte identity,
-the verifier's canonical-text checks on the payload and the witness, and the
-interpreter's int/str conversion guard, which importing padicdyn must leave
-alone.
+the verifier's rejection of other texts of the payload and witness values,
+and the interpreter's int/str conversion guard, which importing padicdyn
+must leave alone.
 """
 
 import copy
@@ -146,18 +146,13 @@ def test_non_canonical_payload_text_is_rejected(quad_p3_naive):
     # the witness, must be canonical
     cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
     text = cert.data["payload"]["iterate"][0]
-    coordinate = "payload iterate coordinate 1 is not the canonical text"
-    shape = "payload iterate is not a list of 1 coordinates"
-    cases = [(("payload", "iterate"), forged, "iterate", detail)
-             for forged, detail in [
-                 (["+" + text], coordinate), ([text + "/1"], coordinate),
-                 ([" " + text], coordinate), ([int(text)], coordinate),
-                 ([text, text], shape), ([], shape), (text, shape)]]
+    cases = [(("payload", "iterate"), forged, "payload")
+             for forged in [["+" + text], [text + "/1"], [" " + text],
+                            [int(text)], [text, text], [], text]]
     assert cert.data["witness"] == ["2"]
-    cases += [(("witness",), [forged], "witness",
-               "witness is not the canonical text")
+    cases += [(("witness",), [forged], "witness")
               for forged in ("+2", "2/1", " 2", "4/2")]
-    for path, forged, stage, detail in cases:
+    for path, forged, stage in cases:
         bad = copy.deepcopy(cert.data)
         node = bad
         for key in path[:-1]:
@@ -170,4 +165,4 @@ def test_non_canonical_payload_text_is_rejected(quad_p3_naive):
         report = verify_certificate(Certificate(bad))
         failures = dict(report.failures())
         assert set(failures) == {stage}, (forged, failures)
-        assert failures[stage].startswith(detail), (forged, failures)
+        assert failures[stage] == f"{stage} differs from its recomputation"

@@ -86,8 +86,13 @@ def test_affine_order_examples():
     lctx = context_for_record(5, rec)
     nb = build_neighborhood(ident, rec.period, hensel_lift(rec, lctx), lctx)
     assert nb.affine_order == 1
+    assert reduced_affine_order(pipe.nbhd) == 4
+    # F^4 is the identity mod r: sampled points move by a multiple of r
+    phi = pipe.nbhd.iterated_local_map(4)
     rng = random.Random(0)
-    assert reduced_affine_order(pipe.nbhd, verify_samples=10, rng=rng) == 4
+    for _ in range(10):
+        z = [pipe.ctx.random_element(rng)]
+        assert all((a - b).valuation() >= 1 for a, b in zip(phi(z), z))
 
 
 def test_affine_order_brute_force_oracle():
