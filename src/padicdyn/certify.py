@@ -22,8 +22,8 @@ from . import __version__
 from .dynamics import (PeriodicPointRecord, _walk_orbit, find_periodic_point,
                        point_at_index, reduce_map)
 from .errors import (CertificateFormatError, IndeterminacyError,
-                     InternalInconsistencyError, SearchBudgetError,
-                     UnsupportedExtensionError)
+                     InternalInconsistencyError, PrecisionError,
+                     SearchBudgetError, UnsupportedExtensionError)
 from .mahler import INFINITY, analyticity_exponent, mahler_coefficients
 from .neighborhood import (GoodPrimeReport, build_neighborhood,
                            choose_good_prime, context_for_record, hensel_lift,
@@ -514,8 +514,12 @@ def _replay(data):
         center = hensel_lift(record, ctx, convention=lift)
     except ValueError as exc:  # unknown lift convention
         raise _Stop("neighborhood", str(exc))
-    nbhd = build_neighborhood(f, record.period, center, ctx, cap=cap,
-                              record=record, lift_convention=lift)
+    try:
+        nbhd = build_neighborhood(f, record.period, center, ctx, cap=cap,
+                                  record=record, lift_convention=lift)
+    except PrecisionError as exc:
+        raise _Stop("context", f"precision {precision} cannot carry the"
+                    f" neighborhood: {exc}")
     bound = period_bound(nbhd)
 
     try:
@@ -531,7 +535,11 @@ def _replay(data):
     if result.kind == PERIODIC:
         raise _Stop("witness",
                     f"witness is periodic with period {result.period}")
-    return _certificate_data(nbhd, bound, omega, result, kmax)
+    try:
+        return _certificate_data(nbhd, bound, omega, result, kmax)
+    except PrecisionError as exc:  # the one step here that divides by r
+        raise _Stop("mahler_profile", f"precision {precision} cannot carry"
+                    f" the profile to k_max {kmax}: {exc}")
 
 
 def verify_certificate(cert):

@@ -170,24 +170,19 @@ def evaluate(interp, z):
     term. For 0 <= z <= k_max the partial sum reproduces the orbit point
     exactly, since binomial(z, k) vanishes for k > z.
     """
-    ctx = interp.ctx
     if isinstance(z, int):
-        weights = [int_binomial(z, k) for k in range(1, interp.k_max + 1)]
-        values = []
-        for i in range(interp.n):
-            acc = interp.omega[i]
-            for k, w in enumerate(weights, start=1):
-                if w:
-                    acc = acc + interp.coeffs[i][k - 1] * w
-            values.append(acc)
-        return MahlerValue(tuple(values), interp.tail_valuation())
-    if not z.in_base_subring():
+        weights = [(k, w) for k in range(1, interp.k_max + 1)
+                   if (w := int_binomial(z, k))]
+    elif z.in_base_subring():
+        # a weight that is zero only to precision still sets precision tags
+        weights = [(k, binomial_eval(z, k))
+                   for k in range(1, interp.k_max + 1)]
+    else:
         raise ValueError("Mahler evaluation requires z in Z_p")
-    weights = [binomial_eval(z, k) for k in range(1, interp.k_max + 1)]
     values = []
     for i in range(interp.n):
         acc = interp.omega[i]
-        for k, w in enumerate(weights, start=1):
+        for k, w in weights:
             acc = acc + interp.coeffs[i][k - 1] * w
         values.append(acc)
     return MahlerValue(tuple(values), interp.tail_valuation())

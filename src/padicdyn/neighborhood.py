@@ -1,11 +1,15 @@
 """Good primes, Hensel lifts, and the invariant p-adic neighborhood.
 
 Given a purely periodic point of the reduced map with a clear orbit, the
-center is lifted to O^n, the k-th iterate of the map is expanded locally as
-series H with constant term divisible by the uniformizer r, and the
-rescaling F(t) = H(r t)/r turns the residue-ball at the center into O^n with
-the iterate acting by integral power series. The reduction of F mod r is an
-invertible affine map; its order is the second factor of the period bound.
+center y is lifted to O^n. On the residue ball at y, f^k acts by its power
+series at y, and that series is f applied k times to the generic point
+y + t of the ball, in the ring of series truncated at total degree ``cap``
+(``series.SeriesRing``). The same loop, ``map_eval_padic``, applies f to
+points of O^n and to series. Subtracting y gives H, whose constant term is
+divisible by the uniformizer r, and the rescaling F(t) = H(r t)/r turns the
+ball into O^n with the iterate acting by integral power series. The
+reduction of F mod r is an invertible affine map; its order is the second
+factor of the period bound.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import (BadReductionError, DivisibilityError, IndeterminacyError,
 from .finitefields import is_prime, mat_eq, mat_identity, mat_mul, mat_vec
 from .padics import PadicContext, PadicElement
 from .polynomials import embed_terms, matrix_det, point_powers
-from .series import evaluate_padic, expand_at, series_compose
+from .series import SeriesRing, TruncatedSeries, evaluate_padic
 
 FALLBACK_NOTE = ("analyticity fallback required: p <= 2(e+1), interpolation"
                  " will only be analytic on a smaller disc")
@@ -176,24 +180,27 @@ def _embedded_map(f, ctx):
     return cached
 
 
-def map_eval_padic(f, point, ctx=None):
-    """Evaluate a RationalSelfMap at a vector of PadicElements exactly (to
-    precision). Denominators must be units; a coefficient that is not
-    p-integral raises BadReductionError before any denominator is checked."""
-    if ctx is None:
-        ctx = point[0].ctx
+def map_eval_padic(f, point, ring=None):
+    """Evaluate a RationalSelfMap exactly (to precision) at a vector of
+    PadicElements, ring their PadicContext, or of series in a SeriesRing:
+    the one loop that applies f in either ring. Denominators must be units;
+    a coefficient that is not p-integral raises BadReductionError before
+    any denominator is checked."""
+    if ring is None:
+        ring = point[0].ctx
+    ctx = ring.ctx if isinstance(ring, SeriesRing) else ring
     if len(point) != f.n:
         raise ValueError("point dimension mismatch")
     powers = point_powers(point)
     out = []
     for num_terms, den_terms, scale in _embedded_map(f, ctx):
         if den_terms is not None:
-            dval = evaluate_padic(ctx, den_terms, point, powers)
-            if dval.valuation() != 0:
+            dval = evaluate_padic(ring, den_terms, point, powers)
+            if not dval.is_unit():
                 raise IndeterminacyError(
                     "denominator is not a unit along the orbit")
             scale = dval.inverse()
-        value = evaluate_padic(ctx, num_terms, point, powers)
+        value = evaluate_padic(ring, num_terms, point, powers)
         out.append(value if scale is None else value * scale)
     return tuple(out)
 
@@ -350,61 +357,41 @@ def build_neighborhood(f, k, center, ctx, cap=8, fbar=None, record=None,
         fbar = reduce_map(f, ctx)
     n = f.n
     y = tuple(center)
+    ring = SeriesRing(ctx, n, cap)
+    iterate = ring.generic_point(y)
     orbit_points = [y]
-    local_steps = []
-    cur = y
     for _ in range(k):
-        res_pt = tuple(ctx.residue(z) for z in cur)
+        res_pt = tuple(ctx.residue(z) for z in orbit_points[-1])
         if locus_check(fbar, res_pt) != CLEAR:
             raise OrbitNotClearError(
                 "orbit of the center hits the indeterminacy or ramification"
                 " locus mod r")
-        expansions = [expand_at((num, den), cur, cap, ctx)
-                      for num, den in zip(f.numerators, f.denominators)]
-        nxt = tuple(s.constant_term() for s in expansions)
-        local_steps.append([s.without_constant() for s in expansions])
-        cur = nxt
-        orbit_points.append(cur)
+        iterate = map_eval_padic(f, iterate, ring)
+        orbit_points.append(tuple(s.constant_term() for s in iterate))
 
-    comp = local_steps[0]
-    for j in range(1, k):
-        comp = [series_compose(local_steps[j][i], comp) for i in range(n)]
-
-    H = []
-    for i in range(n):
-        const = orbit_points[k][i] - y[i]
-        v = const.valuation()
+    H = [s - yi for s, yi in zip(iterate, y)]
+    for h in H:
+        v = h.constant_term().valuation()
         if v < 1:
             raise OrbitNotClearError(
                 f"f^k does not fix the center mod r (constant valuation {v})")
-        H.append(comp[i].with_constant(const))
 
     r = ctx.uniformizer()
-    rpow = {0: ctx.one()}
-
-    def rpower(s):
-        if s not in rpow:
-            rpow[s] = rpower(s - 1) * r
-        return rpow[s]
-
+    rpow = [ctx.one()]
+    for _ in range(cap - 1):
+        rpow.append(rpow[-1] * r)
     F = []
-    for i in range(n):
+    for i, h in enumerate(H):
         coeffs = {}
-        for idx, c in H[i].coeffs.items():
+        for idx, c in h.coeffs.items():
             deg = sum(idx)
-            if deg == 0:
-                coeffs[idx] = c.divide_uniformizer()
-            else:
-                coeffs[idx] = c * rpower(deg - 1)
-        series = type(H[i])(ctx, n, cap, coeffs)
-        for idx, c in series.coeffs.items():
-            deg = sum(idx)
-            need = max(deg - 1, 0)
-            if c.valuation() < need:
+            c = c.divide_uniformizer() if deg == 0 else c * rpow[deg - 1]
+            if c.valuation() < deg - 1:
                 raise DivisibilityError(
                     f"F_{i + 1} coefficient at {idx} has v_r ="
-                    f" {c.valuation()} < {need}")
-        F.append(series)
+                    f" {c.valuation()} < {deg - 1}")
+            coeffs[idx] = c
+        F.append(TruncatedSeries(ctx, n, cap, coeffs))
 
     nbhd = PadicNeighborhood(ctx, f, k, y, orbit_points[:k], H, F,
                              affine_order=None, cap=cap, fbar=fbar,

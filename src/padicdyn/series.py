@@ -1,16 +1,24 @@
 """Truncated multivariate power series over a p-adic context.
 
-Coefficients are PadicElements indexed by exponent tuples of total degree at
-most ``cap``. A key that is absent is an *exact* zero; a stored coefficient
-may still be zero to working precision and is never dropped on that basis.
-This makes "zero constant term" a checkable predicate, which composition
-requires for truncation to be closed.
+A series lives in O[t_1, ..., t_n] modulo the monomials of total degree
+above ``cap``. That quotient is a ring, and a series with a unit constant
+term is invertible in it, so ``SeriesRing`` is one more ring for the one
+evaluator ``polynomials.evaluate_terms``: a rational map applied to the
+generic point y + t gives its expansion at y, exact through the cap.
+
+A key that is absent is an *exact* zero; a stored coefficient may still be
+zero to working precision and is never dropped on that basis. This makes
+"zero constant term" a checkable predicate. Only ``series_compose`` needs
+it: its outer series is itself truncated, and its unknown terms above the
+cap stay above the cap only when every inner series vanishes at t = 0. A
+polynomial or rational map has no unknown terms and needs no such check.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import IndeterminacyError, RecenteringError
-from .padics import int_binomial
 from .polynomials import embed_terms, evaluate_terms
 
 
@@ -52,14 +60,9 @@ class TruncatedSeries:
         return self._zero_idx() not in self.coeffs
 
     def without_constant(self):
-        """Drop the constant term exactly (used after recording it)."""
+        """Drop the constant term exactly."""
         out = dict(self.coeffs)
         out.pop(self._zero_idx(), None)
-        return TruncatedSeries(self.ctx, self.n, self.cap, out)
-
-    def with_constant(self, value):
-        out = dict(self.coeffs)
-        out[self._zero_idx()] = value
         return TruncatedSeries(self.ctx, self.n, self.cap, out)
 
     def _check_compatible(self, other):
@@ -68,22 +71,22 @@ class TruncatedSeries:
             raise ValueError("incompatible series")
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
         out = dict(self.coeffs)
+        if not isinstance(other, TruncatedSeries):
+            # scalar (PadicElement or int), added to the constant term
+            zero = self._zero_idx()
+            out[zero] = (out[zero] + other if zero in out
+                         else self.ctx.coerce(other))
+            return TruncatedSeries(self.ctx, self.n, self.cap, out)
+        self._check_compatible(other)
         for idx, c in other.coeffs.items():
             out[idx] = out[idx] + c if idx in out else c
         return TruncatedSeries(self.ctx, self.n, self.cap, out)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out[idx] - c if idx in out else -c
-        return TruncatedSeries(self.ctx, self.n, self.cap, out)
+        return self + -other
 
     def __neg__(self):
         return TruncatedSeries(self.ctx, self.n, self.cap,
@@ -109,6 +112,24 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    def is_unit(self):
+        return self.constant_term().is_unit()
+
+    def inverse(self):
+        """1/self, exact through the cap: with self = d0 (1 + u), the
+        geometric series sum (-u)^j / d0, which stops at j = cap since u has
+        no constant term. NonUnitError unless d0 is a unit."""
+        d0_inv = self.constant_term().inverse()
+        neg_u = self.without_constant() * -d0_inv
+        inv = term = TruncatedSeries.constant(self.ctx, self.n, self.cap,
+                                              self.ctx.one())
+        for _ in range(self.cap):
+            term = term * neg_u
+            if not term.coeffs:
+                break
+            inv = inv + term
+        return inv * d0_inv
+
     def evaluate(self, point):
         """Plain truncated evaluation. For a series standing in for a full
         expansion, the result is only valid modulo the discarded tail."""
@@ -128,16 +149,40 @@ class TruncatedSeries:
         return f"TruncatedSeries(n={self.n}, cap={self.cap}, idx={keys})"
 
 
-def evaluate_padic(ctx, terms, point, powers=None):
-    """evaluate_terms over a PadicContext, capped at its precision.
+@dataclass(frozen=True)
+class SeriesRing:
+    """The truncated series in n variables over ctx, as a ring for
+    evaluate_terms."""
 
-    Intermediate values may keep more digits than the context's precision;
-    the result is what the sum started from ctx.zero() gives, in digits and
-    precision tag.
+    ctx: object
+    n: int
+    cap: int
+
+    def one(self):
+        return TruncatedSeries.constant(self.ctx, self.n, self.cap,
+                                        self.ctx.one())
+
+    def zero(self):
+        return TruncatedSeries(self.ctx, self.n, self.cap)
+
+    def generic_point(self, center):
+        """The coordinates center_i + t_i of the ball at center."""
+        return tuple(TruncatedSeries.variable(self.ctx, self.n, self.cap, i)
+                     + y for i, y in enumerate(center))
+
+
+def evaluate_padic(ring, terms, point, powers=None):
+    """evaluate_terms over a PadicContext or a SeriesRing, returning what
+    the sum started from ring.zero() gives: capped at the context's
+    precision in digits and precision tag, and a series even when every
+    term is a scalar.
     """
-    total = evaluate_terms(ctx, terms, point, powers)
-    if total.prec > ctx.precision or total.ctx is not ctx:
-        total = ctx.zero() + total
+    total = evaluate_terms(ring, terms, point, powers)
+    if isinstance(ring, SeriesRing):
+        if not isinstance(total, TruncatedSeries):
+            total = ring.zero() + total
+    elif total.prec > ring.precision or total.ctx is not ring:
+        total = ring.zero() + total
     return total
 
 
@@ -159,100 +204,36 @@ def series_compose(outer, inners):
 
     Every inner series must have an exactly-zero constant term, which makes
     the truncation closed: the coefficient of any index of total degree <= cap
-    never depends on discarded terms.
+    never depends on discarded terms of outer.
     """
-    inners = list(inners)
+    inners = tuple(inners)
     if len(inners) != outer.n:
         raise ValueError("outer arity does not match number of inner series")
-    ctx, cap = outer.ctx, outer.cap
-    n_in = inners[0].n
+    ring = SeriesRing(outer.ctx, inners[0].n, outer.cap)
     for s in inners:
-        if s.ctx != ctx or s.cap != cap or s.n != n_in:
+        if s.ctx != ring.ctx or s.cap != ring.cap or s.n != ring.n:
             raise ValueError("incompatible inner series")
         if not s.has_exact_zero_constant:
             raise RecenteringError(
                 "inner series has a nonzero constant term; recentering"
                 " required")
-    one = TruncatedSeries.constant(ctx, n_in, cap, ctx.one())
-    power_cache = [{0: one} for _ in inners]
-
-    def ipower(i, k):
-        cache = power_cache[i]
-        if k not in cache:
-            cache[k] = ipower(i, k - 1) * inners[i]
-        return cache[k]
-
-    result = TruncatedSeries(ctx, n_in, cap, {})
-    for idx, c in sorted(outer.coeffs.items(), key=lambda kv: sum(kv[0])):
-        if sum(idx) > cap:
-            continue
-        term = None
-        for i, a in enumerate(idx):
-            if a:
-                term = ipower(i, a) if term is None else term * ipower(i, a)
-        if term is None:
-            term = one
-        result = result + term * c
-    return result
-
-
-def shift_poly(poly, center, cap, ctx):
-    """Exact expansion of poly(center + t) as a series in t, truncated at cap.
-
-    Degrees do not mix downward under shifting, so coefficients of total
-    degree <= cap are exact.
-    """
-    n = poly.n
-    result = {}
-    for idx, c in poly.terms.items():
-        cur = {(0,) * n: ctx.from_rational(c)}
-        for i, a in enumerate(idx):
-            if a == 0:
-                continue
-            # (center_i + t_i)^a, coefficients binomial(a, k) center_i^(a-k)
-            cpows = {0: ctx.one()}
-            for k in range(1, a + 1):
-                cpows[k] = cpows[k - 1] * center[i]
-            nxt = {}
-            for eidx, ec in cur.items():
-                base_deg = sum(eidx)
-                for k in range(0, min(a, cap - base_deg) + 1):
-                    coeff = ec * (cpows[a - k] * int_binomial(a, k))
-                    nidx = list(eidx)
-                    nidx[i] += k
-                    nidx = tuple(nidx)
-                    nxt[nidx] = nxt[nidx] + coeff if nidx in nxt else coeff
-            cur = nxt
-        for eidx, ec in cur.items():
-            result[eidx] = result[eidx] + ec if eidx in result else ec
-    return TruncatedSeries(ctx, n, cap, result)
+    return evaluate_padic(ring, outer.coeffs.items(), inners)
 
 
 def expand_at(component, center, cap, ctx=None):
-    """Taylor expansion of num/den at a center where den is a unit.
+    """Taylor expansion of num/den at a center where den is a unit: both
+    evaluated at the generic point center + t, truncated at cap.
 
     ``component`` is a (numerator, denominator) MultiPoly pair. The constant
     term of the result is the exact value of the component at the center.
     """
     num, den = component
-    if ctx is None:
-        ctx = center[0].ctx
-    num_s = shift_poly(num, center, cap, ctx)
-    den_s = shift_poly(den, center, cap, ctx)
-    d0 = den_s.constant_term()
-    if d0.valuation() != 0:
+    ring = SeriesRing(center[0].ctx if ctx is None else ctx, num.n, cap)
+    point = ring.generic_point(center)
+    den_s = evaluate_padic(ring, embed_terms(den, ring.ctx), point)
+    if not den_s.is_unit():
         raise IndeterminacyError(
             "denominator is not a unit at the center"
             " (indeterminacy-adjacent center)")
-    d0_inv = d0.inverse()
-    u = den_s.without_constant() * d0_inv  # den = d0 * (1 + u), u has no const
-    # (1 + u)^{-1} = sum (-u)^j, exact through the cap since u has order >= 1
-    neg_u = -u
-    inv = TruncatedSeries.constant(ctx, num.n, cap, ctx.one())
-    term = TruncatedSeries.constant(ctx, num.n, cap, ctx.one())
-    for _ in range(cap):
-        term = term * neg_u
-        if not term.coeffs:
-            break
-        inv = inv + term
-    return num_s * (inv * d0_inv)
+    num_s = evaluate_padic(ring, embed_terms(num, ring.ctx), point)
+    return num_s * den_s.inverse()

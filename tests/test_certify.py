@@ -332,6 +332,22 @@ def test_every_leaf_spoof_with_recomputed_digest_is_rejected(name):
                 (path, spoof, names)
 
 
+@pytest.mark.parametrize("section, key, value, stage", [
+    ("context", "precision", 1, "context"),           # in the neighborhood
+    ("context", "precision", 2, "mahler_profile"),    # in the profile's orbit
+    ("mahler_profile", "k_max", 200, "mahler_profile"),
+])
+def test_precision_shortfall_is_named_by_its_stage(quad_p3_naive, section,
+                                                   key, value, stage):
+    cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
+    bad = copy.deepcopy(cert.data)
+    bad[section][key] = value
+    bad["digest"] = _digest(bad)
+    failures = verify_certificate(Certificate(bad)).failures()
+    assert [name for name, _ in failures] == [stage], failures
+    assert "precision" in failures[0][1]
+
+
 def test_mahler_consistency_with_classification():
     # nonzero interpolation coefficients for psi = Phi^(p^l_an) exactly when
     # the witness is non-preperiodic

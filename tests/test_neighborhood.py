@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicdyn.certify import run_pipeline
 from padicdyn.dynamics import find_periodic_point, reduce_map
 from padicdyn.errors import (NoGoodPrimeError, NonUnitError,
                              ResidueMismatchError)
@@ -134,6 +135,35 @@ def test_affine_order_identity_through_series_route():
             for a, b in zip(cur, z):
                 v = (a - b).valuation()
                 assert v is INFINITY or v >= 1, (name, v)
+
+
+# maps whose neighborhood comes from k > 1 applications of f to the series
+# y + t, all but the Henon map through non-constant denominators
+SERIES_ITERATE_MAPS = [
+    (2, ["x2^2 + 1", "x1"], ["1", "x2 + 4"], 7, 1),
+    (1, ["x1^2 + 1"], ["x1 + 2"], 5, 1),
+    (1, ["x1^2 + 1"], ["x1 + 2"], 5, 2),
+    (2, ["x1*x2 + 1", "x1"], ["x2 + 2", "x1 + 1"], 5, 1),
+    (2, ["x2", "x2^2 - x1 + 1"], None, 7, 1),
+]
+
+
+@pytest.mark.parametrize("n, nums, dens, p, e", SERIES_ITERATE_MAPS)
+def test_local_series_is_f_k_at_the_center(n, nums, dens, p, e):
+    # H is f^k(y + t) - y through degree cap, so at t = r u it agrees with
+    # the exact iterate to v_r >= cap + 1, the order of the discarded tail
+    f = RationalSelfMap.from_texts(n, nums, dens)
+    nbhd = run_pipeline(f, prime=p, e=e).nbhd
+    ctx = nbhd.ctx
+    assert nbhd.period_k > 1
+    r = ctx.uniformizer()
+    rng = random.Random(11)
+    for _ in range(10):
+        t = tuple(r * ctx.random_element(rng) for _ in range(n))
+        image = nbhd.apply_fk(tuple(y + ti for y, ti in zip(nbhd.center, t)))
+        for h, z, y in zip(nbhd.H, image, nbhd.center):
+            v = (h.evaluate(t) - (z - y)).valuation()
+            assert v is INFINITY or v >= nbhd.cap + 1, (nums, v)
 
 
 def test_divisibility_invariant_through_cap():
