@@ -5,6 +5,9 @@ The search looks for *purely* periodic points whose whole orbit avoids the
 indeterminacy locus (a vanishing denominator) and the ramification locus
 (vanishing Jacobian determinant). Enumeration is index-driven and the first
 hit in canonical order wins, so results are deterministic and replayable.
+Within one field each point is walked once: the search records whether a
+walked point lies on a clear cycle, and a later walk stops at the first
+point already recorded.
 
 A reduced map stores each numerator, denominator and its Jacobian
 determinant as a tuple of (exponents, residue) terms, reduced once by
@@ -174,38 +177,58 @@ def point_at_index(fld, n, index):
     return tuple(digits)
 
 
+def _mark_walk(fbar, start, known):
+    """Walk from a start that is not in known until the orbit closes, meets
+    the locus or reaches a known point, applying fbar once per new point.
+    Record each point walked in known: a member of a clear cycle maps to
+    (cycle, its position), any other point to None."""
+    pos = {}
+    path = []
+    cur = start
+    while cur not in known and cur not in pos:
+        if locus_check(fbar, cur) != CLEAR:
+            known[cur] = None
+            break
+        pos[cur] = len(path)
+        path.append(cur)
+        cur = fbar.apply(cur)
+    # the cycle is the part of the path from the point the walk closed on
+    head = pos.get(cur, len(path))
+    cycle = tuple(path[head:])
+    for i, pt in enumerate(path):
+        known[pt] = (cycle, i - head) if i >= head else None
+
+
 def find_periodic_point(fbar, m_max=6, constraints=None):
     """Exhaustively search F_{q^m}^n, m = 1..m_max, in canonical index order.
 
     Returns the first purely periodic point whose entire orbit is clear of
     the indeterminacy and ramification loci. Deterministic given the
     enumeration order; ``visited`` counts examined starting points per m.
+    Each point is walked once per m: a start already known from an earlier
+    walk is decided by what that walk found.
     """
     visited = {}
     for m in range(1, m_max + 1):
         fld = fbar.field.extension(m)
         fm = fbar if m == 1 else fbar.extend(fld)
         n = fm.n
-        space = fld.order ** n
         visited[m] = 0
-        for index in range(space):
+        known = {}
+        for index in range(fld.order ** n):
             point = point_at_index(fld, n, index)
             if constraints is not None and not constraints(point):
                 continue
             visited[m] += 1
-            status, orbit = _walk_orbit(fm, point, space)
-            if status != "periodic":
+            if point not in known:
+                _mark_walk(fm, point, known)
+            if known[point] is None:
                 continue
-            record = PeriodicPointRecord(
-                m=m,
-                field=fld,
-                point=point,
-                period=len(orbit),
-                orbit=orbit,
-                enumeration_index=index,
-                visited=dict(visited),
-            )
-            return record
+            cycle, i = known[point]
+            return PeriodicPointRecord(
+                m=m, field=fld, point=point, period=len(cycle),
+                orbit=cycle[i:] + cycle[:i], enumeration_index=index,
+                visited=dict(visited))
     raise NoPeriodicPointError(
         f"no clear periodic point found up to extension degree {m_max};"
         " raise m_max or change the prime")

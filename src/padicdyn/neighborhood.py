@@ -3,18 +3,22 @@
 Given a purely periodic point of the reduced map with a clear orbit, the
 center y is lifted to O^n. On the residue ball at y, f^k acts by its power
 series at y, and that series is f applied k times to the generic point
-y + t of the ball, in the ring of series truncated at total degree ``cap``
+y + t of the ball, in the ring of series truncated at a total degree
 (``series.SeriesRing``). The same loop, ``map_eval_padic``, applies f to
 points of O^n and to series. Subtracting y gives H, whose constant term is
 divisible by the uniformizer r, and the rescaling F(t) = H(r t)/r turns the
 ball into O^n with the iterate acting by integral power series. The
 reduction of F mod r is an invertible affine map; its order is the second
-factor of the period bound.
+factor of the period bound. That reduction reads only the terms of degree
+at most 1, so the neighborhood is built from the 1-jets of H and F, and
+the series truncated at degree ``cap`` are built by the same function when
+first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .dynamics import CLEAR, locus_check, reduce_map
 from .errors import (BadReductionError, DivisibilityError, IndeterminacyError,
@@ -211,18 +215,20 @@ class PadicNeighborhood:
     t-coordinates identify the ball with O^n via z = y + r t. ``H`` expands
     the k-th map iterate at the center (constant = f^k(y) - y, divisible by
     r); ``F`` is the rescaled series H(r t)/r with integral coefficients whose
-    index-K coefficient is divisible by r^(|K|-1).
+    index-K coefficient is divisible by r^(|K|-1). Both are truncated at
+    degree ``cap`` and built on first read; ``H1`` and ``F1`` are their
+    1-jets, which the neighborhood is built from.
     """
 
-    def __init__(self, ctx, f, period_k, center, orbit_points, H, F,
+    def __init__(self, ctx, f, period_k, center, orbit_points, H1, F1,
                  affine_order, cap, fbar, record=None, lift_convention=None):
         self.ctx = ctx
         self.map = f
         self.period_k = period_k
         self.center = tuple(center)
         self.orbit_points = tuple(orbit_points)
-        self.H = tuple(H)
-        self.F = tuple(F)
+        self.H1 = tuple(H1)
+        self.F1 = tuple(F1)
         self.affine_order = affine_order
         self.cap = cap
         self.fbar = fbar
@@ -230,6 +236,16 @@ class PadicNeighborhood:
         self.lift_convention = lift_convention
         self.n = f.n
         self.center_residue = tuple(ctx.residue(y) for y in center)
+
+    @cached_property
+    def _series_at_cap(self):
+        ring = SeriesRing(self.ctx, self.n, self.cap)
+        _, H, F = _local_series(self.map, self.period_k, self.center,
+                                self.fbar, ring)
+        return H, F
+
+    H = property(lambda self: self._series_at_cap[0])
+    F = property(lambda self: self._series_at_cap[1])
 
     # -- coordinates ---------------------------------------------------------
 
@@ -281,15 +297,16 @@ class PadicNeighborhood:
         return self.from_local(u)
 
     def affine_parts(self):
-        """(L, c) of the reduction of F mod r: L the linear coefficients,
-        c the constant terms, entries in the residue field."""
+        """(L, c) of the reduction of F mod r, read from the 1-jet F1: L the
+        linear coefficients, c the constant terms, entries in the residue
+        field."""
         ctx = self.ctx
         fld = ctx.residue_field
         n = self.n
         L = []
         c = []
         for i in range(n):
-            coeffs = self.F[i].coeffs
+            coeffs = self.F1[i].coeffs
             row = []
             for j in range(n):
                 idx = tuple(1 if t == j else 0 for t in range(n))
@@ -300,15 +317,6 @@ class PadicNeighborhood:
             c.append(ctx.residue(coeffs[zero_idx]) if zero_idx in coeffs
                      else fld.zero())
         return L, c
-
-    def summary(self):
-        return {
-            "k": self.period_k,
-            "affine_order": self.affine_order,
-            "divisibility_degree": self.cap,
-            "center_digits": [[str(c) for layer in y.layers for c in layer]
-                              for y in self.center],
-        }
 
     def __repr__(self):
         return (f"PadicNeighborhood(p={self.ctx.p}, n={self.n},"
@@ -343,21 +351,18 @@ class IteratedMap:
         return out
 
 
-def build_neighborhood(f, k, center, ctx, cap=8, fbar=None, record=None,
-                       lift_convention=None):
-    """Expand f^k at the lifted center and normalize.
+def _local_series(f, k, y, fbar, ring):
+    """The orbit points of the center y and the series H and F of f^k at y
+    in ring: f applied k times to the generic point y + t, H = f^k(y + t) - y
+    and F(t) = H(r t)/r. One function for the 1-jet and for the view at the
+    cap, so the checks below run wherever F is built.
 
     Checks performed: the orbit of the center stays clear of the
     indeterminacy and ramification loci mod r; the constant terms of H have
-    v_r >= 1; every F coefficient at index K with 1 <= |K| <= cap has
-    v_r >= |K| - 1 (violation aborts: it signals a bug or a bad prime); and
-    the reduction of F mod r is an invertible affine map.
+    v_r >= 1; every F coefficient at index K with 1 <= |K| <= ring.cap has
+    v_r >= |K| - 1 (violation aborts: it signals a bug or a bad prime).
     """
-    if fbar is None:
-        fbar = reduce_map(f, ctx)
-    n = f.n
-    y = tuple(center)
-    ring = SeriesRing(ctx, n, cap)
+    ctx = ring.ctx
     iterate = ring.generic_point(y)
     orbit_points = [y]
     for _ in range(k):
@@ -378,7 +383,7 @@ def build_neighborhood(f, k, center, ctx, cap=8, fbar=None, record=None,
 
     r = ctx.uniformizer()
     rpow = [ctx.one()]
-    for _ in range(cap - 1):
+    for _ in range(ring.cap - 1):
         rpow.append(rpow[-1] * r)
     F = []
     for i, h in enumerate(H):
@@ -386,14 +391,34 @@ def build_neighborhood(f, k, center, ctx, cap=8, fbar=None, record=None,
         for idx, c in h.coeffs.items():
             deg = sum(idx)
             c = c.divide_uniformizer() if deg == 0 else c * rpow[deg - 1]
+            # F_K = H_K r^(|K|-1) with H_K in O: f has p-integral
+            # coefficients and unit denominators along the orbit, so every
+            # coefficient of H is integral and this cannot fire for |K| >= 1
             if c.valuation() < deg - 1:
                 raise DivisibilityError(
                     f"F_{i + 1} coefficient at {idx} has v_r ="
                     f" {c.valuation()} < {deg - 1}")
             coeffs[idx] = c
-        F.append(TruncatedSeries(ctx, n, cap, coeffs))
+        F.append(TruncatedSeries(ctx, ring.n, ring.cap, coeffs))
+    return orbit_points[:k], H, F
 
-    nbhd = PadicNeighborhood(ctx, f, k, y, orbit_points[:k], H, F,
+
+def build_neighborhood(f, k, center, ctx, cap=8, fbar=None, record=None,
+                       lift_convention=None):
+    """Expand f^k at the lifted center through degree 1 and normalize.
+
+    The checks of _local_series run on the 1-jet, and the reduction of F
+    mod r must be an invertible affine map. ``cap`` is the degree of the
+    series ``H`` and ``F`` that the neighborhood builds when first read.
+    """
+    if cap < 1:
+        raise ValueError(f"series degree {cap} is below 1")
+    if fbar is None:
+        fbar = reduce_map(f, ctx)
+    y = tuple(center)
+    orbit_points, H1, F1 = _local_series(f, k, y, fbar,
+                                         SeriesRing(ctx, f.n, 1))
+    nbhd = PadicNeighborhood(ctx, f, k, y, orbit_points, H1, F1,
                              affine_order=None, cap=cap, fbar=fbar,
                              record=record, lift_convention=lift_convention)
     nbhd.affine_order = reduced_affine_order(nbhd)

@@ -4,7 +4,10 @@ A series lives in O[t_1, ..., t_n] modulo the monomials of total degree
 above ``cap``. That quotient is a ring, and a series with a unit constant
 term is invertible in it, so ``SeriesRing`` is one more ring for the one
 evaluator ``polynomials.evaluate_terms``: a rational map applied to the
-generic point y + t gives its expansion at y, exact through the cap.
+generic point y + t gives its expansion at y, exact through the cap. The
+neighborhood uses the ring at cap 1 for the 1-jet of f^k and at its
+configured cap for the series it builds on first read; a product visits
+only the pairs of terms whose degrees sum to at most the cap.
 
 A key that is absent is an *exact* zero; a stored coefficient may still be
 zero to working precision and is never dropped on that basis. This makes
@@ -99,15 +102,18 @@ class TruncatedSeries:
                                    {i: c * other
                                     for i, c in self.coeffs.items()})
         self._check_compatible(other)
+        # other's terms by degree, so each left term visits only the right
+        # terms it can multiply without passing the cap
+        by_degree = [[] for _ in range(self.cap + 1)]
+        for i2, c2 in other.coeffs.items():
+            by_degree[sum(i2)].append((i2, c2))
         out = {}
         for i1, c1 in self.coeffs.items():
-            d1 = sum(i1)
-            for i2, c2 in other.coeffs.items():
-                if d1 + sum(i2) > self.cap:
-                    continue
-                idx = tuple(a + b for a, b in zip(i1, i2))
-                prod = c1 * c2
-                out[idx] = out[idx] + prod if idx in out else prod
+            for terms in by_degree[:self.cap + 1 - sum(i1)]:
+                for i2, c2 in terms:
+                    idx = tuple(a + b for a, b in zip(i1, i2))
+                    prod = c1 * c2
+                    out[idx] = out[idx] + prod if idx in out else prod
         return TruncatedSeries(self.ctx, self.n, self.cap, out)
 
     __rmul__ = __mul__
@@ -136,10 +142,6 @@ class TruncatedSeries:
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
         return evaluate_padic(self.ctx, self.coeffs.items(), point)
-
-    def min_valuation(self):
-        vals = [c.valuation() for c in self.coeffs.values()]
-        return min(vals, default=self.ctx.zero().valuation())
 
     def terms_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))

@@ -4,18 +4,21 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn import dynamics
 from padicdyn.certify import run_pipeline
-from padicdyn.dynamics import (CLEAR, INDETERMINATE, RAMIFIED, _walk_orbit,
-                               find_periodic_point, locus_check, reduce_map,
-                               verify_record)
+from padicdyn.dynamics import (CLEAR, INDETERMINATE, RAMIFIED, ReducedMap,
+                               _walk_orbit, find_periodic_point, locus_check,
+                               point_at_index, reduce_map, verify_record)
 from padicdyn.errors import (BadReductionError, InseparableError,
-                             NoPeriodicPointError, UnsupportedExtensionError)
+                             NoPeriodicPointError, PadicDynError,
+                             UnsupportedExtensionError)
 from padicdyn.finitefields import FiniteField
 from padicdyn.mapfile import load_map_file
 from padicdyn.padics import PadicContext
-from padicdyn.polynomials import RationalSelfMap
+from padicdyn.polynomials import MultiPoly, RationalSelfMap
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -148,6 +151,104 @@ def test_walk_checks_each_orbit_point_once(monkeypatch):
     status, orbit = _walk_orbit(fbar, (fbar.field.zero(),), 3)
     assert status == "periodic" and len(orbit) == 3
     assert checked == list(orbit)
+
+
+def walk_every_start(fbar, m_max, constraints):
+    """Oracle: the search as one full walk per start, with _walk_orbit."""
+    visited = {}
+    for m in range(1, m_max + 1):
+        fld = fbar.field.extension(m)
+        fm = fbar if m == 1 else fbar.extend(fld)
+        space = fld.order ** fm.n
+        visited[m] = 0
+        for index in range(space):
+            point = point_at_index(fld, fm.n, index)
+            if constraints is not None and not constraints(point):
+                continue
+            visited[m] += 1
+            status, orbit = _walk_orbit(fm, point, space)
+            if status == "periodic":
+                return point, len(orbit), orbit, index, visited
+    return None
+
+
+@st.composite
+def search_cases(draw):
+    """A small integer rational self-map of A^1 or A^2 reduced mod p, an
+    m_max whose last field has at most 625 points, and sometimes a
+    constraint that skips starts by the index of their first coordinate."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([3, 5, 7]))
+    m_max = draw(st.integers(1, 2 if p ** (2 * n) <= 625 else 1))
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+
+    def poly():
+        return MultiPoly(n, draw(st.dictionaries(
+            exponents, st.integers(-4, 4).filter(bool), min_size=1,
+            max_size=3)))
+
+    nums = [poly() for _ in range(n)]
+    dens = [draw(st.sampled_from([lambda: MultiPoly.constant(n, 1), poly]))()
+            for _ in range(n)]
+    skip = draw(st.integers(0, p))
+    constraints = None
+    if skip:
+        def constraints(point):
+            return point[0].field.index_of(point[0]) % p != skip - 1
+    return RationalSelfMap(nums, dens), p, m_max, constraints
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases())
+def test_search_matches_a_walk_from_every_start(case):
+    f, p, m_max, constraints = case
+    try:
+        fbar = reduce_map(f, PadicContext(p, precision=1))
+    except PadicDynError:
+        return                         # bad, indeterminate or inseparable
+    expected = walk_every_start(fbar, m_max, constraints)
+    try:
+        rec = find_periodic_point(fbar, m_max, constraints)
+    except NoPeriodicPointError:
+        assert expected is None
+        return
+    assert expected is not None
+    point, period, orbit, index, visited = expected
+    assert (rec.point, rec.period, rec.orbit, rec.enumeration_index,
+            rec.visited) == (point, period, orbit, index, visited)
+    assert verify_record(fbar, rec)
+
+
+def search_inputs(name):
+    if name == "quad_p5":
+        return quad(), 5, 2                  # nothing clear over F_5
+    cfg = load_map_file(PERFBENCH / "maps" / f"{name}.json")
+    return cfg.map, cfg.prime, cfg.m_max
+
+
+@pytest.mark.parametrize("name", ["quad_p5", *sorted(EXTFIELD_REFERENCE)])
+def test_search_applies_the_map_once_per_point(monkeypatch, name):
+    f, p, m_max = search_inputs(name)
+    applied = []
+    checked = []
+    apply_map = ReducedMap.apply
+
+    def counting_apply(fm, point):
+        applied.append((fm.field.order, point))
+        return apply_map(fm, point)
+
+    def counting_check(fm, point):
+        checked.append((fm.field.order, point))
+        return locus_check(fm, point)
+
+    monkeypatch.setattr(ReducedMap, "apply", counting_apply)
+    monkeypatch.setattr(dynamics, "locus_check", counting_check)
+    rec = find_periodic_point(reduce_map(f, PadicContext(p)), m_max)
+    assert rec.m > 1
+    # every point of every field is applied and checked at most once
+    assert applied and len(applied) == len(set(applied))
+    assert len(checked) == len(set(checked))
+    assert set(applied) <= set(checked)
 
 
 def test_record_tamper_detection():

@@ -2,19 +2,25 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from padicdyn.certify import run_pipeline
+from padicdyn import neighborhood
+from padicdyn.certify import find_witness, run_pipeline, verify_certificate
 from padicdyn.dynamics import find_periodic_point, reduce_map
 from padicdyn.errors import (NoGoodPrimeError, NonUnitError,
                              ResidueMismatchError)
+from padicdyn.mapfile import load_map_file
 from padicdyn.neighborhood import (build_neighborhood, choose_good_prime,
                                    context_for_record, hensel_lift,
                                    reduced_affine_order, validate_prime)
 from padicdyn.padics import INFINITY, PadicContext
 from padicdyn.polynomials import RationalSelfMap
-from tests.conftest import build_pipeline
+from padicdyn.series import SeriesRing
+from tests.conftest import SUITE_SPECS, build_pipeline
+
+PERFBENCH_MAPS = Path(__file__).resolve().parent.parent / "perfbench" / "maps"
 
 
 def quad():
@@ -164,6 +170,66 @@ def test_local_series_is_f_k_at_the_center(n, nums, dens, p, e):
         for h, z, y in zip(nbhd.H, image, nbhd.center):
             v = (h.evaluate(t) - (z - y)).valuation()
             assert v is INFINITY or v >= nbhd.cap + 1, (nums, v)
+
+
+def digits(series):
+    """Each coefficient's precision tag and digits, by index."""
+    return {idx: (c.prec, c.layers) for idx, c in series.coeffs.items()}
+
+
+def map_file_pipeline(name):
+    cfg = load_map_file(PERFBENCH_MAPS / f"{name}.json")
+    return run_pipeline(cfg.map, prime=cfg.prime, e=cfg.e,
+                        precision=cfg.precision, degree=cfg.degree,
+                        m_max=cfg.m_max, lift=cfg.lift)
+
+
+@pytest.mark.parametrize("name", [*SUITE_SPECS, "henon_p5", "henon_p7",
+                                  "ext_c_p7"])
+def test_series_at_cap_extends_the_jet(name):
+    # the affine order is read from the 1-jet; the series built at the cap
+    # on first read has the same terms of degree <= 1, digit for digit
+    pipe = (build_pipeline(name) if name in SUITE_SPECS
+            else map_file_pipeline(name))
+    nbhd = pipe.nbhd
+    assert nbhd.cap == 8
+    for jet, series in ((nbhd.H1, nbhd.H), (nbhd.F1, nbhd.F)):
+        for low, full in zip(jet, series):
+            assert low.cap == 1 and full.cap == nbhd.cap
+            assert digits(low) == {idx: c for idx, c in digits(full).items()
+                                   if sum(idx) <= 1}, name
+    assert reduced_affine_order(nbhd) == nbhd.affine_order
+
+
+def test_pipeline_and_verifier_expand_only_the_jet(monkeypatch):
+    # certify and verify never apply f in a series ring above degree 1; the
+    # series at the cap is built when H or F is first read, and only then
+    caps = []
+    apply_f = neighborhood.map_eval_padic
+
+    def counting_eval(f, point, ring=None):
+        if isinstance(ring, SeriesRing):
+            caps.append(ring.cap)
+        return apply_f(f, point, ring)
+
+    monkeypatch.setattr(neighborhood, "map_eval_padic", counting_eval)
+    pipe = build_pipeline("quad_p3", lift="naive")
+    cert = find_witness(pipe.nbhd, pipe.bound, 50, kmax=4)
+    assert verify_certificate(cert)
+    henon = map_file_pipeline("henon_p7")
+    assert caps and set(caps) == {1}
+    assert len(caps) == 2 * pipe.nbhd.period_k + henon.nbhd.period_k
+    del caps[:]
+    assert henon.nbhd.F[0].cap == 8 and henon.nbhd.H[1].cap == 8
+    assert caps == [8] * henon.nbhd.period_k
+
+
+def test_a_series_degree_below_one_is_rejected():
+    f = quad()
+    rec = find_periodic_point(reduce_map(f, PadicContext(3)), 1)
+    ctx = context_for_record(3, rec)
+    with pytest.raises(ValueError, match="below 1"):
+        build_neighborhood(f, rec.period, hensel_lift(rec, ctx), ctx, cap=0)
 
 
 def test_divisibility_invariant_through_cap():

@@ -202,6 +202,44 @@ def test_truncation_degree_stability():
         assert comp_hi.coeffs[idx] == c
 
 
+@st.composite
+def series_pairs(draw):
+    """Two series over Z_p or a ramified context, in 1 or 2 variables,
+    truncated at degree 1 to 4, with coefficients of mixed precision."""
+    ctx = draw(st.sampled_from([PadicContext(5, precision=6),
+                                PadicContext(3, eis_poly=[-3, 0, 1],
+                                             precision=5)]))
+    n = draw(st.integers(1, 2))
+    cap = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    exponents = st.tuples(*[st.integers(0, cap)] * n).filter(
+        lambda idx: sum(idx) <= cap)
+
+    def series():
+        keys = draw(st.sets(exponents, max_size=6))
+        return TruncatedSeries(ctx, n, cap, {
+            idx: ctx.random_element(rng, rng.randint(1, ctx.precision))
+            for idx in keys})
+
+    return series(), series()
+
+
+@given(series_pairs())
+def test_product_matches_every_pair_below_the_cap(pair):
+    # oracle: every pair of terms, in the left factor's order, keeping those
+    # within the cap; digits and precision tags must agree
+    a, b = pair
+    want = {}
+    for i1, c1 in a.coeffs.items():
+        for i2, c2 in b.coeffs.items():
+            idx = tuple(x + y for x, y in zip(i1, i2))
+            if sum(idx) <= a.cap:
+                want[idx] = want[idx] + c1 * c2 if idx in want else c1 * c2
+    got = (a * b).coeffs
+    assert {i: (c.prec, c.layers) for i, c in got.items()} == \
+        {i: (c.prec, c.layers) for i, c in want.items()}
+
+
 def test_zero_constant_predicate():
     ctx = PadicContext(3)
     s = TruncatedSeries(ctx, 1, 4, {(0,): ctx.zero(), (1,): ctx.one()})
