@@ -282,8 +282,7 @@ def _digest(data):
 
 
 def _center_digits(nbhd):
-    return [[str(c) for layer in y.layers for c in layer]
-            for y in nbhd.center]
+    return [[str(c) for c in y.coords()] for y in nbhd.center]
 
 
 def _mahler_profile(nbhd, bound, omega, kmax):

@@ -211,7 +211,7 @@ class FFElement:
 
     def _coerce(self, other):
         if isinstance(other, FFElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError("mixed finite fields")
             return other
         if isinstance(other, int):

@@ -30,7 +30,8 @@ def orbit(phi, omega, count):
 
     ``phi`` is any callable on coordinate vectors; an IteratedMap is used
     through its ``orbit`` method, which applies f^(k*multiplier) in ambient
-    coordinates with ``PadicNeighborhood.apply_fk`` (one cached-coefficient
+    coordinates with ``PadicNeighborhood.apply_fk`` (on coordinate integers
+    mod p^s when d = e = 1 and the tags agree, else one cached-coefficient
     ``map_eval_padic`` per application of f) and converts each point to
     local coordinates once, so the whole run costs one digit of precision
     rather than one per step.
@@ -92,11 +93,13 @@ class MahlerInterpolation:
 def mahler_coefficients(phi, omega, k_max, orbit_points=None):
     """Interpolation coefficients b_ik as finite differences of the orbit.
 
-    b_ik = sum_{j=0..k} (-1)^(k-j) C(k,j) (Phi^j(omega))_i with exact integer
-    binomials. Raises TheoryViolationError if any coefficient violates
-    v_r >= ceil((k+1)/2) -- this must never fire for maps built through the
-    neighborhood pipeline -- and PrecisionError when the working precision
-    cannot resolve valuations that large.
+    b_ik = sum_{j=0..k} (-1)^(k-j) C(k,j) (Phi^j(omega))_i, read from a
+    forward-difference table on the points' coordinate integers and tagged
+    with the least tag of (Phi^j(omega))_i over j <= k. Raises
+    TheoryViolationError if any coefficient violates v_r >= ceil((k+1)/2)
+    -- this must never fire for maps built through the neighborhood
+    pipeline -- and PrecisionError when the working precision cannot
+    resolve valuations that large.
     """
     pts = orbit_points if orbit_points is not None else orbit(phi, omega,
                                                               k_max)
@@ -113,23 +116,21 @@ def mahler_coefficients(phi, omega, k_max, orbit_points=None):
             f"precision {min_prec} cannot resolve valuations up to {needed};"
             " reduce k_max or raise precision")
 
-    # Pascal rows once, as plain ints
-    binom = [[1]]
-    for k in range(1, k_max + 1):
-        prev = binom[-1]
-        binom.append([1] + [prev[j - 1] + prev[j]
-                            for j in range(1, k)] + [1])
-
     coeffs = []
     valuations = []
     for i in range(n):
+        # forward differences on the coordinate integers: b_ik is a
+        # Z-combination of the orbit points, and PadicElement addition and
+        # integer scaling act coordinate by coordinate
+        diffs = [pt[i].coords() for pt in pts[:k_max + 1]]
+        prec = pts[0][i].prec
         row = []
         vals = []
         for k in range(1, k_max + 1):
-            acc = None
-            for j in range(k + 1):
-                term = pts[j][i] * ((-1) ** (k - j) * binom[k][j])
-                acc = term if acc is None else acc + term
+            prec = min(prec, pts[k][i].prec)
+            diffs = [[b - a for a, b in zip(cur, nxt)]
+                     for cur, nxt in zip(diffs, diffs[1:])]
+            acc = ctx.from_coords(diffs[0], prec)
             v = acc.valuation()
             bound = (k + 2) // 2
             if v is not INFINITY and v < bound:
@@ -165,20 +166,30 @@ class MahlerValue:
 def evaluate(interp, z):
     """Partial Mahler sum at z in Z_p, with the guaranteed tail valuation.
 
-    An int z is evaluated with exact integer binomials (no precision loss);
-    a PadicElement z must lie in the base subring and pays v_p(k!) digits per
-    term. For 0 <= z <= k_max the partial sum reproduces the orbit point
-    exactly, since binomial(z, k) vanishes for k > z.
+    An int z is evaluated with exact integer binomials (no precision loss),
+    summed on coordinate integers under the least tag of omega and of the
+    coefficients with a nonzero weight; a PadicElement z must lie in the
+    base subring and pays v_p(k!) digits per term. For 0 <= z <= k_max the
+    partial sum reproduces the orbit point exactly, since binomial(z, k)
+    vanishes for k > z.
     """
     if isinstance(z, int):
         weights = [(k, w) for k in range(1, interp.k_max + 1)
                    if (w := int_binomial(z, k))]
-    elif z.in_base_subring():
-        # a weight that is zero only to precision still sets precision tags
-        weights = [(k, binomial_eval(z, k))
-                   for k in range(1, interp.k_max + 1)]
-    else:
+        values = []
+        for i in range(interp.n):
+            acc = interp.omega[i].coords()
+            prec = interp.omega[i].prec
+            for k, w in weights:
+                b = interp.coeffs[i][k - 1]
+                prec = min(prec, b.prec)
+                acc = [a + w * c for a, c in zip(acc, b.coords())]
+            values.append(interp.ctx.from_coords(acc, prec))
+        return MahlerValue(tuple(values), interp.tail_valuation())
+    if not z.in_base_subring():
         raise ValueError("Mahler evaluation requires z in Z_p")
+    # a weight that is zero only to precision still sets precision tags
+    weights = [(k, binomial_eval(z, k)) for k in range(1, interp.k_max + 1)]
     values = []
     for i in range(interp.n):
         acc = interp.omega[i]

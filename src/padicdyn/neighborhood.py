@@ -27,7 +27,7 @@ from .errors import (BadReductionError, DivisibilityError, IndeterminacyError,
                      ResidueMismatchError, UnsupportedExtensionError)
 from .finitefields import is_prime, mat_eq, mat_identity, mat_mul, mat_vec
 from .padics import PadicContext, PadicElement
-from .polynomials import embed_terms, matrix_det, point_powers
+from .polynomials import embed_terms, evaluate_terms, matrix_det, point_powers
 from .series import SeriesRing, TruncatedSeries, evaluate_padic
 
 FALLBACK_NOTE = ("analyticity fallback required: p <= 2(e+1), interpolation"
@@ -184,6 +184,80 @@ def _embedded_map(f, ctx):
     return cached
 
 
+def _int_map(f, ctx):
+    """(components, has_variables) for _map_eval_int when d = e = 1: the
+    _embedded_map components with each coefficient and scale as its integer
+    c.layers[0][0] mod p^precision, and whether every component of f has a
+    variable in its numerator or denominator. Cached on f beside
+    _embedded_map under the key (ctx, int).
+    """
+    key = (ctx, int)
+    cached = f._padic_terms.get(key)
+    if cached is None:
+        def ints(terms):
+            if terms is None:
+                return None
+            return tuple((idx, None if c is None else c.layers[0][0])
+                         for idx, c in terms)
+
+        comps = tuple(
+            (ints(num), ints(den),
+             None if scale is None else scale.layers[0][0])
+            for num, den, scale in _embedded_map(f, ctx))
+        has_variables = all(
+            num.total_degree() > 0 or den.total_degree() > 0
+            for num, den in zip(f.numerators, f.denominators))
+        cached = f._padic_terms[key] = (comps, has_variables)
+    return cached
+
+
+class _Integers:
+    """Z as a ring for evaluate_terms; _map_eval_int reduces the sums."""
+
+    @staticmethod
+    def one():
+        return 1
+
+    @staticmethod
+    def zero():
+        return 0
+
+
+def _map_eval_int(f, x, ctx, s):
+    """map_eval_padic at d = e = 1 on the integers x of a point whose
+    coordinates all carry tag s, as integers mod p^s. Reduction mod p^s is a
+    ring homomorphism, and at d = e = 1 the PadicElement loop reduces every
+    operation mod p^s, so the digits are the same."""
+    mod = ctx.modulus(s)
+    powers = point_powers(x)
+    out = []
+    for num_terms, den_terms, scale in _int_map(f, ctx)[0]:
+        if den_terms is not None:
+            dval = evaluate_terms(_Integers, den_terms, x, powers) % mod
+            if dval % ctx.p == 0:
+                raise IndeterminacyError(
+                    "denominator is not a unit along the orbit")
+            scale = pow(dval, -1, mod)
+        value = evaluate_terms(_Integers, num_terms, x, powers)
+        out.append((value if scale is None else value * scale) % mod)
+    return out
+
+
+def _int_kernel_tag(f, zvec, ctx):
+    """The common tag s of zvec when apply_fk may iterate on integers:
+    d = e = 1, every coordinate an element of ctx tagged s with
+    1 <= s <= precision, and every component of f has a variable (a
+    component without one evaluates to tag precision, not s). Else None."""
+    if ctx.d != 1 or ctx.e != 1 or len(zvec) != f.n:
+        return None
+    tags = {z.prec if isinstance(z, PadicElement) and z.ctx is ctx else None
+            for z in zvec}
+    s = tags.pop() if len(tags) == 1 else None
+    if s is None or not 1 <= s <= ctx.precision or not _int_map(f, ctx)[1]:
+        return None
+    return s
+
+
 def map_eval_padic(f, point, ring=None):
     """Evaluate a RationalSelfMap exactly (to precision) at a vector of
     PadicElements, ring their PadicContext, or of series in a SeriesRing:
@@ -283,10 +357,24 @@ class PadicNeighborhood:
         return True
 
     def apply_fk(self, zvec, times=1):
-        """Exact p-adic application of f^(k*times) to an ambient point: the
-        one loop that applies f to neighborhood points."""
-        for _ in range(self.period_k * times):
-            zvec = map_eval_padic(self.map, zvec, self.ctx)
+        """Exact p-adic application of f^(k*times) to an ambient point.
+
+        When d = e = 1 and every coordinate carries the same tag s, the
+        point is unwrapped to integers once, f is applied k*times times by
+        ``_map_eval_int`` mod p^s, and the result is wrapped back with tag
+        s. Every other point goes through ``map_eval_padic`` once per
+        application of f. Both give the same digits and tags.
+        """
+        f, ctx = self.map, self.ctx
+        count = self.period_k * times
+        s = _int_kernel_tag(f, zvec, ctx)
+        if s is not None:
+            x = [z.layers[0][0] for z in zvec]
+            for _ in range(count):
+                x = _map_eval_int(f, x, ctx, s)
+            return tuple(ctx._make(((c,),), s) for c in x)
+        for _ in range(count):
+            zvec = map_eval_padic(f, zvec, ctx)
         return zvec
 
     def iterated_local_map(self, multiplier=1):
@@ -326,9 +414,10 @@ class PadicNeighborhood:
 class IteratedMap:
     """t -> local coordinates of f^(k*multiplier) applied exactly.
 
-    Both ``__call__`` and ``orbit`` go through ``PadicNeighborhood.apply_fk``.
-    ``orbit`` iterates in ambient coordinates and converts each point to
-    local coordinates once, so the whole orbit loses a single digit of
+    Both ``__call__`` and ``orbit`` go through ``PadicNeighborhood.apply_fk``,
+    which iterates on integers mod p^s when d = e = 1 and the point's tags
+    agree. ``orbit`` iterates in ambient coordinates and converts each point
+    to local coordinates once, so the whole orbit loses a single digit of
     precision instead of one per step.
     """
 

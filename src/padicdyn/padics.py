@@ -266,17 +266,21 @@ class PadicContext:
         """The multiplicative lift: the unique root of x^q = x over res.
 
         Zero lifts to zero; units lift to roots of unity of order dividing
-        q - 1. Computed by iterating the q-power map to stability.
+        q - 1. Computed by Newton's iteration on x^q - x from the naive
+        lift: the derivative q x^(q-1) - 1 is -1 mod r, a unit, so the root
+        is unique mod p^precision and each step doubles the r-adic digits
+        that are correct.
         """
         res = self.residue_field.coerce(res)
         x = self.naive_lift(res)
         if res.is_zero():
             return x
-        for _ in range(self.e * self.precision + 4):
-            nxt = x ** self.q
-            if nxt.layers == x.layers:
-                return nxt
-            x = nxt
+        for _ in range((self.e * self.precision).bit_length() + 2):
+            x_q1 = x ** (self.q - 1)
+            fx = x_q1 * x - x
+            if fx.valuation() is INFINITY:
+                return x
+            x = x - fx * (x_q1 * self.q - 1).inverse()
         raise PrecisionError("Teichmuller iteration failed to stabilize")
 
     def coerce(self, x):
@@ -439,6 +443,11 @@ class PadicElement:
     def residue(self):
         return self.ctx.residue(self)
 
+    def coords(self):
+        """The d*e coordinate integers, layer by layer, as
+        ``PadicContext.from_coords`` reads them."""
+        return [c for layer in self.layers for c in layer]
+
     # -- division -----------------------------------------------------------
 
     def inverse(self):
@@ -526,8 +535,7 @@ class PadicElement:
 
     def __repr__(self):
         v = self.valuation()
-        flat = [c for layer in self.layers for c in layer]
-        digits = [c % self.ctx.p ** 4 for c in flat]
+        digits = [c % self.ctx.p ** 4 for c in self.coords()]
         return (f"<O_p {digits}+O(p^4)... v_r={v} prec={self.prec}"
                 f" p={self.ctx.p}>")
 

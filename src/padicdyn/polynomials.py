@@ -283,7 +283,8 @@ class RationalSelfMap:
         self._jac = None
         self._jac_det = None
         # coefficients embedded per PadicContext, filled by
-        # neighborhood.map_eval_padic
+        # neighborhood.map_eval_padic, and their integers under (ctx, int)
+        # for the d = e = 1 kernel of PadicNeighborhood.apply_fk
         self._padic_terms = {}
 
     @classmethod

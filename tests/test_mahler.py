@@ -1,11 +1,14 @@
 """Orbit interpolation: finite differences, valuation law, analyticity."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn.certify import run_pipeline
 from padicdyn.errors import PrecisionError, TheoryViolationError
@@ -116,6 +119,133 @@ def test_theory_violation_fires_on_bad_map():
 
     with pytest.raises(TheoryViolationError):
         mahler_coefficients(double, (ctx.one(),), 6)
+
+
+def binomial_sum_coefficients(pts, k_max):
+    """(coefficients, valuations) as sum_j (-1)^(k-j) C(k,j) pts[j][i] on
+    PadicElements, with the precision and valuation-law checks: the formula
+    mahler_coefficients evaluated before its forward-difference table, kept
+    here as the oracle."""
+    ctx = pts[0][0].ctx
+    min_prec = min(c.prec for pt in pts for c in pt)
+    needed = (k_max + 2) // 2
+    if ctx.e * min_prec <= needed:
+        raise PrecisionError(
+            f"precision {min_prec} cannot resolve valuations up to {needed};"
+            " reduce k_max or raise precision")
+    coeffs, valuations = [], []
+    for i in range(len(pts[0])):
+        row, vals = [], []
+        for k in range(1, k_max + 1):
+            acc = None
+            for j in range(k + 1):
+                term = pts[j][i] * ((-1) ** (k - j) * math.comb(k, j))
+                acc = term if acc is None else acc + term
+            v = acc.valuation()
+            bound = (k + 2) // 2
+            if v is not INFINITY and v < bound:
+                raise TheoryViolationError(
+                    f"theory violation: v_r(b_{i + 1},{k}) = {v} <"
+                    f" {bound}")
+            row.append(acc)
+            vals.append(v)
+        coeffs.append(row)
+        valuations.append(tuple(vals))
+    return coeffs, tuple(valuations)
+
+
+def binomial_sum_evaluate(interp, z):
+    """evaluate(interp, z) for an int z summed on PadicElements (oracle)."""
+    values = []
+    for i in range(interp.n):
+        acc = interp.omega[i]
+        for k in range(1, interp.k_max + 1):
+            w = math.comb(z, k) if z >= 0 else (-1) ** k * math.comb(
+                k - z - 1, k)
+            if w:
+                acc = acc + interp.coeffs[i][k - 1] * w
+        values.append(acc)
+    return values
+
+
+def tagged(x, prec):
+    return x.ctx.from_coords(x.coords(), prec)
+
+
+def orbit_from_coefficients(omega, coeffs, tags):
+    """pts[j][i] = omega_i + sum_k C(j, k) b_ik, tagged tags[j][i]."""
+    return [tuple(tagged(w + sum((b * math.comb(j, k + 1)
+                                  for k, b in enumerate(row)), w.ctx.zero()),
+                         tags[j][i])
+                  for i, (w, row) in enumerate(zip(omega, coeffs)))
+            for j in range(len(tags))]
+
+
+MAHLER_CONTEXTS = [
+    PadicContext(5, precision=12),                          # (d, e) = (1, 1)
+    PadicContext(3, unram_poly=[1, 0, 1], precision=10),    # (2, 1)
+    PadicContext(5, eis_poly=[-5, 0, 1], precision=8),      # (1, 2)
+]
+
+
+@st.composite
+def tagged_orbits(draw):
+    """An orbit whose finite differences mostly obey the valuation law,
+    with a precision tag drawn per point and coordinate."""
+    ctx = draw(st.sampled_from(MAHLER_CONTEXTS))
+    n = draw(st.integers(1, 2))
+    k_max = draw(st.integers(1, 8))
+    r = ctx.uniformizer()
+
+    def element():
+        return ctx.from_coords([draw(st.integers(0, ctx.pmod - 1))
+                                for _ in range(ctx.d * ctx.e)])
+
+    omega = [element() for _ in range(n)]
+    # now and then one digit short of the law, so the violation check runs
+    coeffs = [[element() * r ** ((k + 2) // 2
+                                 - draw(st.sampled_from([0] * 9 + [1])))
+               for k in range(1, k_max + 1)] for _ in range(n)]
+    # now and then a tag too short to resolve the law
+    low = (k_max + 2) // 2 // ctx.e + draw(st.sampled_from([1] * 9 + [0]))
+    tags = [[draw(st.integers(max(1, low), ctx.precision)) for _ in range(n)]
+            for _ in range(k_max + 1)]
+    return orbit_from_coefficients(omega, coeffs, tags), k_max
+
+
+@settings(max_examples=120, deadline=None)
+@given(tagged_orbits())
+def test_finite_differences_equal_the_binomial_sums(case):
+    pts, k_max = case
+    try:
+        want, want_vals = binomial_sum_coefficients(pts, k_max)
+    except (PrecisionError, TheoryViolationError) as exc:
+        with pytest.raises(type(exc)) as info:
+            mahler_coefficients(None, None, k_max, orbit_points=pts)
+        assert str(info.value) == str(exc)
+        return
+    interp = mahler_coefficients(None, None, k_max, orbit_points=pts)
+    assert interp.valuations == want_vals
+    for got_row, want_row in zip(interp.coeffs, want):
+        assert [(c.layers, c.prec) for c in got_row] == \
+            [(c.layers, c.prec) for c in want_row]
+    for z in (0, 1, k_max, k_max + 3, -1, -4, 10 ** 6):
+        got = evaluate(interp, z).values
+        assert [(c.layers, c.prec) for c in got] == \
+            [(c.layers, c.prec) for c in binomial_sum_evaluate(interp, z)]
+
+
+def test_theory_violation_fires_on_a_crafted_orbit():
+    # b_1 = r and b_2 = r^2 obey the law, b_3 = r does not (bound 2)
+    ctx = PadicContext(5, eis_poly=[-5, 0, 1], precision=8)
+    r = ctx.uniformizer()
+    omega = [ctx.from_int(2), ctx.from_int(7)]
+    coeffs = [[r, r * r, r, ctx.zero()], [r * r, ctx.zero(), ctx.zero(),
+                                          ctx.zero()]]
+    tags = [[8, 6], [5, 8], [7, 7], [6, 4], [8, 8]]
+    pts = orbit_from_coefficients(omega, coeffs, tags)
+    with pytest.raises(TheoryViolationError, match=r"b_1,3\) = 1 < 2"):
+        mahler_coefficients(None, None, 4, orbit_points=pts)
 
 
 def test_precision_gate():

@@ -7,6 +7,9 @@ digits *and* the same precision tag as the plain computation: coefficients
 embedded at every term, powers built up from ``ctx.one()``, and the Newton
 inverse. Contexts cover Z_p and ramified and unramified extensions; points
 may carry more digits than the context, and the result is capped as before.
+``PadicNeighborhood.apply_fk`` iterates on integers mod p^s when d = e = 1
+and the point's tags agree, and must match the ``map_eval_padic`` loop it
+replaces there.
 """
 
 from fractions import Fraction
@@ -17,7 +20,8 @@ from hypothesis import strategies as st
 
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              NonUnitError)
-from padicdyn.neighborhood import map_eval_padic
+from padicdyn import neighborhood
+from padicdyn.neighborhood import PadicNeighborhood, map_eval_padic
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import MultiPoly, RationalSelfMap
 from padicdyn.series import poly_eval
@@ -95,11 +99,9 @@ def polys(n, coefficients, max_size=4):
 
 
 @st.composite
-def maps_and_points(draw):
-    """A map of A^1 or A^2 whose denominators are non-constant, constant
-    integers (units or not) or 1, a context and a point."""
-    ctx = draw(st.sampled_from(CONTEXTS))
-    n = draw(st.integers(1, 2))
+def rational_maps(draw, n):
+    """A map of A^n whose denominators are non-constant, constant integers
+    (units or not) or 1."""
     # 1 often, since a coefficient 1 costs no product
     coefficient = st.one_of(
         st.just(Fraction(1)),
@@ -116,8 +118,17 @@ def maps_and_points(draw):
         else:
             dens.append(MultiPoly.constant(n, 1))
     assume(not any(d.is_zero() for d in dens))
+    return RationalSelfMap(nums, dens)
+
+
+@st.composite
+def maps_and_points(draw):
+    """A map of A^1 or A^2, a context and a point."""
+    ctx = draw(st.sampled_from(CONTEXTS))
+    n = draw(st.integers(1, 2))
+    f = draw(rational_maps(n))
     point = tuple(draw(elements(ctx)) for _ in range(n))
-    return RationalSelfMap(nums, dens), ctx, point
+    return f, ctx, point
 
 
 @settings(max_examples=150, deadline=None)
@@ -154,3 +165,78 @@ def test_results_are_capped_at_the_context_precision():
     assert same(map_eval_padic(RationalSelfMap.from_texts(1, ["x1"]),
                                (x,), ctx)[0], expected)
     assert same(poly_eval(MultiPoly.variable(1, 0), (x,), ctx), expected)
+
+
+def generic_fk(f, point, ctx, count):
+    for _ in range(count):
+        point = map_eval_padic(f, point, ctx)
+    return point
+
+
+def neighborhood_of(f, ctx, point, k):
+    """A neighborhood of f^k at point, carrying only what apply_fk reads."""
+    return PadicNeighborhood(ctx, f, k, point, (), (), (), affine_order=1,
+                             cap=1, fbar=None)
+
+
+@st.composite
+def int_kernel_cases(draw):
+    """A map of A^1 or A^2 over Z_p, p in {3, 5, 7}, a point whose
+    coordinates share a tag s <= precision (sometimes mixed tags), k and
+    times."""
+    ctx = draw(st.sampled_from(CONTEXTS[:3]))
+    n = draw(st.integers(1, 2))
+    f = draw(rational_maps(n))
+    s = draw(st.integers(1, ctx.precision))
+    tags = [s] * n
+    if draw(st.booleans()):
+        tags = [draw(st.integers(1, ctx.precision)) for _ in range(n)]
+    point = tuple(ctx.from_coords([draw(st.integers(0, ctx.p ** t - 1))], t)
+                  for t in tags)
+    return f, ctx, point, draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_kernel_cases())
+def test_apply_fk_on_integers_equals_the_generic_loop(case):
+    f, ctx, point, k, times = case
+    nbhd = neighborhood_of(f, ctx, point, k)
+    try:
+        expected = generic_fk(f, point, ctx, k * times)
+    except (BadReductionError, IndeterminacyError) as exc:
+        with pytest.raises(type(exc)):
+            nbhd.apply_fk(point, times)
+        return
+    got = nbhd.apply_fk(point, times)
+    assert len(got) == len(expected)
+    assert all(same(a, b) for a, b in zip(got, expected))
+
+
+def test_apply_fk_takes_the_integer_loop_only_on_uniform_tags(monkeypatch):
+    ctx = PadicContext(7, precision=10)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return generic_fk(args[0], args[1], ctx, 1)
+
+    cases = [
+        # Henon: the integer loop, no map_eval_padic call
+        (["x2", "x2^2 - x1 + 1"], (ctx.from_int(3, 6), ctx.from_int(40, 6)),
+         False),
+        # mixed tags
+        (["x2", "x2^2 - x1 + 1"], (ctx.from_int(3, 6), ctx.from_int(40, 7)),
+         True),
+        # the constant component 2 evaluates to tag 10, not 6
+        (["x1 + x2", "2"], (ctx.from_int(3, 6), ctx.from_int(40, 6)), True),
+    ]
+    for texts, point, generic in cases:
+        f = RationalSelfMap.from_texts(2, texts)
+        expected = generic_fk(f, point, ctx, 6)
+        calls.clear()
+        monkeypatch.setattr(neighborhood, "map_eval_padic", counted)
+        got = neighborhood_of(f, ctx, point, 2).apply_fk(point, 3)
+        monkeypatch.undo()
+        assert bool(calls) == generic, texts
+        assert all(same(a, b) for a, b in zip(got, expected))
+    assert expected[1].prec == ctx.precision

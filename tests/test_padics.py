@@ -226,6 +226,37 @@ def test_teichmuller_properties():
         assert cd.residue(t) == res
 
 
+def q_power_teichmuller(ctx, res):
+    """The lift by iterating x -> x^q from the naive lift until the digits
+    stop changing: linear in the precision, kept here as the oracle."""
+    x = ctx.naive_lift(res)
+    if res.is_zero():
+        return x
+    for _ in range(ctx.e * ctx.precision + 4):
+        nxt = x ** ctx.q
+        if nxt.layers == x.layers:
+            return nxt
+        x = nxt
+    raise AssertionError("q-power iteration did not stabilize")
+
+
+@pytest.mark.parametrize("ctx, indexes", [
+    (PadicContext(5), range(5)),                                   # F_5
+    (PadicContext(7, unram_poly=[1, 0, 1]), range(49)),            # F_49
+    (PadicContext(11, unram_poly=[1, 4, 0, 1], precision=16),      # F_1331
+     [0, 1, 2, 10, 11, 120, 121, 122, 500, 1000, 1330]),
+    (PadicContext(5, eis_poly=[-5, 0, 1], precision=20), range(5)),  # e = 2
+    (PadicContext(3, unram_poly=[1, 0, 1], eis_poly=[-3, 0, 1],
+                  precision=12), range(9)),
+])
+def test_teichmuller_newton_equals_the_q_power_iteration(ctx, indexes):
+    for idx in indexes:
+        res = ctx.residue_field.element_from_index(idx)
+        got = ctx.teichmuller_lift(res)
+        want = q_power_teichmuller(ctx, res)
+        assert got.layers == want.layers and got.prec == want.prec
+
+
 def test_base_subring_detection():
     ctx = PadicContext(5, unram_poly=[2, 0, 1], eis_poly=[-5, 0, 1])
     assert ctx.from_int(17).in_base_subring()
