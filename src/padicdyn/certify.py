@@ -185,11 +185,14 @@ class PipelineResult:
 
 
 def run_pipeline(f, prime="auto", e=1, precision=64, degree=8, m_max=6,
-                 lift="teichmuller", prime_scan=(3, 200)):
+                 lift="teichmuller"):
     """Map -> good prime -> periodic point -> lift -> neighborhood -> bound."""
+    if type(e) is not int or e < 1:
+        raise ValueError(f"ramification index e must be an integer >= 1,"
+                         f" got {e!r}")
     f.check_dominant()
     if prime == "auto" or prime is None:
-        report = choose_good_prime(f, prime_scan, e=e)
+        report = choose_good_prime(f, e=e)
     else:
         ok, reason, fallback = validate_prime(f, int(prime), e=e)
         if not ok:
@@ -201,11 +204,9 @@ def run_pipeline(f, prime="auto", e=1, precision=64, degree=8, m_max=6,
     record = find_periodic_point(fbar, m_max=m_max)
     ctx = context_for_record(report.p, record, e=e, precision=precision)
     report = report.with_residue_degree(ctx.d)
-    fbar_full = reduce_map(f, ctx)
     center = hensel_lift(record, ctx, convention=lift)
     nbhd = build_neighborhood(f, record.period, center, ctx, cap=degree,
-                              fbar=fbar_full, record=record,
-                              lift_convention=lift)
+                              record=record, lift_convention=lift)
     bound = period_bound(nbhd)
     return PipelineResult(map=f, prime_report=report, ctx=ctx, record=record,
                           nbhd=nbhd, bound=bound)

@@ -9,13 +9,13 @@ Within one field each point is walked once: the search records whether a
 walked point lies on a clear cycle, and a later walk stops at the first
 point already recorded.
 
-A reduced map stores each numerator, denominator and its Jacobian
-determinant as a tuple of (exponents, residue) terms, reduced once by
-``FiniteField.from_rational``; ``ReducedMap.extend`` embeds those F_p
-residues in F_{p^m}. Every value is computed by
-``polynomials.evaluate_terms``, which caches the powers of a point's
-coordinates; ``apply`` and ``locus_check`` share one cache per point across
-components.
+A reduced map keeps the components ``polynomials.embed_map`` gives over
+its field, residues reduced once by ``FiniteField.from_rational``, and its
+Jacobian determinant as a tuple of (exponents, residue) terms;
+``ReducedMap.extend`` embeds the map afresh in F_{p^m}. ``apply`` is one
+call of ``polynomials.apply_map``, the loop that applies a map in every
+ring, and ``locus_check`` evaluates the denominators and the determinant
+with ``polynomials.evaluate_terms`` under one power cache per point.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
 from .finitefields import FiniteField
-from .polynomials import embed_terms, evaluate_terms, point_powers
+from .polynomials import (apply_map, embed_map, embed_terms, evaluate_terms,
+                          point_powers)
 
 CLEAR = "clear"
 INDETERMINATE = "indeterminate"
@@ -34,10 +35,12 @@ RAMIFIED = "ramified"
 class ReducedMap:
     """A rational self-map over a finite field with its Jacobian data.
 
-    Each numerator, each denominator and ``jacobian_det`` is a tuple of
-    (exponents, coefficient) terms for polynomials.evaluate_terms, with a
-    coefficient of None for 1. Only nonzero residues are kept, so an empty
-    tuple is exactly the zero polynomial.
+    ``components`` are the embed_map components of f over the field, and
+    ``jacobian_det`` is a tuple of (exponents, coefficient) terms for
+    polynomials.evaluate_terms, with a coefficient of None for 1. Only
+    nonzero residues are kept, so an empty tuple is exactly the zero
+    polynomial. A constant denominator is a unit, inverted once, or zero,
+    which rejects the reduction.
 
     ``jacobian_det`` reduces the determinant over Q of J[i][j] =
     d(num_i)/dx_j * den_i - num_i * d(den_i)/dx_j, which
@@ -47,63 +50,41 @@ class ReducedMap:
     there).
     """
 
-    def __init__(self, fld, n, numerators, denominators, jacobian_det):
+    def __init__(self, fld, f):
         self.field = fld
-        self.n = n
-        self.numerators = tuple(numerators)
-        self.denominators = tuple(denominators)
-        if not all(self.denominators):
+        self.map = f
+        self.n = f.n
+        self.components = tuple(
+            (_nonzero(num), den if den is None else _nonzero(den), scale)
+            for num, den, scale in embed_map(f, fld))
+        if any(den == () for _, den, _ in self.components):
             raise IndeterminacyError("denominator reduces to zero")
-        if not jacobian_det:
+        self.jacobian_det = _nonzero(
+            embed_terms(f.jacobian_numerator_det(), fld))
+        if not self.jacobian_det:
             raise InseparableError(
                 "Jacobian determinant is identically zero"
                 " (inseparable reduction)")
-        self.jacobian_det = jacobian_det
 
     def extend(self, new_field):
-        """The same map over an extension of F_p, for a map over F_p;
-        coefficients are embedded, nothing is re-derived."""
-        def embed(terms):
-            return tuple((idx, c if c is None else new_field.from_int(c.rep))
-                         for idx, c in terms)
-
-        return ReducedMap(new_field, self.n,
-                          [embed(t) for t in self.numerators],
-                          [embed(t) for t in self.denominators],
-                          embed(self.jacobian_det))
+        """The same map over an extension of F_p."""
+        return ReducedMap(new_field, self.map)
 
     def apply(self, point):
-        fld = self.field
-        one = fld.one().rep
-        powers = point_powers(point)
-        out = []
-        for num, den in zip(self.numerators, self.denominators):
-            dval = evaluate_terms(fld, den, point, powers)
-            if dval.is_zero():
-                raise IndeterminacyError("denominator vanishes at the point")
-            value = evaluate_terms(fld, num, point, powers)
-            # dividing by 1 is exact in any field: skip the Fermat inverse
-            out.append(value if dval.rep == one else value * dval.inverse())
-        return tuple(out)
+        return apply_map(self.field, self.components, point)
 
     def __repr__(self):
         return f"ReducedMap(n={self.n}, q={self.field.order})"
 
 
-def _reduce_terms(poly, fld):
-    """The terms of poly mod p, nonzero residues only."""
-    return tuple((idx, c) for idx, c in embed_terms(poly, fld)
-                 if c is None or not c.is_zero())
+def _nonzero(terms):
+    return tuple((idx, c) for idx, c in terms if c is None or not c.is_zero())
 
 
 def reduce_map(f, ctx):
     """Reduce a RationalSelfMap modulo the context's maximal ideal;
     BadReductionError for the first coefficient that is not p-integral."""
-    fld = ctx.residue_field
-    return ReducedMap(fld, f.n,
-                      [_reduce_terms(p, fld) for p in f.numerators],
-                      [_reduce_terms(p, fld) for p in f.denominators],
-                      _reduce_terms(f.jacobian_numerator_det(), fld))
+    return ReducedMap(ctx.residue_field, f)
 
 
 def locus_check(fbar, point):
@@ -114,8 +95,10 @@ def locus_check(fbar, point):
     """
     fld = fbar.field
     powers = point_powers(point)
-    for den in fbar.denominators:
-        if evaluate_terms(fld, den, point, powers).is_zero():
+    for _, den, _ in fbar.components:
+        # a constant denominator is a unit: its terms are None
+        if den is not None and evaluate_terms(fld, den, point,
+                                              powers).is_zero():
             return INDETERMINATE
     if evaluate_terms(fld, fbar.jacobian_det, point, powers).is_zero():
         return RAMIFIED

@@ -8,10 +8,11 @@ Everything is index-driven and deterministic: element enumeration order and
 the irreducible-modulus search are reproducible, which downstream
 certificates rely on.
 
-``FiniteField.from_rational`` is the one reduction of a rational mod p. A map
-reduced mod p keeps its polynomials as (exponents, coefficient) terms of such
-residues and is evaluated by ``polynomials.evaluate_terms``, the evaluator
-the p-adic path uses too; there is no finite-field polynomial class.
+``FiniteField.from_rational`` reduces a rational mod p by ``rational_mod``. A
+field is a ring for ``polynomials.apply_map``, the loop that applies a map
+in every ring: a map reduced mod p keeps its polynomials as (exponents,
+coefficient) terms of such residues, and there is no finite-field
+polynomial class.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (BadReductionError, FieldMismatchError,
-                     UnsupportedExtensionError)
+                     IndeterminacyError, UnsupportedExtensionError)
 
 
 def is_prime(n):
@@ -35,6 +36,16 @@ def is_prime(n):
             return False
         f += 2
     return True
+
+
+def rational_mod(x, p, mod):
+    """A Fraction or int x modulo mod, a power of p; BadReductionError when
+    p divides its denominator. The one reduction of a rational mod p^s."""
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise BadReductionError(
+            f"{x} is not {p}-integral (bad-reduction coefficient)")
+    return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
 def _prime_factors(n):
@@ -90,13 +101,16 @@ class FiniteField:
         return FFElement(self, (k % self.p,) + (0,) * (self.degree - 1))
 
     def from_rational(self, x):
-        """The residue of a Fraction or int; BadReductionError when p divides
-        its denominator."""
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
-            raise BadReductionError(
-                f"{x} is not {self.p}-integral (bad-reduction coefficient)")
-        return self.from_int(x.numerator * pow(x.denominator, -1, self.p))
+        return self.from_int(rational_mod(x, self.p, self.p))
+
+    def reduce(self, x):
+        return x
+
+    def unit_inverse(self, x):
+        if x.is_zero():
+            raise IndeterminacyError("denominator vanishes at the point")
+        # dividing by 1 is exact: skip the Fermat inverse
+        return x if x.rep == self._one.rep else x.inverse()
 
     def from_coords(self, coords):
         """The element with these coefficients over F_p, low to high."""

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError, TheoryViolationError
-from .padics import (INFINITY, binomial_eval, factorial_valuation,
-                     int_binomial)
+from .padics import INFINITY, binomial_eval, factorial_valuation
 
 
 def orbit(phi, omega, count):
@@ -30,8 +29,8 @@ def orbit(phi, omega, count):
 
     ``phi`` is any callable on coordinate vectors; an IteratedMap is used
     through its ``orbit`` method, which applies f^(k*multiplier) in ambient
-    coordinates with ``PadicNeighborhood.apply_fk`` (on coordinate integers
-    mod p^s when d = e = 1 and the tags agree, else one cached-coefficient
+    coordinates with ``PadicNeighborhood.apply_fk`` (``apply_map`` on
+    coordinate integers mod p^s when d = e = 1 and the tags agree, else one
     ``map_eval_padic`` per application of f) and converts each point to
     local coordinates once, so the whole run costs one digit of precision
     rather than one per step.
@@ -174,8 +173,13 @@ def evaluate(interp, z):
     vanishes for k > z.
     """
     if isinstance(z, int):
-        weights = [(k, w) for k in range(1, interp.k_max + 1)
-                   if (w := int_binomial(z, k))]
+        # the binomial row by C(z, k) = C(z, k-1) (z - k + 1) / k, exact
+        weights = []
+        w = 1
+        for k in range(1, interp.k_max + 1):
+            w = w * (z - k + 1) // k
+            if w:
+                weights.append((k, w))
         values = []
         for i in range(interp.n):
             acc = interp.omega[i].coords()

@@ -4,31 +4,31 @@ Given a purely periodic point of the reduced map with a clear orbit, the
 center y is lifted to O^n. On the residue ball at y, f^k acts by its power
 series at y, and that series is f applied k times to the generic point
 y + t of the ball, in the ring of series truncated at a total degree
-(``series.SeriesRing``). The same loop, ``map_eval_padic``, applies f to
-points of O^n and to series. Subtracting y gives H, whose constant term is
-divisible by the uniformizer r, and the rescaling F(t) = H(r t)/r turns the
-ball into O^n with the iterate acting by integral power series. The
-reduction of F mod r is an invertible affine map; its order is the second
-factor of the period bound. That reduction reads only the terms of degree
-at most 1, so the neighborhood is built from the 1-jets of H and F, and
-the series truncated at degree ``cap`` are built by the same function when
-first read.
-"""
+(``series.SeriesRing``). The one loop ``polynomials.apply_map`` applies f
+to points of O^n, to series and, for the Mahler orbit over Z_p, to
+integers mod p^s (``padics.IntegersMod``). Subtracting y gives H, whose
+constant term is divisible by the uniformizer r, and the rescaling
+F(t) = H(r t)/r turns the ball into O^n with the iterate acting by integral
+power series. The reduction of F mod r is an invertible affine map; its
+order is the second factor of the period bound. That reduction reads only
+the terms of degree at most 1, so the neighborhood is built from the 1-jets
+of H and F, and the series truncated at degree ``cap`` are built by the
+same function when first read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .dynamics import CLEAR, locus_check, reduce_map
-from .errors import (BadReductionError, DivisibilityError, IndeterminacyError,
-                     NoGoodPrimeError, OrbitNotClearError, OrderCapError,
-                     PadicDynError, RamificationLeakError,
-                     ResidueMismatchError, UnsupportedExtensionError)
+from .errors import (BadReductionError, DivisibilityError, NoGoodPrimeError,
+                     OrbitNotClearError, OrderCapError, PadicDynError,
+                     RamificationLeakError, ResidueMismatchError,
+                     UnsupportedExtensionError)
 from .finitefields import is_prime, mat_eq, mat_identity, mat_mul, mat_vec
-from .padics import PadicContext, PadicElement
-from .polynomials import embed_terms, evaluate_terms, matrix_det, point_powers
-from .series import SeriesRing, TruncatedSeries, evaluate_padic
+from .padics import IntegersMod, PadicContext, PadicElement
+from .polynomials import apply_map, embed_map, matrix_det
+from .series import SeriesRing, TruncatedSeries
 
 FALLBACK_NOTE = ("analyticity fallback required: p <= 2(e+1), interpolation"
                  " will only be analytic on a smaller disc")
@@ -156,131 +156,34 @@ def hensel_lift(record, ctx, convention="teichmuller"):
     return tuple(lifts)
 
 
-def _embedded_map(f, ctx):
-    """Per component of f, (numerator terms, denominator terms, scale) for
-    evaluate_padic, embedded once per context and cached on f.
-
-    A constant unit denominator is inverted here: its terms are None and
-    scale is its inverse, or None when that inverse is exactly 1. Any other
-    denominator keeps its terms and is checked and inverted at each point.
-    """
-    cached = f._padic_terms.get(ctx)
-    if cached is None:
-        one = ctx.one()
-        cached = []
-        for num, den in zip(f.numerators, f.denominators):
-            den_terms = embed_terms(den, ctx)
-            num_terms = embed_terms(num, ctx)
-            scale = None
-            if den.total_degree() == 0:
-                dval = evaluate_padic(ctx, den_terms, ())
-                if dval.is_unit():
-                    scale = dval.inverse()
-                    den_terms = None
-                    if scale == one:
-                        scale = None
-            cached.append((num_terms, den_terms, scale))
-        cached = f._padic_terms[ctx] = tuple(cached)
-    return cached
-
-
-def _int_map(f, ctx):
-    """(components, has_variables) for _map_eval_int when d = e = 1: the
-    _embedded_map components with each coefficient and scale as its integer
-    c.layers[0][0] mod p^precision, and whether every component of f has a
-    variable in its numerator or denominator. Cached on f beside
-    _embedded_map under the key (ctx, int).
-    """
-    key = (ctx, int)
-    cached = f._padic_terms.get(key)
-    if cached is None:
-        def ints(terms):
-            if terms is None:
-                return None
-            return tuple((idx, None if c is None else c.layers[0][0])
-                         for idx, c in terms)
-
-        comps = tuple(
-            (ints(num), ints(den),
-             None if scale is None else scale.layers[0][0])
-            for num, den, scale in _embedded_map(f, ctx))
-        has_variables = all(
-            num.total_degree() > 0 or den.total_degree() > 0
-            for num, den in zip(f.numerators, f.denominators))
-        cached = f._padic_terms[key] = (comps, has_variables)
-    return cached
-
-
-class _Integers:
-    """Z as a ring for evaluate_terms; _map_eval_int reduces the sums."""
-
-    @staticmethod
-    def one():
-        return 1
-
-    @staticmethod
-    def zero():
-        return 0
-
-
-def _map_eval_int(f, x, ctx, s):
-    """map_eval_padic at d = e = 1 on the integers x of a point whose
-    coordinates all carry tag s, as integers mod p^s. Reduction mod p^s is a
-    ring homomorphism, and at d = e = 1 the PadicElement loop reduces every
-    operation mod p^s, so the digits are the same."""
-    mod = ctx.modulus(s)
-    powers = point_powers(x)
-    out = []
-    for num_terms, den_terms, scale in _int_map(f, ctx)[0]:
-        if den_terms is not None:
-            dval = evaluate_terms(_Integers, den_terms, x, powers) % mod
-            if dval % ctx.p == 0:
-                raise IndeterminacyError(
-                    "denominator is not a unit along the orbit")
-            scale = pow(dval, -1, mod)
-        value = evaluate_terms(_Integers, num_terms, x, powers)
-        out.append((value if scale is None else value * scale) % mod)
-    return out
+# one IntegersMod object per modulus, so that embed_map's cache on f is hit
+# by every call of apply_fk
+_integers_mod = lru_cache(maxsize=64)(IntegersMod)
 
 
 def _int_kernel_tag(f, zvec, ctx):
-    """The common tag s of zvec when apply_fk may iterate on integers:
-    d = e = 1, every coordinate an element of ctx tagged s with
-    1 <= s <= precision, and every component of f has a variable (a
-    component without one evaluates to tag precision, not s). Else None."""
-    if ctx.d != 1 or ctx.e != 1 or len(zvec) != f.n:
+    """The common tag s of zvec when every coordinate is an element of ctx
+    tagged s with 1 <= s <= precision; else None."""
+    if len(zvec) != f.n:
         return None
     tags = {z.prec if isinstance(z, PadicElement) and z.ctx is ctx else None
             for z in zvec}
     s = tags.pop() if len(tags) == 1 else None
-    if s is None or not 1 <= s <= ctx.precision or not _int_map(f, ctx)[1]:
-        return None
-    return s
+    return s if s is not None and 1 <= s <= ctx.precision else None
 
 
 def map_eval_padic(f, point, ring=None):
-    """Evaluate a RationalSelfMap exactly (to precision) at a vector of
-    PadicElements, ring their PadicContext, or of series in a SeriesRing:
-    the one loop that applies f in either ring. Denominators must be units;
-    a coefficient that is not p-integral raises BadReductionError before
-    any denominator is checked."""
+    """f applied exactly (to precision) to a vector of PadicElements, ring
+    their PadicContext, or of series in a SeriesRing: apply_map with the
+    coefficients embedded in the context. Denominators must be units; a
+    coefficient that is not p-integral raises BadReductionError before any
+    denominator is checked."""
     if ring is None:
         ring = point[0].ctx
-    ctx = ring.ctx if isinstance(ring, SeriesRing) else ring
     if len(point) != f.n:
         raise ValueError("point dimension mismatch")
-    powers = point_powers(point)
-    out = []
-    for num_terms, den_terms, scale in _embedded_map(f, ctx):
-        if den_terms is not None:
-            dval = evaluate_padic(ring, den_terms, point, powers)
-            if not dval.is_unit():
-                raise IndeterminacyError(
-                    "denominator is not a unit along the orbit")
-            scale = dval.inverse()
-        value = evaluate_padic(ring, num_terms, point, powers)
-        out.append(value if scale is None else value * scale)
-    return tuple(out)
+    ctx = ring.ctx if isinstance(ring, SeriesRing) else ring
+    return apply_map(ring, embed_map(f, ctx), point)
 
 
 class PadicNeighborhood:
@@ -295,7 +198,8 @@ class PadicNeighborhood:
     """
 
     def __init__(self, ctx, f, period_k, center, orbit_points, H1, F1,
-                 affine_order, cap, fbar, record=None, lift_convention=None):
+                 affine_order, cap, fbar=None, record=None,
+                 lift_convention=None):
         self.ctx = ctx
         self.map = f
         self.period_k = period_k
@@ -310,6 +214,12 @@ class PadicNeighborhood:
         self.lift_convention = lift_convention
         self.n = f.n
         self.center_residue = tuple(ctx.residue(y) for y in center)
+        # apply_fk may iterate on integers when d = e = 1 and every
+        # component of f has a variable: a component without one evaluates
+        # to tag precision in the PadicElement loop, not to the point's tag
+        self._integer_loop = ctx.d == 1 and ctx.e == 1 and all(
+            num.total_degree() or den.total_degree()
+            for num, den in zip(f.numerators, f.denominators))
 
     @cached_property
     def _series_at_cap(self):
@@ -361,17 +271,20 @@ class PadicNeighborhood:
 
         When d = e = 1 and every coordinate carries the same tag s, the
         point is unwrapped to integers once, f is applied k*times times by
-        ``_map_eval_int`` mod p^s, and the result is wrapped back with tag
-        s. Every other point goes through ``map_eval_padic`` once per
-        application of f. Both give the same digits and tags.
+        ``apply_map`` over ``IntegersMod(p, p^s)``, and the result is
+        wrapped back with tag s. Every other point goes through
+        ``map_eval_padic`` once per application of f. Both give the same
+        digits and tags.
         """
         f, ctx = self.map, self.ctx
         count = self.period_k * times
-        s = _int_kernel_tag(f, zvec, ctx)
+        s = _int_kernel_tag(f, zvec, ctx) if self._integer_loop else None
         if s is not None:
+            ring = _integers_mod(ctx.p, ctx.modulus(s))
+            comps = embed_map(f, ring)
             x = [z.layers[0][0] for z in zvec]
             for _ in range(count):
-                x = _map_eval_int(f, x, ctx, s)
+                x = apply_map(ring, comps, x)
             return tuple(ctx._make(((c,),), s) for c in x)
         for _ in range(count):
             zvec = map_eval_padic(f, zvec, ctx)
@@ -492,7 +405,7 @@ def _local_series(f, k, y, fbar, ring):
     return orbit_points[:k], H, F
 
 
-def build_neighborhood(f, k, center, ctx, cap=8, fbar=None, record=None,
+def build_neighborhood(f, k, center, ctx, cap=8, record=None,
                        lift_convention=None):
     """Expand f^k at the lifted center through degree 1 and normalize.
 
@@ -502,8 +415,7 @@ def build_neighborhood(f, k, center, ctx, cap=8, fbar=None, record=None,
     """
     if cap < 1:
         raise ValueError(f"series degree {cap} is below 1")
-    if fbar is None:
-        fbar = reduce_map(f, ctx)
+    fbar = reduce_map(f, ctx)
     y = tuple(center)
     orbit_points, H1, F1 = _local_series(f, k, y, fbar,
                                          SeriesRing(ctx, f.n, 1))

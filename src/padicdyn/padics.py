@@ -16,11 +16,12 @@ paths use rational arithmetic for that.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BadReductionError, ContextMismatchError, NonUnitError,
+from .errors import (ContextMismatchError, IndeterminacyError, NonUnitError,
                      PrecisionError)
-from .finitefields import FFElement, FiniteField, is_prime
+from .finitefields import FFElement, FiniteField, is_prime, rational_mod
 
 INFINITY = float("inf")
 
@@ -192,16 +193,24 @@ class PadicContext:
 
     def from_rational(self, x, prec=None):
         """Embed a Fraction/int; the denominator must be a p-unit."""
-        x = Fraction(x)
         prec = self.precision if prec is None else prec
-        mod = self.p ** prec
-        if x.denominator % self.p == 0:
-            raise BadReductionError(
-                f"{x} is not {self.p}-integral (bad-reduction coefficient)")
-        val = (x.numerator * pow(x.denominator, -1, mod)) % mod
+        val = rational_mod(x, self.p, self.p ** prec)
         layers = [self._wzero()] * self.e
         layers[0] = tuple([val] + [0] * (self.d - 1))
         return self._make(layers, prec)
+
+    def reduce(self, x):
+        """x capped at the context's precision in digits and tag, in this
+        context object: what a sum started from zero() gives."""
+        if x.prec > self.precision or x.ctx is not self:
+            return self.zero() + x
+        return x
+
+    def unit_inverse(self, x):
+        if not x.is_unit():
+            raise IndeterminacyError(
+                "denominator is not a unit along the orbit")
+        return x.inverse()
 
     def from_coords(self, coords, prec=None):
         """Element from d*e integers, ordered layer by layer (r-degree major)."""
@@ -307,6 +316,34 @@ class PadicContext:
     def __repr__(self):
         return (f"PadicContext(p={self.p}, d={self.d}, e={self.e},"
                 f" precision={self.precision})")
+
+
+@dataclass(frozen=True)
+class IntegersMod:
+    """Z/p^s on Python ints, the ring mod = p^s. At d = e = 1 it is O/p^s,
+    and reduction mod p^s is a ring homomorphism, so a map applied here
+    gives the digits of the PadicElement loop at tag s."""
+
+    p: int
+    mod: int
+
+    def one(self):
+        return 1
+
+    def zero(self):
+        return 0
+
+    def from_rational(self, c):
+        return rational_mod(c, self.p, self.mod)
+
+    def reduce(self, x):
+        return x % self.mod
+
+    def unit_inverse(self, x):
+        if x % self.p == 0:
+            raise IndeterminacyError(
+                "denominator is not a unit along the orbit")
+        return pow(x, -1, self.mod)
 
 
 class PadicElement:

@@ -4,9 +4,13 @@ Coefficients are exact Fractions throughout; p-adic coefficients only appear
 after local expansion (series module). The canonical text form used by map
 files and hashes looks like ``3*x1^2*x2 - 1/2`` with variables x1..xn.
 
-``embed_terms`` carries a polynomial into a PadicContext or a FiniteField as
-(exponents, coefficient) pairs, and ``evaluate_terms`` evaluates such pairs
-in either ring: one evaluator for the p-adic map and the reduced map mod p.
+A rational map is applied in five rings: Q (``QQ``), F_q (a FiniteField),
+O (a PadicContext), O/p^s on ints (``padics.IntegersMod``) and the truncated
+series (``series.SeriesRing``). Each ring offers one(), zero(),
+from_rational(c), reduce(x) and unit_inverse(x). ``embed_map`` carries the
+map's coefficients into a ring once, ``evaluate_terms`` evaluates one
+polynomial there, and ``apply_map`` is the one loop that evaluates, checks,
+inverts and applies the denominators.
 """
 
 from __future__ import annotations
@@ -123,17 +127,10 @@ class MultiPoly:
         return MultiPoly(self.n, out)
 
     def eval_fraction(self, point):
-        point = [Fraction(x) for x in point]
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for idx, c in self.terms.items():
-            term = c
-            for x, a in zip(point, idx):
-                if a:
-                    term *= x ** a
-            total += term
-        return total
+        return evaluate_terms(QQ, embed_terms(self, QQ),
+                              [Fraction(x) for x in point])
 
     def coefficients(self):
         return self.terms.values()
@@ -282,10 +279,8 @@ class RationalSelfMap:
         self.n = n
         self._jac = None
         self._jac_det = None
-        # coefficients embedded per PadicContext, filled by
-        # neighborhood.map_eval_padic, and their integers under (ctx, int)
-        # for the d = e = 1 kernel of PadicNeighborhood.apply_fk
-        self._padic_terms = {}
+        # ring -> (ring, components), filled by embed_map
+        self._embedded = {}
 
     @classmethod
     def from_texts(cls, n, numerators, denominators=None):
@@ -299,15 +294,10 @@ class RationalSelfMap:
     def eval_fraction(self, point):
         """Exact evaluation; raises IndeterminacyError on a vanishing
         denominator."""
-        point = [Fraction(x) for x in point]
-        out = []
-        for num, den in zip(self.numerators, self.denominators):
-            dval = den.eval_fraction(point)
-            if dval == 0:
-                raise IndeterminacyError(
-                    f"denominator vanishes at {point}")
-            out.append(num.eval_fraction(point) / dval)
-        return out
+        if len(point) != self.n:
+            raise ValueError("point dimension mismatch")
+        return list(apply_map(QQ, embed_map(self, QQ),
+                              [Fraction(x) for x in point]))
 
     def iterate_fraction(self, point, times):
         z = [Fraction(x) for x in point]
@@ -380,7 +370,31 @@ def matrix_det(M):
     return det
 
 
-# -- evaluation in a ring: a PadicContext or a FiniteField --------------------
+# -- evaluation in a ring ------------------------------------------------------
+
+class _Rationals:
+    """Q on Fractions, the ring of exact evaluation."""
+
+    def one(self):
+        return Fraction(1)
+
+    def zero(self):
+        return Fraction(0)
+
+    def from_rational(self, c):
+        return Fraction(c)
+
+    def reduce(self, x):
+        return x
+
+    def unit_inverse(self, x):
+        if not x:
+            raise IndeterminacyError("denominator vanishes at the point")
+        return 1 / x
+
+
+QQ = _Rationals()
+
 
 def embed_terms(poly, ring):
     """The (idx, c) pairs of a MultiPoly for evaluate_terms, each
@@ -390,6 +404,37 @@ def embed_terms(poly, ring):
                  for idx, c in poly.terms.items())
 
 
+def embed_map(f, ring):
+    """Per component of f, (numerator terms, denominator terms, scale) for
+    apply_map, embedded once per ring object and cached on f.
+
+    A constant unit denominator is inverted here: its terms are None and
+    scale is its inverse, or None when that inverse is exactly 1. Any other
+    denominator keeps its terms and is checked and inverted at each point.
+    An equal ring that is another object is embedded afresh, so that
+    coefficients live in the very ring object of the points.
+    """
+    hit = f._embedded.get(ring)
+    if hit is not None and hit[0] is ring:
+        return hit[1]
+    comps = []
+    for num, den in zip(f.numerators, f.denominators):
+        num_terms = embed_terms(num, ring)
+        den_terms = embed_terms(den, ring)
+        scale = None
+        if den.total_degree() == 0:
+            try:
+                scale = ring.unit_inverse(evaluate_terms(ring, den_terms, ()))
+                den_terms = None
+            except IndeterminacyError:
+                pass
+        comps.append((num_terms, den_terms,
+                      None if scale == ring.one() else scale))
+    comps = tuple(comps)
+    f._embedded[ring] = (ring, comps)
+    return comps
+
+
 def point_powers(point):
     """A power cache for evaluate_terms; polynomials evaluated at the same
     point may share it."""
@@ -397,8 +442,8 @@ def point_powers(point):
 
 
 def evaluate_terms(ring, terms, point, powers=None):
-    """Sum of c * prod_i point[i]^idx[i] over the (idx, c) pairs in terms,
-    in any ring with one() and zero().
+    """ring.reduce of the sum of c * prod_i point[i]^idx[i] over the
+    (idx, c) pairs in terms.
 
     A coefficient c of None stands for an exact 1 and costs no product.
     Each power of a coordinate is computed once.
@@ -421,4 +466,20 @@ def evaluate_terms(ring, terms, point, powers=None):
         if term is None:
             term = ring.one()
         total = term if total is None else total + term
-    return ring.zero() if total is None else total
+    return ring.reduce(ring.zero() if total is None else total)
+
+
+def apply_map(ring, comps, point):
+    """The map with embed_map components comps, applied to point in ring:
+    the one loop that evaluates each denominator, requires a unit
+    (IndeterminacyError otherwise), inverts it and scales the numerator.
+    The components share one power cache."""
+    powers = point_powers(point)
+    out = []
+    for num_terms, den_terms, scale in comps:
+        if den_terms is not None:
+            scale = ring.unit_inverse(
+                evaluate_terms(ring, den_terms, point, powers))
+        value = evaluate_terms(ring, num_terms, point, powers)
+        out.append(value if scale is None else ring.reduce(value * scale))
+    return tuple(out)

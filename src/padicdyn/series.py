@@ -2,10 +2,11 @@
 
 A series lives in O[t_1, ..., t_n] modulo the monomials of total degree
 above ``cap``. That quotient is a ring, and a series with a unit constant
-term is invertible in it, so ``SeriesRing`` is one more ring for the one
-evaluator ``polynomials.evaluate_terms``: a rational map applied to the
-generic point y + t gives its expansion at y, exact through the cap. The
-neighborhood uses the ring at cap 1 for the 1-jet of f^k and at its
+term is invertible in it, so ``SeriesRing`` is one more ring for
+``polynomials.apply_map``, the loop that applies a map in every ring: a
+rational map applied to the generic point y + t gives its expansion at y,
+exact through the cap. Its ``reduce`` makes a scalar sum a constant series.
+The neighborhood uses the ring at cap 1 for the 1-jet of f^k and at its
 configured cap for the series it builds on first read; a product visits
 only the pairs of terms whose degrees sum to at most the cap.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndeterminacyError, RecenteringError
-from .polynomials import embed_terms, evaluate_terms
+from .polynomials import apply_map, embed_terms, evaluate_terms
 
 
 class TruncatedSeries:
@@ -141,7 +142,7 @@ class TruncatedSeries:
         expansion, the result is only valid modulo the discarded tail."""
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
-        return evaluate_padic(self.ctx, self.coeffs.items(), point)
+        return evaluate_terms(self.ctx, self.coeffs.items(), point)
 
     def terms_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -154,7 +155,7 @@ class TruncatedSeries:
 @dataclass(frozen=True)
 class SeriesRing:
     """The truncated series in n variables over ctx, as a ring for
-    evaluate_terms."""
+    apply_map; coefficients are scalars of ctx."""
 
     ctx: object
     n: int
@@ -167,25 +168,21 @@ class SeriesRing:
     def zero(self):
         return TruncatedSeries(self.ctx, self.n, self.cap)
 
+    def from_rational(self, c):
+        return self.ctx.from_rational(c)
+
+    def reduce(self, x):
+        return x if isinstance(x, TruncatedSeries) else self.zero() + x
+
+    def unit_inverse(self, x):
+        if not x.is_unit():
+            raise IndeterminacyError("denominator is not a unit")
+        return x.inverse()
+
     def generic_point(self, center):
         """The coordinates center_i + t_i of the ball at center."""
         return tuple(TruncatedSeries.variable(self.ctx, self.n, self.cap, i)
                      + y for i, y in enumerate(center))
-
-
-def evaluate_padic(ring, terms, point, powers=None):
-    """evaluate_terms over a PadicContext or a SeriesRing, returning what
-    the sum started from ring.zero() gives: capped at the context's
-    precision in digits and precision tag, and a series even when every
-    term is a scalar.
-    """
-    total = evaluate_terms(ring, terms, point, powers)
-    if isinstance(ring, SeriesRing):
-        if not isinstance(total, TruncatedSeries):
-            total = ring.zero() + total
-    elif total.prec > ring.precision or total.ctx is not ring:
-        total = ring.zero() + total
-    return total
 
 
 def poly_eval(poly, point, ctx=None):
@@ -198,7 +195,7 @@ def poly_eval(poly, point, ctx=None):
         ctx = point[0].ctx
     if len(point) != poly.n:
         raise ValueError("point dimension mismatch")
-    return evaluate_padic(ctx, embed_terms(poly, ctx), point)
+    return evaluate_terms(ctx, embed_terms(poly, ctx), point)
 
 
 def series_compose(outer, inners):
@@ -219,7 +216,7 @@ def series_compose(outer, inners):
             raise RecenteringError(
                 "inner series has a nonzero constant term; recentering"
                 " required")
-    return evaluate_padic(ring, outer.coeffs.items(), inners)
+    return evaluate_terms(ring, outer.coeffs.items(), inners)
 
 
 def expand_at(component, center, cap, ctx=None):
@@ -231,11 +228,5 @@ def expand_at(component, center, cap, ctx=None):
     """
     num, den = component
     ring = SeriesRing(center[0].ctx if ctx is None else ctx, num.n, cap)
-    point = ring.generic_point(center)
-    den_s = evaluate_padic(ring, embed_terms(den, ring.ctx), point)
-    if not den_s.is_unit():
-        raise IndeterminacyError(
-            "denominator is not a unit at the center"
-            " (indeterminacy-adjacent center)")
-    num_s = evaluate_padic(ring, embed_terms(num, ring.ctx), point)
-    return num_s * den_s.inverse()
+    comps = ((embed_terms(num, ring.ctx), embed_terms(den, ring.ctx), None),)
+    return apply_map(ring, comps, ring.generic_point(center))[0]

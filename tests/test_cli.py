@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from padicdyn.certify import Certificate
 from padicdyn.mapfile import load_map_file, parse_map_config
 
@@ -134,3 +136,29 @@ def test_bad_inputs_exit_one(tmp_path):
                    "--out", str(tmp_path / "r.txt"))
     assert res3.returncode == 1
     assert "outside" in res3.stderr
+
+
+@pytest.mark.parametrize("field, body", [
+    ("numerators", {"n": 1, "numerators": 5}),
+    ("numerators", {"n": 1, "numerators": ["x1^2+1", 3]}),
+    ("denominators", {"n": 1, "numerators": ["x1^2"], "denominators": "1"}),
+    ("n", {"n": "1", "numerators": ["x1^2"]}),
+    ("e", {"n": 1, "numerators": ["x1^2"], "e": None}),
+    ("e", {"n": 1, "numerators": ["x1^2"], "e": 0}),
+    ("precision", {"n": 1, "numerators": ["x1^2"], "precision": 40.7}),
+    ("kmax", {"n": 1, "numerators": ["x1^2"], "kmax": True}),
+    ("prime", {"n": 1, "numerators": ["x1^2"], "prime": 5.0}),
+])
+def test_malformed_map_files_exit_one_naming_the_field(tmp_path, field, body):
+    mp = write_map(tmp_path / "bad.json", body)
+    res = run_cli("certify", "--map", mp, "--out", str(tmp_path / "c.json"))
+    assert res.returncode == 1
+    assert field in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_run_pipeline_rejects_ramification_below_one():
+    from padicdyn.certify import run_pipeline
+    cfg = parse_map_config(QUAD)
+    with pytest.raises(ValueError, match="e must be"):
+        run_pipeline(cfg.map, prime=3, e=0)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn.dynamics import RAMIFIED, locus_check, reduce_map
+from padicdyn.dynamics import CLEAR, RAMIFIED, locus_check, reduce_map
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              InseparableError, PadicDynError)
 from padicdyn.finitefields import FiniteField
@@ -155,6 +155,41 @@ def test_apply_divides_each_numerator_by_its_denominator(f, fld, rng):
             except IndeterminacyError:
                 continue
         assert fbar.apply(point) == tuple(v * d.inverse() for v, d in values)
+
+
+def constant_denominator_maps():
+    """rational_maps with every denominator replaced by an integer constant
+    other than 1, sometimes divisible by p."""
+    return rational_maps().flatmap(lambda f: st.lists(
+        st.integers(2, 9), min_size=f.n, max_size=f.n).map(
+            lambda cs: RationalSelfMap(
+                f.numerators, [MultiPoly.constant(f.n, c) for c in cs])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_denominator_maps(), st.sampled_from(FIELDS), st.randoms())
+def test_constant_denominators_against_the_plain_evaluation(f, fld, rng):
+    if any(den.terms[(0,) * f.n] % fld.p == 0 for den in f.denominators):
+        with pytest.raises(IndeterminacyError, match="reduces to zero"):
+            reduce_map(f, PadicContext(fld.p, precision=1))
+        return
+    try:
+        fbar = reduce_map(f, PadicContext(fld.p, precision=1))
+    except InseparableError:
+        return
+    if fld.degree > 1:
+        fbar = fbar.extend(fld)
+    det = f.jacobian_numerator_det()
+    for _ in range(6):
+        point = tuple(fld.element_from_index(rng.randrange(fld.order))
+                      for _ in range(f.n))
+        values = [(plain_poly_eval(num, point, fld),
+                   plain_poly_eval(den, point, fld))
+                  for num, den in zip(f.numerators, f.denominators)]
+        assert fbar.apply(point) == tuple(v * d.inverse() for v, d in values)
+        # a unit constant denominator never vanishes
+        ramified = plain_poly_eval(det, point, fld).is_zero()
+        assert locus_check(fbar, point) == (RAMIFIED if ramified else CLEAR)
 
 
 def reduction_error(f, p):

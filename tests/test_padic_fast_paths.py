@@ -9,7 +9,7 @@ inverse. Contexts cover Z_p and ramified and unramified extensions; points
 may carry more digits than the context, and the result is capped as before.
 ``PadicNeighborhood.apply_fk`` iterates on integers mod p^s when d = e = 1
 and the point's tags agree, and must match the ``map_eval_padic`` loop it
-replaces there.
+replaces there. Over Q, ``apply_map`` must match a plain Fraction loop.
 """
 
 from fractions import Fraction
@@ -22,8 +22,9 @@ from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              NonUnitError)
 from padicdyn import neighborhood
 from padicdyn.neighborhood import PadicNeighborhood, map_eval_padic
-from padicdyn.padics import PadicContext
-from padicdyn.polynomials import MultiPoly, RationalSelfMap
+from padicdyn.padics import IntegersMod, PadicContext
+from padicdyn.polynomials import (QQ, MultiPoly, RationalSelfMap, apply_map,
+                                  embed_map)
 from padicdyn.series import poly_eval
 
 CONTEXTS = [
@@ -176,7 +177,7 @@ def generic_fk(f, point, ctx, count):
 def neighborhood_of(f, ctx, point, k):
     """A neighborhood of f^k at point, carrying only what apply_fk reads."""
     return PadicNeighborhood(ctx, f, k, point, (), (), (), affine_order=1,
-                             cap=1, fbar=None)
+                             cap=1)
 
 
 @st.composite
@@ -240,3 +241,72 @@ def test_apply_fk_takes_the_integer_loop_only_on_uniform_tags(monkeypatch):
         assert bool(calls) == generic, texts
         assert all(same(a, b) for a, b in zip(got, expected))
     assert expected[1].prec == ctx.precision
+
+
+def test_apply_fk_scales_by_constant_denominators_on_integers(monkeypatch):
+    # constant unit denominators other than 1 are inverted once, and the
+    # integer loop multiplies by that inverse mod p^s
+    ctx = PadicContext(7, precision=10)
+    f = RationalSelfMap.from_texts(2, ["x2", "x2^2 - x1 + 1"], ["3", "-5/4"])
+    point = (ctx.from_int(3, 6), ctx.from_int(40, 6))
+    comps = embed_map(f, IntegersMod(7, 7 ** 6))
+    assert all(den is None and scale is not None for _, den, scale in comps)
+    expected = generic_fk(f, point, ctx, 6)
+    calls = []
+    monkeypatch.setattr(neighborhood, "map_eval_padic",
+                        lambda *args: calls.append(args))
+    got = neighborhood_of(f, ctx, point, 2).apply_fk(point, 3)
+    assert not calls
+    assert all(same(a, b) for a, b in zip(got, expected))
+
+
+def plain_fraction_eval(f, point):
+    """Each numerator and denominator summed term by term in Fractions."""
+    out = []
+    for num, den in zip(f.numerators, f.denominators):
+        values = []
+        for poly in (num, den):
+            total = Fraction(0)
+            for idx, c in poly.terms.items():
+                term = c
+                for x, a in zip(point, idx):
+                    term *= x ** a
+                total += term
+            values.append(total)
+        if values[1] == 0:
+            raise IndeterminacyError("denominator vanishes")
+        out.append(values[0] / values[1])
+    return tuple(out)
+
+
+@st.composite
+def maps_and_rational_points(draw):
+    n = draw(st.integers(1, 2))
+    f = draw(rational_maps(n))
+    # small coordinates, so that some denominators vanish
+    point = tuple(draw(st.fractions(min_value=-2, max_value=2,
+                                    max_denominator=2)) for _ in range(n))
+    return f, point
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_and_rational_points())
+def test_apply_map_over_QQ_equals_the_plain_fraction_loop(case):
+    f, point = case
+    try:
+        expected = plain_fraction_eval(f, point)
+    except IndeterminacyError:
+        with pytest.raises(IndeterminacyError):
+            apply_map(QQ, embed_map(f, QQ), point)
+        with pytest.raises(IndeterminacyError):
+            f.eval_fraction(point)
+        return
+    assert apply_map(QQ, embed_map(f, QQ), point) == expected
+    assert f.eval_fraction(point) == list(expected)
+
+
+def test_apply_map_over_QQ_raises_on_a_vanishing_denominator():
+    f = RationalSelfMap.from_texts(1, ["x1^2"], ["x1 - 1/2"])
+    assert f.eval_fraction([2]) == [Fraction(8, 3)]
+    with pytest.raises(IndeterminacyError):
+        f.eval_fraction([Fraction(1, 2)])
