@@ -28,7 +28,7 @@ from .mahler import INFINITY, analyticity_exponent, mahler_coefficients
 from .neighborhood import (GoodPrimeReport, build_neighborhood,
                            choose_good_prime, context_for_record, hensel_lift,
                            validate_prime)
-from .padics import PadicContext
+from .padics import PadicContext, _vp
 from .polynomials import RationalSelfMap, poly_text
 
 CERT_FORMAT = "padicdyn-certificate"
@@ -72,16 +72,7 @@ def rational_vr(x, ctx):
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of exact zero requested")
-    p = ctx.p
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return ctx.e * v
+    return ctx.e * (_vp(x.numerator, ctx.p) - _vp(x.denominator, ctx.p))
 
 
 def classify(nbhd, bound, omega):
@@ -130,7 +121,7 @@ def witness_candidates(nbhd):
         raise UnsupportedExtensionError(
             "rational witness search needs an F_p-rational periodic point"
             " (residue degree 1)")
-    base = [res.rep for res in nbhd.center_residue]
+    base = [res.rep[0] for res in nbhd.center_residue]
     p = ctx.p
     shell = 0
     while True:

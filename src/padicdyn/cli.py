@@ -21,7 +21,7 @@ from .certify import (Certificate, classify, find_witness, run_pipeline,
 from .errors import (PadicDynError, SearchBudgetError,
                      UnsupportedExtensionError)
 from .mahler import analyticity_margins, mahler_coefficients
-from .mapfile import load_map_file
+from .mapfile import INT_FIELDS, _int_field, load_map_file
 
 EXIT_OK = 0
 EXIT_NO_WITNESS = 2
@@ -44,20 +44,32 @@ def _add_pipeline_args(sub):
     sub.add_argument("--lift", choices=["teichmuller", "naive"], default=None)
 
 
+# integer options and the map-file fields they override, with the same
+# bounds; --budget belongs to certify alone
+INT_OPTIONS = {"e": "e", "precision": "precision", "degree": "degree",
+               "kmax": "kmax", "mmax": "m_max", "budget": "search_budget"}
+
+
+def _prime_option(text):
+    """'auto' or an integer >= 2, as the map file's prime field."""
+    if text == "auto":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        value = text                 # _int_field rejects it by name
+    return _int_field("command line", "--prime", value, 2)
+
+
 def _config_from_args(args):
     cfg = load_map_file(args.map)
     if args.prime is not None:
-        cfg.prime = "auto" if args.prime == "auto" else int(args.prime)
-    if args.e is not None:
-        cfg.e = args.e
-    if args.precision is not None:
-        cfg.precision = args.precision
-    if args.degree is not None:
-        cfg.degree = args.degree
-    if args.kmax is not None:
-        cfg.kmax = args.kmax
-    if args.mmax is not None:
-        cfg.m_max = args.mmax
+        cfg.prime = _prime_option(args.prime)
+    for option, key in INT_OPTIONS.items():
+        value = getattr(args, option, None)
+        if value is not None:
+            setattr(cfg, key, _int_field("command line", f"--{option}",
+                                         value, INT_FIELDS[key]))
     if args.lift is not None:
         cfg.lift = args.lift
     return cfg
@@ -71,8 +83,6 @@ def _run_pipeline(cfg):
 
 def cmd_certify(args):
     cfg = _config_from_args(args)
-    if args.budget is not None:
-        cfg.search_budget = args.budget
     pipe = _run_pipeline(cfg)
     b = pipe.bound
     print(f"prime p = {pipe.ctx.p} (d = {pipe.ctx.d}, e = {pipe.ctx.e},"

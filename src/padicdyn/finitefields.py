@@ -1,12 +1,19 @@
-"""Exact finite-field arithmetic over F_p and F_p[x]/(m(x)).
+"""Exact finite-field arithmetic over F_p[x]/(m(x)), and the kernel it shares
+with the unramified layer of a p-adic ring.
 
-A field is either F_p, whose elements wrap an int in range(p), or a quotient
-F_p[x]/(m(x)) by a monic irreducible m of degree at least 2, whose elements
-wrap the tuple of their coefficients mod p, low to high. There are no
-towers: extending a field that is already an extension is unsupported.
-Everything is index-driven and deterministic: element enumeration order and
-the irreducible-modulus search are reproducible, which downstream
-certificates rely on.
+A field is a quotient F_p[x]/(m(x)) by a monic irreducible m; its elements
+wrap the tuple of their coefficients mod p, low to high. F_p is the degree-1
+case, with modulus x and 1-tuples for elements. There are no towers:
+extending a field that is already an extension is unsupported. Everything is
+index-driven and deterministic: element enumeration order and the
+irreducible-modulus search are reproducible, which downstream certificates
+rely on.
+
+The kernel works on such coefficient tuples in Z[x]/(x^m + low(x), mod):
+``vec_add``, ``vec_sub``, ``vec_neg``, ``poly_mulmod`` and ``poly_powmod``.
+A field calls it with mod = p; the unramified layer W = Z_p[b]/(g) of
+``padics.PadicContext`` calls it with mod = p^s, and the Rabin test with
+mod = p.
 
 ``FiniteField.from_rational`` reduces a rational mod p by ``rational_mod``. A
 field is a ring for ``polynomials.apply_map``, the loop that applies a map
@@ -18,6 +25,7 @@ polynomial class.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (BadReductionError, FieldMismatchError,
                      IndeterminacyError, UnsupportedExtensionError)
@@ -62,30 +70,75 @@ def _prime_factors(n):
     return out
 
 
+# -- the coefficient-tuple kernel: Z[x]/(x^m + low(x), mod) ------------------
+
+def vec_add(x, y, mod):
+    return tuple((a + b) % mod for a, b in zip(x, y))
+
+
+def vec_sub(x, y, mod):
+    return tuple((a - b) % mod for a, b in zip(x, y))
+
+
+def vec_neg(x, mod):
+    return tuple((-a) % mod for a in x)
+
+
+def poly_mulmod(x, y, low, mod):
+    """x * y modulo the monic x^m + low(x) and mod, for m-tuples x and y and
+    the m-tuple low of the modulus's low coefficients."""
+    m = len(low)
+    if m == 1:
+        return ((x[0] * y[0]) % mod,)
+    prod = [0] * (2 * m - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    # x^m = -(low_0 + ... + low_{m-1} x^{m-1}), top degree first
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i] % mod
+        if c:
+            for j, lj in enumerate(low):
+                prod[i - m + j] -= c * lj
+    return tuple(c % mod for c in prod[:m])
+
+
+def poly_powmod(x, k, low, mod):
+    """x^k modulo x^m + low(x) and mod, for k >= 0."""
+    result = (1,) + (0,) * (len(low) - 1)
+    while k:
+        if k & 1:
+            result = poly_mulmod(result, x, low, mod)
+        k >>= 1
+        if k:
+            x = poly_mulmod(x, x, low, mod)
+    return result
+
+
 class FiniteField:
-    """F_p when ``modulus`` is None, else F_p[x]/(x^m + c_{m-1}x^{m-1}+...+c_0).
+    """F_p[x]/(x^m + c_{m-1}x^{m-1}+...+c_0); F_p itself when m = 1.
 
     ``modulus`` holds the low coefficients (c_0, ..., c_{m-1}) of the monic
-    modulus as ints mod p; it must be irreducible of degree m >= 2.
+    irreducible modulus as ints mod p. Every degree-1 quotient is F_p with
+    the same 1-tuple elements, so a degree-1 modulus is stored as x, (0,).
     """
 
-    def __init__(self, p, modulus=None):
+    def __init__(self, p, modulus=(0,)):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        if modulus is None:
-            self.modulus = None
-            self.degree = 1
-        else:
-            mod = tuple(c % p for c in modulus)
-            if len(mod) < 2:
-                raise ValueError("modulus must have degree >= 2")
-            if not is_irreducible(p, list(mod) + [1]):
-                raise ValueError("modulus is reducible")
-            self.modulus = mod
-            self.degree = len(mod)
+        mod = tuple(c % p for c in modulus)
+        if not mod:
+            raise ValueError("modulus must have degree >= 1")
+        if len(mod) == 1:
+            mod = (0,)
+        elif not is_irreducible(p, list(mod) + [1]):
+            raise ValueError("modulus is reducible")
+        self.modulus = mod
+        self.degree = len(mod)
         self.order = p ** self.degree
-        self._sig = (p, self.modulus)
+        self._sig = (p, mod)
         self._zero = self.from_int(0)
         self._one = self.from_int(1)
 
@@ -96,8 +149,6 @@ class FiniteField:
         return self._one
 
     def from_int(self, k):
-        if self.modulus is None:
-            return FFElement(self, k % self.p)
         return FFElement(self, (k % self.p,) + (0,) * (self.degree - 1))
 
     def from_rational(self, x):
@@ -114,8 +165,6 @@ class FiniteField:
 
     def from_coords(self, coords):
         """The element with these coefficients over F_p, low to high."""
-        if self.modulus is None:
-            return self.from_int(coords[0])
         return FFElement(self, tuple(c % self.p for c in coords))
 
     def coerce(self, x):
@@ -130,8 +179,6 @@ class FiniteField:
     def element_from_index(self, i):
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
-        if self.modulus is None:
-            return FFElement(self, i)
         digits = []
         for _ in range(self.degree):
             i, r = divmod(i, self.p)
@@ -140,8 +187,6 @@ class FiniteField:
 
     def index_of(self, x):
         x = self.coerce(x)
-        if self.modulus is None:
-            return x.rep
         idx = 0
         for c in reversed(x.rep):
             idx = idx * self.p + c
@@ -153,56 +198,19 @@ class FiniteField:
 
     def extension(self, m):
         """Degree-m extension of F_p with the smallest-index irreducible
-        modulus. An extension field has no extension but itself."""
+        modulus, one field object per (p, m). An extension field has no
+        extension but itself."""
         if m == 1:
             return self
-        if self.modulus is not None:
+        if self.degree != 1:
             raise UnsupportedExtensionError(
                 f"cannot extend {self!r}: only F_p has extensions; tower"
                 " searches are not supported")
-        return FiniteField(self.p, modulus=find_irreducible(self.p, m))
+        return _extension_field(self.p, m)
 
     def modulus_indexes(self):
         """Low coefficients of the modulus (None for a prime field)."""
-        return None if self.modulus is None else list(self.modulus)
-
-    # -- raw rep arithmetic -------------------------------------------------
-
-    def _radd(self, x, y):
-        p = self.p
-        if self.modulus is None:
-            return (x + y) % p
-        return tuple((a + b) % p for a, b in zip(x, y))
-
-    def _rsub(self, x, y):
-        p = self.p
-        if self.modulus is None:
-            return (x - y) % p
-        return tuple((a - b) % p for a, b in zip(x, y))
-
-    def _rneg(self, x):
-        p = self.p
-        if self.modulus is None:
-            return (-x) % p
-        return tuple((-a) % p for a in x)
-
-    def _rmul(self, x, y):
-        p = self.p
-        if self.modulus is None:
-            return (x * y) % p
-        m = self.degree
-        prod = [0] * (2 * m - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    prod[i + j] += a * b
-        # x^m = -(c_0 + ... + c_{m-1} x^{m-1}), top degree first
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j, mj in enumerate(self.modulus):
-                    prod[i - m + j] -= c * mj
-        return tuple(c % p for c in prod[:m])
+        return None if self.degree == 1 else list(self.modulus)
 
     def __eq__(self, other):
         return isinstance(other, FiniteField) and self._sig == other._sig
@@ -211,9 +219,16 @@ class FiniteField:
         return hash(self._sig)
 
     def __repr__(self):
-        if self.modulus is None:
+        if self.degree == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.degree})"
+
+
+# one field object per (p, m), so that embed_map's cache on f is hit by the
+# search, its re-check and the verifier's replay alike
+@lru_cache(maxsize=64)
+def _extension_field(p, m):
+    return FiniteField(p, modulus=find_irreducible(p, m))
 
 
 class FFElement:
@@ -236,7 +251,7 @@ class FFElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FFElement(self.field, self.field._radd(self.rep, o.rep))
+        return FFElement(self.field, vec_add(self.rep, o.rep, self.field.p))
 
     __radd__ = __add__
 
@@ -244,53 +259,45 @@ class FFElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FFElement(self.field, self.field._rsub(self.rep, o.rep))
+        return FFElement(self.field, vec_sub(self.rep, o.rep, self.field.p))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FFElement(self.field, self.field._rsub(o.rep, self.rep))
+        return FFElement(self.field, vec_sub(o.rep, self.rep, self.field.p))
 
     def __neg__(self):
-        return FFElement(self.field, self.field._rneg(self.rep))
+        return FFElement(self.field, vec_neg(self.rep, self.field.p))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FFElement(self.field, self.field._rmul(self.rep, o.rep))
+        fld = self.field
+        return FFElement(fld, poly_mulmod(self.rep, o.rep, fld.modulus,
+                                          fld.p))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one()
-        powed = self
-        while k:
-            if k & 1:
-                result = result * powed
-            powed = powed * powed
-            k >>= 1
-        return result
+        fld = self.field
+        return FFElement(fld, poly_powmod(self.rep, k, fld.modulus, fld.p))
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a finite field")
-        if self.field.modulus is None:
-            return FFElement(self.field, pow(self.rep, -1, self.field.p))
-        return self ** (self.field.order - 2)
+        fld = self.field
+        return FFElement(fld, poly_powmod(self.rep, fld.order - 2,
+                                          fld.modulus, fld.p))
 
     def is_zero(self):
-        if self.field.modulus is None:
-            return self.rep == 0
         return not any(self.rep)
 
     def coords(self):
         """Coefficients over F_p, low to high (length = field degree)."""
-        if self.field.modulus is None:
-            return [self.rep]
         return list(self.rep)
 
     def __eq__(self, other):
@@ -315,13 +322,6 @@ def _upoly_trim(cs):
     return cs
 
 
-def _upoly_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _upoly_trim([((a[i] if i < len(a) else 0)
-                         - (b[i] if i < len(b) else 0)) % p
-                        for i in range(n)])
-
-
 def _upoly_mod(a, f, p):
     # f monic
     a = [c % p for c in a]
@@ -334,28 +334,6 @@ def _upoly_mod(a, f, p):
             k = len(a) - m + j
             a[k] = (a[k] - c * f[j]) % p
     return _upoly_trim(a)
-
-
-def _upoly_mulmod(a, b, f, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _upoly_mod(out, f, p)
-
-
-def _upoly_powmod(a, k, f, p):
-    result = [1]
-    a = _upoly_mod(a, f, p)
-    while k:
-        if k & 1:
-            result = _upoly_mulmod(result, a, f, p)
-        a = _upoly_mulmod(a, a, f, p)
-        k >>= 1
-    return result
 
 
 def _upoly_gcd(a, b, p):
@@ -380,21 +358,15 @@ def is_irreducible(p, f):
         return True
     if f[0] == 0:  # divisible by x
         return False
-    x = [0, 1]
-    # frob[i] = x^(p^i) mod f, for the i we need
-    needed = {m // ell for ell in _prime_factors(m)}
-    needed.add(m)
-    frob = x
-    powers = {}
-    for i in range(1, m + 1):
-        frob = _upoly_powmod(frob, p, f, p)
-        if i in needed:
-            powers[i] = frob
-    if _upoly_sub(powers[m], x, p):
+    low = tuple(f[:-1])
+    x = (0, 1) + (0,) * (m - 2)
+    powers = [x]  # powers[i] = x^(p^i) mod f
+    for _ in range(m):
+        powers.append(poly_powmod(powers[-1], p, low, p))
+    if powers[m] != x:
         return False
     for ell in _prime_factors(m):
-        g = _upoly_gcd(_upoly_sub(powers[m // ell], x, p), f, p)
-        if len(g) - 1 >= 1:
+        if len(_upoly_gcd(vec_sub(powers[m // ell], x, p), f, p)) > 1:
             return False
     return True
 

@@ -124,8 +124,7 @@ def context_for_record(p, record, e=1, precision=64, eis_poly=None):
         raise UnsupportedExtensionError(
             "search base field is already an extension; tower lifts are not"
             " supported")
-    modulus = record.field.modulus
-    unram = [0, 1] if modulus is None else list(modulus) + [1]
+    unram = list(record.field.modulus) + [1]
     if eis_poly is None and e > 1:
         eis_poly = [-p] + [0] * (e - 1) + [1]
     return PadicContext(p, unram_poly=unram, eis_poly=eis_poly,

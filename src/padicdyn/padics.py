@@ -7,6 +7,12 @@ absolute precision tag ``prec`` (p-adic digits valid on every coordinate).
 Operations never silently lose precision: only uniformizer/factorial
 divisions reduce the tag, by exactly the amount divided out.
 
+A W coordinate is a tuple of d ints, low to high in b, the representation
+of the residue field F_q = F_p[b]/(unram_poly) as well: W arithmetic is the
+kernel of ``finitefields`` (``vec_add``, ``poly_mulmod`` and the rest) with
+mod = p^prec where the field uses mod = p. The residue map takes the
+r^0 layer's tuple mod p.
+
 The uniformizer valuation v_r is first class: v_r(p) = e, v_r(r) = 1, and a
 query on an element whose retained digits all vanish returns INFINITY, the
 "indistinguishable from zero at this precision" flag. Exact equality of
@@ -21,7 +27,8 @@ from fractions import Fraction
 
 from .errors import (ContextMismatchError, IndeterminacyError, NonUnitError,
                      PrecisionError)
-from .finitefields import FFElement, FiniteField, is_prime, rational_mod
+from .finitefields import (FFElement, FiniteField, is_prime, poly_mulmod,
+                           rational_mod, vec_add, vec_neg, vec_sub)
 
 INFINITY = float("inf")
 
@@ -69,16 +76,14 @@ class PadicContext:
         if len(unram_poly) < 2 or unram_poly[-1] != 1:
             raise ValueError("unram_poly must be monic of degree >= 1")
         self.unram_poly = tuple(unram_poly)
+        self.unram_low = self.unram_poly[:-1]
         self.d = len(unram_poly) - 1
         self.q = p ** self.d
 
-        if self.d == 1:
-            self.residue_field = FiniteField(p)
-        else:
-            try:
-                self.residue_field = FiniteField(p, modulus=unram_poly[:-1])
-            except ValueError as exc:
-                raise ValueError(f"unram_poly not irreducible mod {p}: {exc}")
+        try:
+            self.residue_field = FiniteField(p, modulus=self.unram_low)
+        except ValueError as exc:
+            raise ValueError(f"unram_poly not irreducible mod {p}: {exc}")
 
         if eis_poly is None:
             eis_poly = [-p, 1]
@@ -94,10 +99,10 @@ class PadicContext:
         # leading coefficient is a unit, lower ones have positive valuation
         # and the constant has valuation exactly 1.
         for c in low_raw:
-            if self._raw_wval(c) < 1:
+            if self._wval(c) < 1:
                 raise ValueError("eis_poly lower coefficients must have"
                                  " positive p-valuation")
-        if self._raw_wval(low_raw[0]) != 1:
+        if self._wval(low_raw[0]) != 1:
             raise ValueError("eis_poly constant coefficient must have"
                              " p-valuation exactly 1")
         self.eis_low = tuple(tuple(x % self.pmod for x in c)
@@ -123,43 +128,8 @@ class PadicContext:
             coords += [0] * (self.d - len(coords))
         return tuple(coords)
 
-    def _raw_wval(self, coords):
-        return min((_vp(x, self.p) for x in coords), default=INFINITY)
-
     def _wzero(self):
         return (0,) * self.d
-
-    def _wadd(self, a, b, mod):
-        return tuple((x + y) % mod for x, y in zip(a, b))
-
-    def _wsub(self, a, b, mod):
-        return tuple((x - y) % mod for x, y in zip(a, b))
-
-    def _wneg(self, a, mod):
-        return tuple((-x) % mod for x in a)
-
-    def _wscale(self, a, k, mod):
-        return tuple((x * k) % mod for x in a)
-
-    def _wmul(self, a, b, mod):
-        d = self.d
-        if d == 1:
-            return ((a[0] * b[0]) % mod,)
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % mod
-        g = self.unram_poly
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            for j in range(d):
-                prod[i - d + j] = (prod[i - d + j] - c * g[j]) % mod
-        return tuple(prod[:d])
 
     def _wval(self, a):
         """min p-valuation over coordinates; INFINITY when all vanish."""
@@ -225,7 +195,7 @@ class PadicContext:
 
     def uniformizer(self):
         if self.e == 1:
-            neg_c0 = self._wneg(self.eis_low[0], self.pmod)
+            neg_c0 = vec_neg(self.eis_low[0], self.pmod)
             return self._make([neg_c0], self.precision)
         layers = [self._wzero()] * self.e
         layers[1] = tuple([1] + [0] * (self.d - 1))
@@ -380,7 +350,7 @@ class PadicElement:
         ctx = self.ctx
         a = self._tighten(prec, mod)
         b = o._tighten(prec, mod)
-        return ctx._make([ctx._wadd(x, y, mod) for x, y in zip(a, b)], prec)
+        return ctx._make([vec_add(x, y, mod) for x, y in zip(a, b)], prec)
 
     __radd__ = __add__
 
@@ -391,7 +361,7 @@ class PadicElement:
         ctx = self.ctx
         a = self._tighten(prec, mod)
         b = o._tighten(prec, mod)
-        return ctx._make([ctx._wsub(x, y, mod) for x, y in zip(a, b)], prec)
+        return ctx._make([vec_sub(x, y, mod) for x, y in zip(a, b)], prec)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -399,30 +369,31 @@ class PadicElement:
     def __neg__(self):
         ctx = self.ctx
         mod = ctx.modulus(self.prec)
-        return ctx._make([ctx._wneg(x, mod) for x in self.layers], self.prec)
+        return ctx._make([vec_neg(x, mod) for x in self.layers], self.prec)
 
     def __mul__(self, other):
         if isinstance(other, int):
             ctx = self.ctx
             mod = ctx.modulus(self.prec)
-            return ctx._make([ctx._wscale(x, other, mod) for x in self.layers],
-                             self.prec)
+            return ctx._make([tuple(c * other % mod for c in x)
+                              for x in self.layers], self.prec)
         o, prec, mod = self._pair(other)
         if o is None:
             return NotImplemented
         ctx = self.ctx
         a = self._tighten(prec, mod)
         b = o._tighten(prec, mod)
-        e = ctx.e
+        e, g = ctx.e, ctx.unram_low
         if e == 1:
-            return ctx._make([ctx._wmul(a[0], b[0], mod)], prec)
+            return ctx._make([poly_mulmod(a[0], b[0], g, mod)], prec)
         zero = ctx._wzero()
         prod = [zero] * (2 * e - 1)
         for i, x in enumerate(a):
             if x == zero:
                 continue
             for j, y in enumerate(b):
-                prod[i + j] = ctx._wadd(prod[i + j], ctx._wmul(x, y, mod), mod)
+                prod[i + j] = vec_add(prod[i + j], poly_mulmod(x, y, g, mod),
+                                      mod)
         low = ctx.eis_low
         for i in range(2 * e - 2, e - 1, -1):
             c = prod[i]
@@ -430,8 +401,8 @@ class PadicElement:
                 continue
             prod[i] = zero
             for j in range(e):
-                prod[i - e + j] = ctx._wsub(prod[i - e + j],
-                                            ctx._wmul(c, low[j], mod), mod)
+                prod[i - e + j] = vec_sub(prod[i - e + j],
+                                          poly_mulmod(c, low[j], g, mod), mod)
         return ctx._make(prod[:e], prec)
 
     __rmul__ = __mul__

@@ -157,6 +157,23 @@ def test_malformed_map_files_exit_one_naming_the_field(tmp_path, field, body):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--kmax", "0"), ("--mmax", "0"), ("--budget", "0"), ("--e", "0"),
+    ("--precision", "-3"), ("--degree", "0"), ("--prime", "1"),
+    ("--prime", "five"),
+])
+def test_out_of_range_options_exit_one_naming_the_option(tmp_path, option,
+                                                         value):
+    # the bounds of the map-file fields the options override
+    mp = write_map(tmp_path / "m.json", QUAD)
+    out = tmp_path / "c.json"
+    res = run_cli("certify", "--map", mp, option, value, "--out", str(out))
+    assert res.returncode == 1
+    assert option in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_run_pipeline_rejects_ramification_below_one():
     from padicdyn.certify import run_pipeline
     cfg = parse_map_config(QUAD)

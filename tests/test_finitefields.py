@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from padicdyn.dynamics import CLEAR, RAMIFIED, locus_check, reduce_map
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              InseparableError, PadicDynError)
-from padicdyn.finitefields import FiniteField
+from padicdyn.finitefields import FiniteField, is_irreducible
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import MultiPoly, RationalSelfMap
 
@@ -54,6 +54,35 @@ def test_inverse_frobenius_and_index_round_trip(elts):
     assert fld.index_of(fld.element_from_index(i)) == i
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rabin_test_agrees_with_root_search(p):
+    # a monic polynomial of degree 2 or 3 is irreducible over F_p exactly
+    # when it has no root in F_p; every one of them is checked
+    for m in (2, 3):
+        for index in range(p ** m):
+            f = [index // p ** i % p for i in range(m)] + [1]
+            has_root = any(sum(c * a ** i for i, c in enumerate(f)) % p == 0
+                           for a in range(p))
+            assert is_irreducible(p, f) == (not has_root), (p, f)
+
+
+def test_prime_field_is_the_degree_one_quotient():
+    F7 = FiniteField(7)
+    assert F7.degree == 1 and F7.modulus_indexes() is None
+    assert F7.from_int(10).rep == (3,)
+    assert FiniteField(7, modulus=[4]) == F7      # x + 4: the same F_7
+    assert F7.from_int(3).inverse() == F7.from_int(5)
+    assert F7.from_int(3) ** -1 == F7.from_int(5)
+    assert F7.from_int(0) ** 0 == F7.one()
+
+
+def test_extension_fields_are_shared():
+    F5 = FiniteField(5)
+    assert F5.extension(2) is FiniteField(5).extension(2)
+    assert F5.extension(3) is not F5.extension(2)
+    assert F5.extension(2).modulus_indexes() == [2, 0]     # x^2 + 2
+
+
 @st.composite
 def polynomial_maps(draw):
     """Small integer polynomial self-maps of A^1 or A^2."""
@@ -87,7 +116,7 @@ def test_ramified_exactly_where_the_rational_determinant_is_divisible(f, p):
     for index in range(p ** f.n):
         point = tuple(fld.element_from_index(index // p ** i % p)
                       for i in range(f.n))
-        lift = [c.rep for c in point]
+        lift = [c.coords()[0] for c in point]
         divisible = det.eval_fraction(lift).numerator % p == 0
         assert (locus_check(fbar, point) == RAMIFIED) == divisible
 

@@ -31,6 +31,16 @@ ROOT = Path(__file__).resolve().parent.parent
 RAMIFIED_SHA256 = \
     "9202e0652de6f21d84ce423fa452cb3024c3376ba2ea4baee9cfcc37e766573a"
 
+# sha256 of the other demo certificate files, as padicdyn certify writes them
+DEMO_SHA256 = {
+    "quadratic_p3":
+        "666ac4255dc86cfcdb7196b01187fa73b7dee7bf080195b9fd0dc204d0ce052c",
+    "cube_p5":
+        "2da128bdcd208a0f70e127a565b667d71cd5368056f2fdd3b0c4e00c27bc2cea",
+    "twodim_p5":
+        "21a96b3f90e3f797c2865e90c49efdfd446616922ba78757ed251ec44014b980",
+}
+
 MAX_BITS = 66_440                     # about 20,000 decimal digits
 
 # bit lengths over the whole range, and closely around the size where
@@ -126,9 +136,10 @@ def test_oversized_json_integer_is_a_format_error():
         Certificate.from_json_text('{"witness": [' + digits + ']}')
 
 
-def test_ramified_demo_certificate_is_byte_identical():
-    # x^2 at p=5, e=2: N = 20 and f^N(omega) has 631,306 digits
-    cfg = load_map_file(ROOT / "demos" / "maps" / "square_ramified_p5.json")
+def demo_certificate(name):
+    """The certificate padicdyn certify writes for demos/maps/<name>.json,
+    and its sha256, after the verifier accepts it."""
+    cfg = load_map_file(ROOT / "demos" / "maps" / f"{name}.json")
     pipe = run_pipeline(cfg.map, prime=cfg.prime, e=cfg.e,
                         precision=cfg.precision, degree=cfg.degree,
                         m_max=cfg.m_max, lift=cfg.lift)
@@ -136,9 +147,20 @@ def test_ramified_demo_certificate_is_byte_identical():
                         kmax=cfg.kmax)
     report = verify_certificate(cert)
     assert report.ok, report.failures()
+    return cert, hashlib.sha256(cert.json_text().encode()).hexdigest()
+
+
+def test_ramified_demo_certificate_is_byte_identical():
+    # x^2 at p=5, e=2: N = 20 and f^N(omega) has 631,306 digits
+    cert, digest = demo_certificate("square_ramified_p5")
     assert len(cert.data["payload"]["iterate"][0]) == 631_306
-    digest = hashlib.sha256(cert.json_text().encode()).hexdigest()
     assert digest == RAMIFIED_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_SHA256))
+def test_demo_certificates_are_byte_identical(name):
+    _, digest = demo_certificate(name)
+    assert digest == DEMO_SHA256[name]
 
 
 def test_non_canonical_payload_text_is_rejected(quad_p3_naive):

@@ -7,6 +7,7 @@ import pytest
 
 from padicdyn.errors import (BadReductionError, ContextMismatchError,
                              NonUnitError, PrecisionError)
+from padicdyn.finitefields import FiniteField
 from padicdyn.padics import (INFINITY, PadicContext, binomial_eval,
                              factorial_valuation, int_binomial)
 
@@ -105,15 +106,34 @@ def test_multiplicativity():
             assert (x * y).valuation() == vx + vy
 
 
+# monic irreducibles mod 5 of degree d = 1, 2, 3 and Eisenstein
+# polynomials of degree e = 1, 2
+UNRAM_POLYS = ([0, 1], [2, 0, 1], [1, 1, 0, 1])
+EIS_POLYS = ([-5, 1], [-5, 0, 1])
+
+
 def test_residue_reduction_is_homomorphism():
+    # W and F_q share one multiplication kernel, at mod p^s and mod p
     rng = random.Random(4)
-    ctx = PadicContext(5, unram_poly=[2, 0, 1])
-    for _ in range(200):
-        x = ctx.random_element(rng)
-        y = ctx.random_element(rng)
-        assert ctx.residue(x * y) == ctx.residue(x) * ctx.residue(y)
-        assert ctx.residue(x + y) == ctx.residue(x) + ctx.residue(y)
-    assert ctx.residue(ctx.uniformizer()).is_zero()
+    for unram in UNRAM_POLYS:
+        for eis in EIS_POLYS:
+            ctx = PadicContext(5, unram_poly=unram, eis_poly=eis)
+            assert ctx.residue_field.order == ctx.q
+            for _ in range(60):
+                x = ctx.random_element(rng)
+                y = ctx.random_element(rng)
+                assert ctx.residue(x * y) == ctx.residue(x) * ctx.residue(y)
+                assert ctx.residue(x + y) == ctx.residue(x) + ctx.residue(y)
+                assert ctx.residue(x - y) == ctx.residue(x) - ctx.residue(y)
+            assert ctx.residue(ctx.uniformizer()).is_zero()
+
+
+def test_degree_one_layers_have_the_prime_residue_field():
+    for unram in ([0, 1], [3, 1], [-7, 1]):
+        ctx = PadicContext(5, unram_poly=unram)
+        assert ctx.residue_field == FiniteField(5)
+        assert ctx.residue_field.modulus_indexes() is None
+        assert ctx.residue(ctx.from_int(7)).coords() == [2]
 
 
 def test_factorial_valuation_legendre():
