@@ -15,6 +15,7 @@ import decimal
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,8 +139,8 @@ def find_witness(nbhd, bound, search_budget=200, kmax=32):
     non-preperiodic one.
 
     Raises SearchBudgetError when the budget runs out; if every classified
-    point was periodic with one common period dividing N, the error flags
-    "finite-order suspected".
+    point was periodic and the lcm of their periods divides N, the error
+    flags "finite-order suspected".
     """
     periods = []
     scanned = 0
@@ -154,8 +155,7 @@ def find_witness(nbhd, bound, search_budget=200, kmax=32):
         if result.kind == NON_PREPERIODIC:
             return make_certificate(nbhd, bound, omega, result, kmax=kmax)
     finite_order = (bool(periods) and len(periods) == scanned
-                    and len(set(periods)) == 1
-                    and bound.bound % periods[0] == 0)
+                    and bound.bound % math.lcm(*periods) == 0)
     msg = (f"no witness within budget {search_budget}"
            + ("; finite-order suspected" if finite_order else ""))
     raise SearchBudgetError(msg, periods=periods,

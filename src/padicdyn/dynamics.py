@@ -11,10 +11,11 @@ point already recorded.
 
 A reduced map keeps the components ``polynomials.embed_map`` gives over
 its field, residues reduced once by ``FiniteField.from_rational``, and its
-Jacobian determinant as a tuple of (exponents, residue) terms;
-``ReducedMap.extend`` embeds the map afresh in F_{p^m}. ``apply`` is one
-call of ``polynomials.apply_map``, the loop that applies a map in every
-ring, and ``locus_check`` evaluates the denominators and the determinant
+Jacobian determinant as a tuple of (exponents, residue) terms; there is one
+per map and field object (``reduce_map``, ``ReducedMap.extend`` for
+F_{p^m}). ``apply`` is one call of ``polynomials.apply_map``, which runs
+the map compiled for those components and bound to the field on first
+use, and ``locus_check`` evaluates the denominators and the determinant
 with ``polynomials.evaluate_terms`` under one power cache per point.
 """
 
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
 from .finitefields import FiniteField
-from .polynomials import (apply_map, embed_map, embed_terms, evaluate_terms,
-                          point_powers)
+from .polynomials import (EmbeddedMap, apply_map, embed_map, embed_terms,
+                          evaluate_terms, point_powers)
 
 CLEAR = "clear"
 INDETERMINATE = "indeterminate"
@@ -35,12 +36,12 @@ RAMIFIED = "ramified"
 class ReducedMap:
     """A rational self-map over a finite field with its Jacobian data.
 
-    ``components`` are the embed_map components of f over the field, and
-    ``jacobian_det`` is a tuple of (exponents, coefficient) terms for
-    polynomials.evaluate_terms, with a coefficient of None for 1. Only
-    nonzero residues are kept, so an empty tuple is exactly the zero
-    polynomial. A constant denominator is a unit, inverted once, or zero,
-    which rejects the reduction.
+    ``components`` are the embed_map components of f over the field (an
+    EmbeddedMap), and ``jacobian_det`` is a tuple of (exponents,
+    coefficient) terms for polynomials.evaluate_terms, with a coefficient
+    of None for 1. Only nonzero residues are kept, so an empty tuple is
+    exactly the zero polynomial. A constant denominator is a unit, inverted
+    once, or zero, which rejects the reduction.
 
     ``jacobian_det`` reduces the determinant over Q of J[i][j] =
     d(num_i)/dx_j * den_i - num_i * d(den_i)/dx_j, which
@@ -54,7 +55,7 @@ class ReducedMap:
         self.field = fld
         self.map = f
         self.n = f.n
-        self.components = tuple(
+        self.components = EmbeddedMap(
             (_nonzero(num), den if den is None else _nonzero(den), scale)
             for num, den, scale in embed_map(f, fld))
         if any(den == () for _, den, _ in self.components):
@@ -68,7 +69,7 @@ class ReducedMap:
 
     def extend(self, new_field):
         """The same map over an extension of F_p."""
-        return ReducedMap(new_field, self.map)
+        return _reduced(self.map, new_field)
 
     def apply(self, point):
         return apply_map(self.field, self.components, point)
@@ -84,7 +85,17 @@ def _nonzero(terms):
 def reduce_map(f, ctx):
     """Reduce a RationalSelfMap modulo the context's maximal ideal;
     BadReductionError for the first coefficient that is not p-integral."""
-    return ReducedMap(ctx.residue_field, f)
+    return _reduced(f, ctx.residue_field)
+
+
+def _reduced(f, fld):
+    """One ReducedMap per map and field object, kept on f, so that the
+    search, its re-check and the neighborhood share its embedding, its
+    Jacobian and its compiled map."""
+    hit = f._reduced.get(fld)
+    if hit is None or hit.field is not fld:
+        hit = f._reduced[fld] = ReducedMap(fld, f)
+    return hit
 
 
 def locus_check(fbar, point):

@@ -82,7 +82,7 @@ class FieldMismatchError(PadicDynError):
 
 
 class OrderCapError(PadicDynError):
-    """Affine-order iteration exceeded the group-order cap."""
+    """An affine map raised to its group exponent is not the identity."""
 
 
 class UnsupportedExtensionError(PadicDynError):

@@ -16,19 +16,21 @@ A field calls it with mod = p; the unramified layer W = Z_p[b]/(g) of
 mod = p.
 
 ``FiniteField.from_rational`` reduces a rational mod p by ``rational_mod``. A
-field is a ring for ``polynomials.apply_map``, the loop that applies a map
-in every ring: a map reduced mod p keeps its polynomials as (exponents,
+field is a ring for ``polynomials.apply_map``, which applies a map in every
+ring: a map reduced mod p keeps its polynomials as (exponents,
 coefficient) terms of such residues, and there is no finite-field
 polynomial class.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (BadReductionError, FieldMismatchError,
-                     IndeterminacyError, UnsupportedExtensionError)
+                     IndeterminacyError, OrderCapError,
+                     UnsupportedExtensionError)
 
 
 def is_prime(n):
@@ -206,7 +208,7 @@ class FiniteField:
             raise UnsupportedExtensionError(
                 f"cannot extend {self!r}: only F_p has extensions; tower"
                 " searches are not supported")
-        return _extension_field(self.p, m)
+        return prime_power_field(self.p, m)
 
     def modulus_indexes(self):
         """Low coefficients of the modulus (None for a prime field)."""
@@ -224,10 +226,12 @@ class FiniteField:
         return f"GF({self.p}^{self.degree})"
 
 
-# one field object per (p, m), so that embed_map's cache on f is hit by the
-# search, its re-check and the verifier's replay alike
 @lru_cache(maxsize=64)
-def _extension_field(p, m):
+def prime_power_field(p, m):
+    """F_{p^m} with the smallest-index irreducible modulus, one object per
+    (p, m), so that embed_map's cache on f is hit by the search, its
+    re-check, the verifier's replay and the residue field of the lifting
+    context alike."""
     return FiniteField(p, modulus=find_irreducible(p, m))
 
 
@@ -412,3 +416,56 @@ def _dot(xs, ys):
 
 def mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def affine_order(field, L, c):
+    """Order of the affine map g: x -> L x + c of field^n, L invertible.
+
+    Every element of GL(n, q) has order dividing u * lcm(q - 1, ...,
+    q^n - 1), u the least power of p with u >= n: its semisimple part has
+    eigenvalues in F_{q^i} for i <= n, and its unipotent part 1 + N has
+    N^n = 0, so (1 + N)^u = 1. Raised to the order of L, g is a
+    translation, of order 1 or p. So the order of g divides M = p u
+    lcm(q^i - 1), a divisor of the affine group order, and it is the least
+    divisor d of M with g^d = 1. The divisors are tested in increasing
+    order, each power made from the last by the powers g^(2^i) of the pair
+    (L, c), made by repeated squaring: a small order costs a few products,
+    a large one a few per divisor below it.
+    """
+    n = len(L)
+    p, q = field.p, field.order
+    u = 1
+    while u < n:
+        u *= p
+    bound = p * u
+    for i in range(1, n + 1):
+        bound = math.lcm(bound, q ** i - 1)
+    divisors = [1]
+    for ell in _prime_factors(bound):
+        e, rest = 0, bound
+        while rest % ell == 0:
+            e, rest = e + 1, rest // ell
+        divisors = [d * ell ** j for d in divisors for j in range(e + 1)]
+    ident = mat_identity(field, n)
+    zero = [field.zero()] * n
+
+    def compose(g, h):
+        # (A, a)(B, b) = (AB, Ab + a)
+        (A, a), (B, b) = g, h
+        return mat_mul(A, B), [x + y for x, y in zip(mat_vec(A, b), a)]
+
+    squares = [(L, c)]          # g^(2^i)
+    k, gk = 0, None             # gk = g^k, None for the identity
+    for d in sorted(divisors):
+        gap, i = d - k, 0
+        while gap:
+            if i == len(squares):
+                squares.append(compose(squares[-1], squares[-1]))
+            if gap & 1:
+                gk = squares[i] if gk is None else compose(gk, squares[i])
+            gap, i = gap >> 1, i + 1
+        k = d
+        if mat_eq(gk[0], ident) and gk[1] == zero:
+            return d
+    raise OrderCapError("the affine map raised to the group exponent is not"
+                        " the identity")

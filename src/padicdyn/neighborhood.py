@@ -4,9 +4,9 @@ Given a purely periodic point of the reduced map with a clear orbit, the
 center y is lifted to O^n. On the residue ball at y, f^k acts by its power
 series at y, and that series is f applied k times to the generic point
 y + t of the ball, in the ring of series truncated at a total degree
-(``series.SeriesRing``). The one loop ``polynomials.apply_map`` applies f
-to points of O^n, to series and, for the Mahler orbit over Z_p, to
-integers mod p^s (``padics.IntegersMod``). Subtracting y gives H, whose
+(``series.SeriesRing``). The one map evaluator ``polynomials.apply_map``
+applies f to points of O^n, to series and, for the Mahler orbit over Z_p,
+to integers mod p^s (``padics.IntegersMod``). Subtracting y gives H, whose
 constant term is divisible by the uniformizer r, and the rescaling
 F(t) = H(r t)/r turns the ball into O^n with the iterate acting by integral
 power series. The reduction of F mod r is an invertible affine map; its
@@ -22,10 +22,9 @@ from functools import cached_property, lru_cache
 
 from .dynamics import CLEAR, locus_check, reduce_map
 from .errors import (BadReductionError, DivisibilityError, NoGoodPrimeError,
-                     OrbitNotClearError, OrderCapError, PadicDynError,
-                     RamificationLeakError, ResidueMismatchError,
-                     UnsupportedExtensionError)
-from .finitefields import is_prime, mat_eq, mat_identity, mat_mul, mat_vec
+                     OrbitNotClearError, PadicDynError, RamificationLeakError,
+                     ResidueMismatchError, UnsupportedExtensionError)
+from .finitefields import affine_order, is_prime
 from .padics import IntegersMod, PadicContext, PadicElement
 from .polynomials import apply_map, embed_map, matrix_det
 from .series import SeriesRing, TruncatedSeries
@@ -270,20 +269,20 @@ class PadicNeighborhood:
 
         When d = e = 1 and every coordinate carries the same tag s, the
         point is unwrapped to integers once, f is applied k*times times by
-        ``apply_map`` over ``IntegersMod(p, p^s)``, and the result is
-        wrapped back with tag s. Every other point goes through
-        ``map_eval_padic`` once per application of f. Both give the same
-        digits and tags.
+        its compiled function bound to ``IntegersMod(p, p^s)`` (the one
+        ``apply_map`` calls), and the result is wrapped back with tag s.
+        Every other point goes through ``map_eval_padic`` once per
+        application of f. Both give the same digits and tags.
         """
         f, ctx = self.map, self.ctx
         count = self.period_k * times
         s = _int_kernel_tag(f, zvec, ctx) if self._integer_loop else None
         if s is not None:
             ring = _integers_mod(ctx.p, ctx.modulus(s))
-            comps = embed_map(f, ring)
+            run = embed_map(f, ring).bound(ring)
             x = [z.layers[0][0] for z in zvec]
             for _ in range(count):
-                x = apply_map(ring, comps, x)
+                x = run(x)
             return tuple(ctx._make(((c,),), s) for c in x)
         for _ in range(count):
             zvec = map_eval_padic(f, zvec, ctx)
@@ -426,33 +425,10 @@ def build_neighborhood(f, k, center, ctx, cap=8, record=None,
 
 
 def reduced_affine_order(nbhd):
-    """Order of the reduction of F mod r as an affine map of F_q^n.
-
-    Iterates symbolically as pairs (L^j, sum L^i c); capped by the affine
-    group order times q, which any element order divides.
-    """
-    ctx = nbhd.ctx
-    fld = ctx.residue_field
-    n = nbhd.n
+    """Order of the reduction of F mod r as an affine map of F_q^n
+    (finitefields.affine_order)."""
     L, c = nbhd.affine_parts()
     if matrix_det(L).is_zero():
         raise RamificationLeakError(
             "linear part of the reduced map is singular")
-    qn = fld.order ** n
-    cap = qn * fld.order
-    for i in range(n):
-        cap *= qn - fld.order ** i
-    ident = mat_identity(fld, n)
-    zero_vec = [fld.zero()] * n
-    M, v = L, c
-    order = None
-    for j in range(1, cap + 1):
-        if mat_eq(M, ident) and v == zero_vec:
-            order = j
-            break
-        M = mat_mul(L, M)
-        v = [a + b for a, b in zip(mat_vec(L, v), c)]
-    if order is None:
-        raise OrderCapError("affine order iteration exceeded the group"
-                            " order cap")
-    return order
+    return affine_order(nbhd.ctx.residue_field, L, c)

@@ -28,7 +28,8 @@ from fractions import Fraction
 from .errors import (ContextMismatchError, IndeterminacyError, NonUnitError,
                      PrecisionError)
 from .finitefields import (FFElement, FiniteField, is_prime, poly_mulmod,
-                           rational_mod, vec_add, vec_neg, vec_sub)
+                           prime_power_field, rational_mod, vec_add, vec_neg,
+                           vec_sub)
 
 INFINITY = float("inf")
 
@@ -80,10 +81,16 @@ class PadicContext:
         self.d = len(unram_poly) - 1
         self.q = p ** self.d
 
-        try:
-            self.residue_field = FiniteField(p, modulus=self.unram_low)
-        except ValueError as exc:
-            raise ValueError(f"unram_poly not irreducible mod {p}: {exc}")
+        # the cached field when the modulus is its own (every degree-1
+        # modulus is), so that the search and the lift share one F_q
+        fld = prime_power_field(p, self.d)
+        if self.d > 1 and fld.modulus != tuple(c % p for c in self.unram_low):
+            try:
+                fld = FiniteField(p, modulus=self.unram_low)
+            except ValueError as exc:
+                raise ValueError(f"unram_poly not irreducible mod {p}:"
+                                 f" {exc}")
+        self.residue_field = fld
 
         if eis_poly is None:
             eis_poly = [-p, 1]

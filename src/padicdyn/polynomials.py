@@ -8,16 +8,25 @@ A rational map is applied in five rings: Q (``QQ``), F_q (a FiniteField),
 O (a PadicContext), O/p^s on ints (``padics.IntegersMod``) and the truncated
 series (``series.SeriesRing``). Each ring offers one(), zero(),
 from_rational(c), reduce(x) and unit_inverse(x). ``embed_map`` carries the
-map's coefficients into a ring once, ``evaluate_terms`` evaluates one
-polynomial there, and ``apply_map`` is the one loop that evaluates, checks,
-inverts and applies the denominators.
+map's coefficients into a ring once, as an ``EmbeddedMap``. The map is
+compiled into one straight-line Python function of the point, generated
+from the map's shape alone: its exponent tuples, the coefficients that are
+exactly 1 and the components whose denominator is a constant. The source
+holds generated names only, never a coefficient; it is compiled once per
+shape and bound once per embedding and ring of evaluation, and the binding
+is kept on the embedding, so it lives as long as the map. ``apply_map``
+calls that function; it evaluates, checks, inverts and applies the
+denominators. ``evaluate_terms`` evaluates one polynomial, for the locus
+checks and the series.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import IndeterminacyError, NotDominantError
 
@@ -279,8 +288,10 @@ class RationalSelfMap:
         self.n = n
         self._jac = None
         self._jac_det = None
-        # ring -> (ring, components), filled by embed_map
+        # ring -> (ring, EmbeddedMap), filled by embed_map
         self._embedded = {}
+        # field -> dynamics.ReducedMap, filled by dynamics.reduce_map
+        self._reduced = {}
 
     @classmethod
     def from_texts(cls, n, numerators, denominators=None):
@@ -406,7 +417,8 @@ def embed_terms(poly, ring):
 
 def embed_map(f, ring):
     """Per component of f, (numerator terms, denominator terms, scale) for
-    apply_map, embedded once per ring object and cached on f.
+    apply_map, embedded once per ring object and cached on f as an
+    EmbeddedMap.
 
     A constant unit denominator is inverted here: its terms are None and
     scale is its inverse, or None when that inverse is exactly 1. Any other
@@ -430,9 +442,151 @@ def embed_map(f, ring):
                 pass
         comps.append((num_terms, den_terms,
                       None if scale == ring.one() else scale))
-    comps = tuple(comps)
-    f._embedded[ring] = (ring, comps)
-    return comps
+    emb = EmbeddedMap(comps)
+    f._embedded[ring] = (ring, emb)
+    return emb
+
+
+class EmbeddedMap:
+    """The components of a map embedded in one ring: per component
+    (numerator terms, denominator terms, scale) as embed_map describes them,
+    which iteration yields. ``bound(ring)`` is the map compiled for their
+    shape and bound to their coefficients and to ``ring``, the ring of the
+    points (a SeriesRing over the coefficients' context, say), made once
+    per ring object."""
+
+    __slots__ = ("components", "_bound")
+
+    def __init__(self, components):
+        self.components = tuple(components)
+        self._bound = {}
+
+    def __iter__(self):
+        return iter(self.components)
+
+    def bound(self, ring):
+        hit = self._bound.get(ring)
+        if hit is None or hit[0] is not ring:
+            shape, constants = map_shape(self.components)
+            run = _compiled(shape)(constants, ring.reduce, ring.unit_inverse,
+                                   ring.one(), ring.zero())
+            hit = self._bound[ring] = (ring, run)
+        return hit[1]
+
+
+def map_shape(components):
+    """(shape, constants) of embed_map components. The shape is all that
+    map_source reads: per component the numerator's (exponents, is the
+    coefficient exactly 1) pairs, the denominator's or None for a constant
+    one, and whether a scale applies. The constants are the embedded
+    coefficients and scales, in the order map_source names them c0, c1,
+    ...: per component the denominator's, else the scale, then the
+    numerator's."""
+    shape = []
+    constants = []
+    for num_terms, den_terms, scale in components:
+        if den_terms is not None:
+            constants += [c for _, c in den_terms if c is not None]
+        elif scale is not None:
+            constants.append(scale)
+        constants += [c for _, c in num_terms if c is not None]
+        shape.append((_terms_shape(num_terms),
+                       None if den_terms is None else _terms_shape(den_terms),
+                       scale is not None))
+    return tuple(shape), tuple(constants)
+
+
+def _terms_shape(terms):
+    return tuple((tuple(map(operator.index, idx)), c is None)
+                 for idx, c in terms)
+
+
+def _power_steps(a):
+    """Square-and-multiply for x^a: the (b, c) pairs with x^(b + c) =
+    x^b * x^c, each made from x and the powers before it, up to x^a."""
+    steps = []
+    e = 1
+    for bit in bin(a)[3:]:
+        steps.append((e, e))
+        e *= 2
+        if bit == "1":
+            steps.append((e, 1))
+            e += 1
+    return steps
+
+
+def map_source(shape):
+    """The Python source of ``bind(c, reduce, inv, one, zero)`` for a
+    map_shape shape: bind returns the map as one function of a point, with
+    the constants c named c0, c1, ... and the ring's reduce, unit_inverse,
+    one() and zero().
+
+    The function reads each coordinate it uses, makes each power x_i^a it
+    needs once by _power_steps over earlier powers (reduce after each
+    product), then per component evaluates the denominator (unless it is
+    constant), requires a unit and inverts it with inv, evaluates the
+    numerator and scales it: what evaluate_terms and unit_inverse do, term
+    for term. Exponents are ints, so the text holds generated names and
+    coordinate indices only.
+    """
+    count = 0
+    loads = []
+    prelude = []
+    names = {}
+
+    def const():
+        nonlocal count
+        count += 1
+        return f"c{count - 1}"
+
+    def power(i, a):
+        if (i, 1) not in names:
+            names[i, 1] = f"x{i}"
+            loads.append(f"x{i} = x[{i}]")
+        for b, c in _power_steps(a):
+            if (i, b + c) not in names:
+                names[i, b + c] = f"x{i}_{b + c}"
+                prelude.append(f"x{i}_{b + c} = reduce({names[i, b]} *"
+                               f" {names[i, c]})")
+        return names[i, a]
+
+    def poly(terms):
+        parts = []
+        for idx, is_one in terms:
+            factors = [] if is_one else [const()]
+            factors += [power(i, a) for i, a in enumerate(idx) if a]
+            parts.append(" * ".join(factors) or "one")
+        return f"reduce({' + '.join(parts) or 'zero'})"
+
+    body = []
+    outputs = ""
+    for k, (num, den, scaled) in enumerate(shape):
+        if den is not None:
+            body.append(f"d{k} = inv({poly(den)})")
+            factor = f"d{k}"
+        else:
+            factor = const() if scaled else None
+        value = poly(num)
+        body.append(f"v{k} = " + (value if factor is None
+                                  else f"reduce({value} * {factor})"))
+        outputs += f"v{k}, "
+    lines = ["def bind(c, reduce, inv, one, zero):"]
+    if count:
+        unpack = "".join(f"c{j}, " for j in range(count))
+        lines.append(f"    {unpack}= c")
+    lines.append("    def run(x):")
+    lines += [f"        {line}" for line in loads + prelude + body]
+    lines += [f"        return ({outputs})", "    return run", ""]
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=256)
+def _compiled(shape):
+    """The bind function of map_source's text for shape, compiled once per
+    shape (which determines the text)."""
+    namespace = {}
+    exec(compile(map_source(shape), "<padicdyn map>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def point_powers(point):
@@ -446,7 +600,7 @@ def evaluate_terms(ring, terms, point, powers=None):
     (idx, c) pairs in terms.
 
     A coefficient c of None stands for an exact 1 and costs no product.
-    Each power of a coordinate is computed once.
+    Each power of a coordinate is made once, by _power_steps, and reduced.
     """
     if powers is None:
         powers = point_powers(point)
@@ -454,7 +608,9 @@ def evaluate_terms(ring, terms, point, powers=None):
     def power(i, a):
         cache = powers[i]
         if a not in cache:
-            cache[a] = power(i, a - 1) * point[i]
+            for b, c in _power_steps(a):
+                if b + c not in cache:
+                    cache[b + c] = ring.reduce(cache[b] * cache[c])
         return cache[a]
 
     total = None
@@ -471,15 +627,7 @@ def evaluate_terms(ring, terms, point, powers=None):
 
 def apply_map(ring, comps, point):
     """The map with embed_map components comps, applied to point in ring:
-    the one loop that evaluates each denominator, requires a unit
-    (IndeterminacyError otherwise), inverts it and scales the numerator.
-    The components share one power cache."""
-    powers = point_powers(point)
-    out = []
-    for num_terms, den_terms, scale in comps:
-        if den_terms is not None:
-            scale = ring.unit_inverse(
-                evaluate_terms(ring, den_terms, point, powers))
-        value = evaluate_terms(ring, num_terms, point, powers)
-        out.append(value if scale is None else ring.reduce(value * scale))
-    return tuple(out)
+    the compiled function of comps bound to ring (EmbeddedMap.bound), which
+    evaluates each denominator, requires a unit (IndeterminacyError
+    otherwise), inverts it and scales the numerator."""
+    return comps.bound(ring)(point)

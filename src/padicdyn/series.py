@@ -3,7 +3,7 @@
 A series lives in O[t_1, ..., t_n] modulo the monomials of total degree
 above ``cap``. That quotient is a ring, and a series with a unit constant
 term is invertible in it, so ``SeriesRing`` is one more ring for
-``polynomials.apply_map``, the loop that applies a map in every ring: a
+``polynomials.apply_map``, which applies a map in every ring: a
 rational map applied to the generic point y + t gives its expansion at y,
 exact through the cap. Its ``reduce`` makes a scalar sum a constant series.
 The neighborhood uses the ring at cap 1 for the 1-jet of f^k and at its
@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndeterminacyError, RecenteringError
-from .polynomials import apply_map, embed_terms, evaluate_terms
+from .polynomials import (EmbeddedMap, apply_map, embed_terms,
+                          evaluate_terms)
 
 
 class TruncatedSeries:
@@ -228,5 +229,6 @@ def expand_at(component, center, cap, ctx=None):
     """
     num, den = component
     ring = SeriesRing(center[0].ctx if ctx is None else ctx, num.n, cap)
-    comps = ((embed_terms(num, ring.ctx), embed_terms(den, ring.ctx), None),)
+    comps = EmbeddedMap(((embed_terms(num, ring.ctx),
+                          embed_terms(den, ring.ctx), None),))
     return apply_map(ring, comps, ring.generic_point(center))[0]

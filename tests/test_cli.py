@@ -88,6 +88,29 @@ def test_no_witness_exit_code(tmp_path):
     assert "finite-order suspected" in res.stderr
 
 
+def test_swap_map_is_flagged_finite_order(tmp_path):
+    # periods 1 and 2 differ, but their lcm divides N = 2
+    mp = write_map(tmp_path / "swap.json",
+                   {"n": 2, "numerators": ["x2", "x1"], "prime": 5,
+                    "search_budget": 12})
+    res = run_cli("certify", "--map", mp, "--out", str(tmp_path / "c.json"))
+    assert res.returncode == 2
+    assert "period bound N = 2" in res.stdout
+    assert "periods seen in the scan: [1, 2]" in res.stderr
+    assert "finite-order suspected" in res.stderr
+
+
+def test_degree_1200_certifies_and_verifies(tmp_path):
+    mp = write_map(tmp_path / "m.json",
+                   {"n": 1, "numerators": ["x1^1200 + x1"], "prime": 5})
+    cert_path = str(tmp_path / "cert.json")
+    res = run_cli("certify", "--map", mp, "--out", cert_path)
+    assert res.returncode == 0, res.stderr
+    res2 = run_cli("verify", "--cert", cert_path)
+    assert res2.returncode == 0, res2.stderr
+    assert "certificate is valid" in res2.stdout
+
+
 def test_interpolate_report(tmp_path):
     mp = write_map(tmp_path / "m.json", QUAD)
     out = str(tmp_path / "report.txt")

@@ -10,15 +10,16 @@ homomorphism: oracles that share no code with the reduction.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.dynamics import CLEAR, RAMIFIED, locus_check, reduce_map
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              InseparableError, PadicDynError)
-from padicdyn.finitefields import FiniteField, is_irreducible
+from padicdyn.finitefields import (FiniteField, affine_order, is_irreducible,
+                                   mat_eq, mat_identity, mat_mul, mat_vec)
 from padicdyn.padics import PadicContext
-from padicdyn.polynomials import MultiPoly, RationalSelfMap
+from padicdyn.polynomials import MultiPoly, RationalSelfMap, matrix_det
 
 FIELDS = [FiniteField(p).extension(m) for p in (3, 5, 7) for m in (1, 2, 3)]
 
@@ -291,3 +292,52 @@ def test_from_rational_is_reduction_mod_p(fld, x):
     r = fld.from_rational(x)
     assert r * fld.from_int(x.denominator) == fld.from_int(x.numerator)
     assert fld.from_rational(x.numerator) == fld.from_int(x.numerator)
+
+
+def stepped_affine_order(fld, L, c):
+    """The order of x -> L x + c by composing it with itself until the
+    identity comes back, one step at a time."""
+    n = len(L)
+    ident = mat_identity(fld, n)
+    zero = [fld.zero()] * n
+    M, v, order = L, c, 1
+    while not (mat_eq(M, ident) and v == zero):
+        M = mat_mul(L, M)
+        v = [a + b for a, b in zip(mat_vec(L, v), c)]
+        order += 1
+    return order
+
+
+AFFINE_FIELDS = [FiniteField(p).extension(m)
+                 for p, m in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
+                              (7, 1))]
+
+
+@st.composite
+def affine_maps(draw):
+    fld = draw(st.sampled_from(AFFINE_FIELDS))
+    n = draw(st.integers(1, 3 if fld.order < 8 else 2))
+    elements = st.integers(0, fld.order - 1).map(fld.element_from_index)
+    L = [[draw(elements) for _ in range(n)] for _ in range(n)]
+    assume(not matrix_det(L).is_zero())
+    return fld, L, [draw(elements) for _ in range(n)]
+
+
+def jordan_block(p, n, translation):
+    """A unipotent Jordan block over F_p, of order the least power of p
+    that is at least n, and a translation that multiplies it by p."""
+    fld = FiniteField(p)
+    L = [[fld.from_int(int(j in (i, i + 1))) for j in range(n)]
+         for i in range(n)]
+    return fld, L, [fld.from_int(t) for t in translation]
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_maps())
+@example(jordan_block(2, 3, [0, 0, 0]))
+@example(jordan_block(2, 3, [0, 0, 1]))
+@example(jordan_block(3, 3, [0, 0, 1]))
+@example(jordan_block(3, 2, [1, 0]))
+def test_affine_order_equals_the_stepped_order(case):
+    fld, L, c = case
+    assert affine_order(fld, L, c) == stepped_affine_order(fld, L, c)

@@ -201,6 +201,13 @@ def test_series_at_cap_extends_the_jet(name):
     assert reduced_affine_order(nbhd) == nbhd.affine_order
 
 
+def test_the_lift_reuses_the_search_field():
+    # one F_q object per run, so f is embedded and bound in it once
+    pipe = map_file_pipeline("ext_d_p11")
+    assert pipe.ctx.d == 3
+    assert pipe.ctx.residue_field is pipe.record.field
+
+
 def test_pipeline_and_verifier_expand_only_the_jet(monkeypatch):
     # certify and verify never apply f in a series ring above degree 1; the
     # series at the cap is built when H or F is first read, and only then
