@@ -15,8 +15,10 @@ Jacobian determinant as a tuple of (exponents, residue) terms; there is one
 per map and field object (``reduce_map``, ``ReducedMap.extend`` for
 F_{p^m}). ``apply`` is one call of ``polynomials.apply_map``, which runs
 the map compiled for those components and bound to the field on first
-use, and ``locus_check`` evaluates the denominators and the determinant
-with ``polynomials.evaluate_terms`` under one power cache per point.
+use. The locus test is compiled the same way: a second EmbeddedMap whose
+components are the non-constant denominators and then the determinant,
+each a numerator with no denominator and no scale, so ``locus_check``
+evaluates them all at a point by one call and reads which vanish.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
 from .finitefields import FiniteField
-from .polynomials import (EmbeddedMap, apply_map, embed_map, embed_terms,
-                          evaluate_terms, point_powers)
+from .polynomials import EmbeddedMap, apply_map, embed_map, embed_terms
 
 CLEAR = "clear"
 INDETERMINATE = "indeterminate"
@@ -38,10 +39,11 @@ class ReducedMap:
 
     ``components`` are the embed_map components of f over the field (an
     EmbeddedMap), and ``jacobian_det`` is a tuple of (exponents,
-    coefficient) terms for polynomials.evaluate_terms, with a coefficient
-    of None for 1. Only nonzero residues are kept, so an empty tuple is
-    exactly the zero polynomial. A constant denominator is a unit, inverted
-    once, or zero, which rejects the reduction.
+    coefficient) terms, with a coefficient of None for 1. Only nonzero
+    residues are kept, so an empty tuple is exactly the zero polynomial. A
+    constant denominator is a unit, inverted once, or zero, which rejects
+    the reduction. ``locus`` is the EmbeddedMap that locus_check runs: the
+    non-constant denominators, then the determinant, as bare numerators.
 
     ``jacobian_det`` reduces the determinant over Q of J[i][j] =
     d(num_i)/dx_j * den_i - num_i * d(den_i)/dx_j, which
@@ -66,6 +68,10 @@ class ReducedMap:
             raise InseparableError(
                 "Jacobian determinant is identically zero"
                 " (inseparable reduction)")
+        self.locus = EmbeddedMap(
+            [(den, None, None) for _, den, _ in self.components
+             if den is not None]
+            + [(self.jacobian_det, None, None)])
 
     def extend(self, new_field):
         """The same map over an extension of F_p."""
@@ -102,16 +108,14 @@ def locus_check(fbar, point):
     """clear / indeterminate / ramified status of a point.
 
     Indeterminacy (a vanishing denominator) is checked first since the
-    Jacobian data is meaningless there.
+    Jacobian data is meaningless there. A constant denominator is a unit
+    and is not in fbar.locus; a vanishing one is only a value here.
     """
-    fld = fbar.field
-    powers = point_powers(point)
-    for _, den, _ in fbar.components:
-        # a constant denominator is a unit: its terms are None
-        if den is not None and evaluate_terms(fld, den, point,
-                                              powers).is_zero():
+    *dens, det = fbar.locus.bound(fbar.field)(point)
+    for value in dens:
+        if value.is_zero():
             return INDETERMINATE
-    if evaluate_terms(fld, fbar.jacobian_det, point, powers).is_zero():
+    if det.is_zero():
         return RAMIFIED
     return CLEAR
 

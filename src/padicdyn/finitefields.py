@@ -15,6 +15,15 @@ A field calls it with mod = p; the unramified layer W = Z_p[b]/(g) of
 ``padics.PadicContext`` calls it with mod = p^s, and the Rabin test with
 mod = p.
 
+A field of degree >= 2 and order at most ``_TABLE_MAX_ORDER`` multiplies by
+discrete logarithms: on its first product it walks the powers of its
+smallest-index generator g through ``poly_mulmod`` once, into ``_log`` (each
+nonzero rep to its k) and ``_exp`` (g^k for k < 2(q - 1), doubled so that a
+sum of two logs needs no reduction). A product, an inverse and a power are
+then lookups; zero is the element with no log. The tables only cache the
+kernel's products: F_p and larger fields multiply through the kernel, and
+the cap bounds the work a field named by untrusted input can cause.
+
 ``FiniteField.from_rational`` reduces a rational mod p by ``rational_mod``. A
 field is a ring for ``polynomials.apply_map``, which applies a map in every
 ring: a map reduced mod p keeps its polynomials as (exponents,
@@ -31,6 +40,11 @@ from functools import lru_cache
 from .errors import (BadReductionError, FieldMismatchError,
                      IndeterminacyError, OrderCapError,
                      UnsupportedExtensionError)
+
+
+# the largest field order that gets discrete-log tables: q - 1 kernel
+# products to build, two entries of each of log and exp per nonzero element
+_TABLE_MAX_ORDER = 4096
 
 
 def is_prime(n):
@@ -141,8 +155,37 @@ class FiniteField:
         self.degree = len(mod)
         self.order = p ** self.degree
         self._sig = (p, mod)
+        self._hash = hash(self._sig)
         self._zero = self.from_int(0)
         self._one = self.from_int(1)
+        # discrete-log tables, made on first use by _logs
+        self._tabled = self.degree > 1 and self.order <= _TABLE_MAX_ORDER
+        self._log = self._exp = None
+
+    def _logs(self):
+        """_log, None for a field without tables. The first call makes
+        _log and _exp from the smallest-index element of order q - 1, by
+        q - 2 kernel products."""
+        if self._log is not None or not self._tabled:
+            return self._log
+        p, low, q = self.p, self.modulus, self.order
+        one = self._one.rep
+        factors = _prime_factors(q - 1)
+        for idx in range(1, q):
+            g = self.element_from_index(idx).rep
+            if all(poly_powmod(g, (q - 1) // ell, low, p) != one
+                   for ell in factors):
+                break
+        log = {one: 0}
+        exp = [self._one]
+        cur = one
+        for k in range(1, q - 1):
+            cur = poly_mulmod(cur, g, low, p)
+            log[cur] = k
+            exp.append(FFElement(self, cur))
+        self._exp = exp + exp
+        self._log = log
+        return log
 
     def zero(self):
         return self._zero
@@ -218,7 +261,7 @@ class FiniteField:
         return isinstance(other, FiniteField) and self._sig == other._sig
 
     def __hash__(self):
-        return hash(self._sig)
+        return self._hash
 
     def __repr__(self):
         if self.degree == 1:
@@ -243,6 +286,8 @@ class FFElement:
         self.rep = rep
 
     def _coerce(self, other):
+        if other.__class__ is FFElement and other.field is self.field:
+            return other
         if isinstance(other, FFElement):
             if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError("mixed finite fields")
@@ -279,8 +324,17 @@ class FFElement:
         if o is None:
             return NotImplemented
         fld = self.field
-        return FFElement(fld, poly_mulmod(self.rep, o.rep, fld.modulus,
-                                          fld.p))
+        log = fld._log
+        if log is None:
+            if not fld._tabled:
+                return FFElement(fld, poly_mulmod(self.rep, o.rep,
+                                                  fld.modulus, fld.p))
+            log = fld._logs()
+        i = log.get(self.rep)
+        j = log.get(o.rep)
+        if i is None or j is None:
+            return fld._zero
+        return fld._exp[i + j]
 
     __rmul__ = __mul__
 
@@ -288,14 +342,24 @@ class FFElement:
         if k < 0:
             return self.inverse() ** (-k)
         fld = self.field
-        return FFElement(fld, poly_powmod(self.rep, k, fld.modulus, fld.p))
+        log = fld._logs()
+        if log is None:
+            return FFElement(fld, poly_powmod(self.rep, k, fld.modulus,
+                                              fld.p))
+        i = log.get(self.rep)
+        if i is None:
+            return fld._zero if k else fld._one
+        return fld._exp[i * k % (fld.order - 1)]
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a finite field")
         fld = self.field
-        return FFElement(fld, poly_powmod(self.rep, fld.order - 2,
-                                          fld.modulus, fld.p))
+        log = fld._logs()
+        if log is None:
+            return FFElement(fld, poly_powmod(self.rep, fld.order - 2,
+                                              fld.modulus, fld.p))
+        return fld._exp[fld.order - 1 - log[self.rep]]
 
     def is_zero(self):
         return not any(self.rep)
@@ -312,7 +376,7 @@ class FFElement:
 
     def __hash__(self):
         # reps are reduced mod p, so equal elements have equal reps
-        return hash((self.field._sig, self.rep))
+        return hash((self.field._hash, self.rep))
 
     def __repr__(self):
         return f"ff({self.field.index_of(self)};q={self.field.order})"

@@ -253,20 +253,24 @@ class PadicContext:
 
         Zero lifts to zero; units lift to roots of unity of order dividing
         q - 1. Computed by Newton's iteration on x^q - x from the naive
-        lift: the derivative q x^(q-1) - 1 is -1 mod r, a unit, so the root
+        lift: the derivative q x^(q-1) - 1 is -1 mod q, a unit, so the root
         is unique mod p^precision and each step doubles the r-adic digits
-        that are correct.
+        that are correct. The derivative's inverse u is carried along from
+        u = -1: one Newton step u(2 - f'(x) u) per step keeps it correct to
+        at least the digits of x.
         """
         res = self.residue_field.coerce(res)
         x = self.naive_lift(res)
         if res.is_zero():
             return x
+        u, two = self.from_int(-1), self.from_int(2)
         for _ in range((self.e * self.precision).bit_length() + 2):
             x_q1 = x ** (self.q - 1)
             fx = x_q1 * x - x
             if fx.valuation() is INFINITY:
                 return x
-            x = x - fx * (x_q1 * self.q - 1).inverse()
+            u = u * (two - (x_q1 * self.q - 1) * u)
+            x = x - fx * u
         raise PrecisionError("Teichmuller iteration failed to stabilize")
 
     def coerce(self, x):

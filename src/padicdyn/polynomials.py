@@ -16,8 +16,8 @@ holds generated names only, never a coefficient; it is compiled once per
 shape and bound once per embedding and ring of evaluation, and the binding
 is kept on the embedding, so it lives as long as the map. ``apply_map``
 calls that function; it evaluates, checks, inverts and applies the
-denominators. ``evaluate_terms`` evaluates one polynomial, for the locus
-checks and the series.
+denominators. ``evaluate_terms`` evaluates one polynomial, for the series,
+``MultiPoly.eval_fraction`` and the constant denominators of ``embed_map``.
 """
 
 from __future__ import annotations
@@ -589,21 +589,14 @@ def _compiled(shape):
     return namespace["bind"]
 
 
-def point_powers(point):
-    """A power cache for evaluate_terms; polynomials evaluated at the same
-    point may share it."""
-    return [{1: x} for x in point]
-
-
-def evaluate_terms(ring, terms, point, powers=None):
+def evaluate_terms(ring, terms, point):
     """ring.reduce of the sum of c * prod_i point[i]^idx[i] over the
     (idx, c) pairs in terms.
 
     A coefficient c of None stands for an exact 1 and costs no product.
     Each power of a coordinate is made once, by _power_steps, and reduced.
     """
-    if powers is None:
-        powers = point_powers(point)
+    powers = [{1: x} for x in point]
 
     def power(i, a):
         cache = powers[i]

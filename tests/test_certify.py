@@ -1,6 +1,7 @@
 """Period bounds, classification, witness certificates and verification."""
 
 import copy
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from padicdyn.certify import (NON_PREPERIODIC, OUTSIDE, PERIODIC, Certificate,
                               verify_certificate, witness_candidates)
 from padicdyn.dynamics import reduce_map
 from padicdyn.errors import SearchBudgetError, UnsupportedExtensionError
+from padicdyn.finitefields import prime_power_field
 from padicdyn.mahler import INFINITY, mahler_coefficients
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import RationalSelfMap
@@ -346,6 +348,23 @@ def test_precision_shortfall_is_named_by_its_stage(quad_p3_naive, section,
     failures = verify_certificate(Certificate(bad)).failures()
     assert [name for name, _ in failures] == [stage], failures
     assert "precision" in failures[0][1]
+
+
+def test_a_large_reduction_degree_is_rejected_without_field_tables(
+        quad_p3_naive):
+    # F_{3^24} is far above the discrete-log table cap: replaying a
+    # certificate that names it multiplies through the kernel
+    cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
+    bad = copy.deepcopy(cert.data)
+    bad["reduction"]["m"] = 24
+    bad["digest"] = _digest(bad)
+    start = time.perf_counter()
+    failures = [name for name, _ in
+                verify_certificate(Certificate(bad)).failures()]
+    assert time.perf_counter() - start < 1.0
+    assert failures[:2] == ["context", "reduction"], failures
+    fld = prime_power_field(3, 24)
+    assert fld._log is None and fld._exp is None
 
 
 def test_mahler_consistency_with_classification():

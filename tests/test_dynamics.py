@@ -18,7 +18,7 @@ from padicdyn.errors import (BadReductionError, InseparableError,
 from padicdyn.finitefields import FiniteField
 from padicdyn.mapfile import load_map_file
 from padicdyn.padics import PadicContext
-from padicdyn.polynomials import MultiPoly, RationalSelfMap
+from padicdyn.polynomials import MultiPoly, RationalSelfMap, evaluate_terms
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,6 +51,58 @@ def test_locus_check_examples():
     finv = reduce_map(RationalSelfMap.from_texts(1, ["1"], ["x1"]), ctx)
     assert locus_check(finv, (F3.from_int(0),)) == INDETERMINATE
     assert locus_check(finv, (F3.from_int(2),)) == CLEAR
+
+
+def interpreted_locus_check(fbar, point):
+    """The locus test one polynomial at a time through evaluate_terms, as
+    it was written before the test was compiled: kept here as the
+    oracle."""
+    fld = fbar.field
+    for _, den, _ in fbar.components:
+        if den is not None and evaluate_terms(fld, den, point).is_zero():
+            return INDETERMINATE
+    if evaluate_terms(fld, fbar.jacobian_det, point).is_zero():
+        return RAMIFIED
+    return CLEAR
+
+
+@st.composite
+def locus_cases(draw):
+    """A small integer rational self-map of A^1 or A^2, each denominator 1,
+    a constant or a polynomial; a prime and a field F_p or F_{p^2}; and
+    indexes of points of that field."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([3, 5, 7]))
+    m = draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+
+    def poly():
+        return MultiPoly(n, draw(st.dictionaries(
+            exponents, st.integers(-4, 4).filter(bool), min_size=1,
+            max_size=4)))
+
+    nums = [poly() for _ in range(n)]
+    dens = [draw(st.sampled_from([lambda: MultiPoly.constant(n, 1),
+                                  lambda: MultiPoly.constant(n, 2),
+                                  poly]))()
+            for _ in range(n)]
+    indexes = draw(st.lists(st.integers(0, p ** (m * n) - 1), min_size=1,
+                            max_size=12))
+    return RationalSelfMap(nums, dens), p, m, indexes
+
+
+@settings(max_examples=150, deadline=None)
+@given(locus_cases())
+def test_compiled_locus_check_equals_the_interpreted_one(case):
+    f, p, m, indexes = case
+    try:
+        fbar = reduce_map(f, PadicContext(p, precision=1))
+    except PadicDynError:
+        return                         # bad, indeterminate or inseparable
+    fm = fbar.extend(fbar.field.extension(m))
+    for index in indexes:
+        point = point_at_index(fm.field, fm.n, index)
+        assert locus_check(fm, point) == interpreted_locus_check(fm, point)
 
 
 def test_find_periodic_point_quadratic_f3():

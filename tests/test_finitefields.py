@@ -1,7 +1,8 @@
 """The flat finite fields F_p and F_p[x]/(m), and maps reduced mod p.
 
 Field laws are checked on random elements of every F_{p^m}, p in {3, 5, 7}
-and m in 1..3. The reduced Jacobian determinant is checked against the exact
+and m in 1..3, and the discrete-log tables against the coefficient-tuple
+kernel whose products they cache. The reduced Jacobian determinant is checked against the exact
 rational determinant of the map over Q at integer lifts, and the reduced map
 against exact evaluation over Q followed by reduction mod p, which is a ring
 homomorphism: oracles that share no code with the reduction.
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 from padicdyn.dynamics import CLEAR, RAMIFIED, locus_check, reduce_map
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              InseparableError, PadicDynError)
-from padicdyn.finitefields import (FiniteField, affine_order, is_irreducible,
-                                   mat_eq, mat_identity, mat_mul, mat_vec)
+from padicdyn.finitefields import (_TABLE_MAX_ORDER, FiniteField,
+                                   affine_order, is_irreducible, mat_eq,
+                                   mat_identity, mat_mul, mat_vec,
+                                   poly_mulmod, poly_powmod,
+                                   prime_power_field)
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import MultiPoly, RationalSelfMap, matrix_det
 
@@ -75,6 +79,70 @@ def test_prime_field_is_the_degree_one_quotient():
     assert F7.from_int(3).inverse() == F7.from_int(5)
     assert F7.from_int(3) ** -1 == F7.from_int(5)
     assert F7.from_int(0) ** 0 == F7.one()
+
+
+# F_4, F_8, F_9, F_25, F_49, F_343 and F_1331
+TABLE_FIELDS = [prime_power_field(p, m) for p, m in
+                ((2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (7, 3), (11, 3))]
+
+
+@st.composite
+def table_cases(draw):
+    """A field with tables, two of its elements (often zero) and an
+    exponent from 0 to 2q."""
+    fld = draw(st.sampled_from(TABLE_FIELDS))
+    index = st.one_of(st.just(0), st.integers(0, fld.order - 1))
+    x = fld.element_from_index(draw(index))
+    y = fld.element_from_index(draw(index))
+    return fld, x, y, draw(st.one_of(st.just(0),
+                                     st.integers(0, 2 * fld.order)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_cases())
+def test_table_arithmetic_equals_the_kernel(case):
+    fld, x, y, k = case
+    low, p = fld.modulus, fld.p
+    assert (x * y).rep == poly_mulmod(x.rep, y.rep, low, p)
+    assert (x ** k).rep == poly_powmod(x.rep, k, low, p)
+    if not x.is_zero():
+        assert x.inverse().rep == poly_powmod(x.rep, fld.order - 2, low, p)
+        assert (x ** -k).rep == poly_powmod(x.inverse().rep, k, low, p)
+    assert len(fld._log) == fld.order - 1
+    assert len(fld._exp) == 2 * (fld.order - 1)
+
+
+def test_tables_are_made_on_the_first_product_from_the_first_generator():
+    fld = FiniteField(5, modulus=(2, 0))           # a fresh F_25
+    assert fld._log is None and fld._exp is None
+    x = fld.element_from_index(7)
+    assert (x * x).rep == poly_mulmod(x.rep, x.rep, fld.modulus, 5)
+    q = fld.order
+
+    def order(rep):
+        k, cur = 1, rep
+        while cur != fld.one().rep:
+            k, cur = k + 1, poly_mulmod(cur, rep, fld.modulus, 5)
+        return k
+
+    first = next(i for i in range(1, q)
+                 if order(fld.element_from_index(i).rep) == q - 1)
+    assert fld.index_of(fld._exp[1]) == first
+    assert fld._exp[q - 1] == fld.one() and fld._log[fld.one().rep] == 0
+
+
+def test_prime_fields_and_large_fields_multiply_through_the_kernel():
+    # a field above the cap, as a certificate may name, never gets tables
+    big = prime_power_field(3, 9)
+    assert big.order == 19683 > _TABLE_MAX_ORDER
+    F7 = FiniteField(7)
+    for fld in (big, F7):
+        x = fld.element_from_index(fld.order - 2)
+        y = fld.element_from_index(fld.order // 3)
+        assert (x * y).rep == poly_mulmod(x.rep, y.rep, fld.modulus, fld.p)
+        assert x * x.inverse() == fld.one()
+        assert x ** 5 == x * x * x * x * x
+        assert fld._log is None and fld._exp is None
 
 
 def test_extension_fields_are_shared():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn.errors import (BadReductionError, ContextMismatchError,
                              NonUnitError, PrecisionError)
@@ -275,6 +277,47 @@ def test_teichmuller_newton_equals_the_q_power_iteration(ctx, indexes):
         got = ctx.teichmuller_lift(res)
         want = q_power_teichmuller(ctx, res)
         assert got.layers == want.layers and got.prec == want.prec
+
+
+def inverted_derivative_teichmuller(ctx, res):
+    """The Newton lift that inverts the derivative q x^(q-1) - 1 afresh at
+    every step: kept here as the oracle of the lift that carries the
+    inverse along."""
+    x = ctx.naive_lift(res)
+    if res.is_zero():
+        return x
+    for _ in range((ctx.e * ctx.precision).bit_length() + 2):
+        x_q1 = x ** (ctx.q - 1)
+        fx = x_q1 * x - x
+        if fx.valuation() is INFINITY:
+            return x
+        x = x - fx * (x_q1 * ctx.q - 1).inverse()
+    raise AssertionError("Newton iteration did not stabilize")
+
+
+# (d, e) -> (p, unram_poly, eis_poly)
+TOWERS = {
+    (1, 1): (7, None, None),
+    (2, 1): (5, [2, 0, 1], None),
+    (3, 1): (3, [1, 2, 0, 1], None),               # x^3 + 2x + 1 over F_3
+    (2, 2): (3, [1, 0, 1], [-3, 0, 1]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(TOWERS)), st.integers(1, 40),
+       st.integers(0, 10 ** 6))
+def test_teichmuller_carried_inverse_equals_the_inverted_derivative(
+        de, precision, index):
+    p, unram, eis = TOWERS[de]
+    ctx = PadicContext(p, unram_poly=unram, eis_poly=eis,
+                       precision=precision)
+    assert (ctx.d, ctx.e) == de
+    res = ctx.residue_field.element_from_index(index % ctx.q)
+    got = ctx.teichmuller_lift(res)
+    want = inverted_derivative_teichmuller(ctx, res)
+    assert got.layers == want.layers and got.prec == want.prec
+    assert got ** ctx.q == got and ctx.residue(got) == res
 
 
 def test_base_subring_detection():
