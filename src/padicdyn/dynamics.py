@@ -7,7 +7,11 @@ indeterminacy locus (a vanishing denominator) and the ramification locus
 hit in canonical order wins, so results are deterministic and replayable.
 Within one field each point is walked once: the search records whether a
 walked point lies on a clear cycle, and a later walk stops at the first
-point already recorded.
+point already recorded. The records are keyed by each point's tuple of
+coefficient tuples, hashed once per point in C, and the starts come in
+index order from one list of the field's q elements (``search_order``),
+without making the q^n points up front; ``point_at_index`` numbers the
+same order for a replay.
 
 A reduced map keeps the components ``polynomials.embed_map`` gives over
 its field, residues reduced once by ``FiniteField.from_rational``, and its
@@ -24,6 +28,7 @@ evaluates them all at a point by one call and reads which vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, product
 
 from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
 from .finitefields import FiniteField
@@ -141,6 +146,12 @@ class PeriodicPointRecord:
         return self.field.modulus_indexes()
 
 
+def _key(point):
+    """The point's tuple of coefficient tuples: equal exactly when the
+    points of one field are, and hashed in C."""
+    return tuple([x.rep for x in point])
+
+
 def _walk_orbit(fbar, start, cap):
     """Return (status, orbit) where status is 'periodic' when start comes
     back within cap steps, 'tail' when the walk enters a cycle that misses
@@ -151,14 +162,15 @@ def _walk_orbit(fbar, start, cap):
     cur = start
     while len(path) <= cap:
         # a revisited point already passed locus_check as clear
-        if cur in pos:
-            if pos[cur] == 0:
+        key = _key(cur)
+        if key in pos:
+            if pos[key] == 0:
                 return "periodic", tuple(path)
             return "tail", tuple(path)
         status = locus_check(fbar, cur)
         if status != CLEAR:
             return status, tuple(path)
-        pos[cur] = len(path)
+        pos[key] = len(path)
         path.append(cur)
         cur = fbar.apply(cur)
     return "unfinished", tuple(path)
@@ -175,26 +187,43 @@ def point_at_index(fld, n, index):
     return tuple(digits)
 
 
-def _mark_walk(fbar, start, known):
-    """Walk from a start that is not in known until the orbit closes, meets
-    the locus or reaches a known point, applying fbar once per new point.
-    Record each point walked in known: a member of a clear cycle maps to
-    (cycle, its position), any other point to None."""
+def search_order(fld, n):
+    """The points of F_q^n in index order, as point_at_index numbers them:
+    the first coordinate runs fastest. The q elements are made once, as
+    far as the first run of the first coordinate is read, and then reused;
+    the points are made one at a time."""
+    elements = []
+    zeros = (fld.zero(),) * (n - 1)
+    for x in fld.elements():
+        elements.append(x)
+        yield (x,) + zeros
+    for high in islice(product(elements, repeat=n - 1), 1, None):
+        high = high[::-1]
+        for x in elements:
+            yield (x,) + high
+
+
+def _mark_walk(fbar, start, key, known):
+    """Walk from a start whose key is not in known until the orbit closes,
+    meets the locus or reaches a known point, applying fbar once per new
+    point. Record each point walked in known, by its key: a member of a
+    clear cycle maps to (cycle, its position), any other point to None."""
     pos = {}
     path = []
     cur = start
-    while cur not in known and cur not in pos:
+    while key not in known and key not in pos:
         if locus_check(fbar, cur) != CLEAR:
-            known[cur] = None
+            known[key] = None
             break
-        pos[cur] = len(path)
+        pos[key] = len(path)
         path.append(cur)
         cur = fbar.apply(cur)
+        key = _key(cur)
     # the cycle is the part of the path from the point the walk closed on
-    head = pos.get(cur, len(path))
+    head = pos.get(key, len(path))
     cycle = tuple(path[head:])
-    for i, pt in enumerate(path):
-        known[pt] = (cycle, i - head) if i >= head else None
+    for k, i in pos.items():
+        known[k] = (cycle, i - head) if i >= head else None
 
 
 def find_periodic_point(fbar, m_max=6, constraints=None):
@@ -210,19 +239,18 @@ def find_periodic_point(fbar, m_max=6, constraints=None):
     for m in range(1, m_max + 1):
         fld = fbar.field.extension(m)
         fm = fbar if m == 1 else fbar.extend(fld)
-        n = fm.n
         visited[m] = 0
         known = {}
-        for index in range(fld.order ** n):
-            point = point_at_index(fld, n, index)
+        for index, point in enumerate(search_order(fld, fm.n)):
             if constraints is not None and not constraints(point):
                 continue
             visited[m] += 1
-            if point not in known:
-                _mark_walk(fm, point, known)
-            if known[point] is None:
+            key = _key(point)
+            if key not in known:
+                _mark_walk(fm, point, key, known)
+            if known[key] is None:
                 continue
-            cycle, i = known[point]
+            cycle, i = known[key]
             return PeriodicPointRecord(
                 m=m, field=fld, point=point, period=len(cycle),
                 orbit=cycle[i:] + cycle[:i], enumeration_index=index,

@@ -13,16 +13,26 @@ The kernel works on such coefficient tuples in Z[x]/(x^m + low(x), mod):
 ``vec_add``, ``vec_sub``, ``vec_neg``, ``poly_mulmod`` and ``poly_powmod``.
 A field calls it with mod = p; the unramified layer W = Z_p[b]/(g) of
 ``padics.PadicContext`` calls it with mod = p^s, and the Rabin test with
-mod = p.
+mod = p. The product for degree m (``tuple_product``) is one int product
+at m = 1 (and a power one ``pow``); for 2 <= m <= ``_COMPILED_MAX_DEGREE``,
+every degree a tabled field can have, it is straight-line code generated
+from m alone (``product_source``), with low and mod passed as arguments,
+compiled once per degree; above that bound, which a degree read from a
+certificate may pass, it is the schoolbook loop. Fields and contexts keep
+the product of their degree.
 
-A field of degree >= 2 and order at most ``_TABLE_MAX_ORDER`` multiplies by
-discrete logarithms: on its first product it walks the powers of its
-smallest-index generator g through ``poly_mulmod`` once, into ``_log`` (each
-nonzero rep to its k) and ``_exp`` (g^k for k < 2(q - 1), doubled so that a
-sum of two logs needs no reduction). A product, an inverse and a power are
-then lookups; zero is the element with no log. The tables only cache the
-kernel's products: F_p and larger fields multiply through the kernel, and
-the cap bounds the work a field named by untrusted input can cause.
+A field of degree >= 2 and order at most ``_TABLE_MAX_ORDER`` multiplies and
+adds by discrete logarithms: on its first operation it walks the powers of
+its smallest-index generator g through the kernel product once, into
+``_log`` (each nonzero rep to its k) and ``_exp`` (g^k for k < 2(q - 1),
+doubled so that a sum of two logs needs no reduction), then makes the Zech
+table ``_zech`` (k to log(1 + g^k), None where that is zero, doubled) by
+q - 1 kernel sums and ``_neg_log``, the log of -1. A product, an inverse and
+a power are then lookups, and so are a sum, g^i + g^j = g^(i + zech[j - i]),
+a negative, g^(i + neg_log), and a difference; zero is the element with no
+log. The tables only cache the kernel's results: F_p and larger fields
+compute through the kernel, and the cap bounds the work a field named by
+untrusted input can cause.
 
 ``FiniteField.from_rational`` reduces a rational mod p by ``rational_mod``. A
 field is a ring for ``polynomials.apply_map``, which applies a map in every
@@ -45,6 +55,10 @@ from .errors import (BadReductionError, FieldMismatchError,
 # the largest field order that gets discrete-log tables: q - 1 kernel
 # products to build, two entries of each of log and exp per nonzero element
 _TABLE_MAX_ORDER = 4096
+# the largest degree whose tuple product is compiled: every degree a tabled
+# field can have. The degree may come from a certificate, and the source
+# grows as its square, so larger degrees run the schoolbook loop
+_COMPILED_MAX_DEGREE = _TABLE_MAX_ORDER.bit_length() - 1
 
 
 def is_prime(n):
@@ -89,23 +103,56 @@ def _prime_factors(n):
 # -- the coefficient-tuple kernel: Z[x]/(x^m + low(x), mod) ------------------
 
 def vec_add(x, y, mod):
-    return tuple((a + b) % mod for a, b in zip(x, y))
+    return tuple([(a + b) % mod for a, b in zip(x, y)])
 
 
 def vec_sub(x, y, mod):
-    return tuple((a - b) % mod for a, b in zip(x, y))
+    return tuple([(a - b) % mod for a, b in zip(x, y)])
 
 
 def vec_neg(x, mod):
-    return tuple((-a) % mod for a in x)
+    return tuple([-a % mod for a in x])
 
 
 def poly_mulmod(x, y, low, mod):
     """x * y modulo the monic x^m + low(x) and mod, for m-tuples x and y and
     the m-tuple low of the modulus's low coefficients."""
+    return tuple_product(len(low))(x, y, low, mod)
+
+
+def poly_powmod(x, k, low, mod):
+    """x^k modulo x^m + low(x) and mod, for k >= 0."""
     m = len(low)
     if m == 1:
-        return ((x[0] * y[0]) % mod,)
+        return (pow(x[0], k, mod),)
+    mul = tuple_product(m)
+    result = (1,) + (0,) * (m - 1)
+    while k:
+        if k & 1:
+            result = mul(result, x, low, mod)
+        k >>= 1
+        if k:
+            x = mul(x, x, low, mod)
+    return result
+
+
+def tuple_product(m):
+    """The product poly_mulmod runs for degree m, as a function of (x, y,
+    low, mod): one int product at m = 1, the straight-line code of
+    product_source up to _COMPILED_MAX_DEGREE, the schoolbook loop above."""
+    if m == 1:
+        return _product_1
+    if m > _COMPILED_MAX_DEGREE:
+        return _schoolbook_product
+    return _compiled_product(m)
+
+
+def _product_1(x, y, low, mod):
+    return ((x[0] * y[0]) % mod,)
+
+
+def _schoolbook_product(x, y, low, mod):
+    m = len(low)
     prod = [0] * (2 * m - 1)
     for i, a in enumerate(x):
         if a:
@@ -120,16 +167,35 @@ def poly_mulmod(x, y, low, mod):
     return tuple(c % mod for c in prod[:m])
 
 
-def poly_powmod(x, k, low, mod):
-    """x^k modulo x^m + low(x) and mod, for k >= 0."""
-    result = (1,) + (0,) * (len(low) - 1)
-    while k:
-        if k & 1:
-            result = poly_mulmod(result, x, low, mod)
-        k >>= 1
-        if k:
-            x = poly_mulmod(x, x, low, mod)
-    return result
+def product_source(m):
+    """The Python source of ``mul(x, y, low, mod)`` for degree m >= 2: the
+    schoolbook loop unrolled, each coefficient p_k of the full product one
+    sum of x_i y_j, then the top ones folded down by x^m = -low(x), top
+    degree first, each reduced mod mod before it is folded. The text
+    depends on m alone: it holds generated names and no number."""
+    def names(letter):
+        return "".join(f"{letter}{i}, " for i in range(m))
+
+    lines = ["def mul(x, y, low, mod):", f"    {names('x')}= x",
+             f"    {names('y')}= y", f"    {names('l')}= low"]
+    for k in range(2 * m - 1):
+        terms = (f"x{i} * y{k - i}"
+                 for i in range(max(0, k - m + 1), min(k, m - 1) + 1))
+        lines.append(f"    p{k} = {' + '.join(terms)}")
+    for i in range(2 * m - 2, m - 1, -1):
+        lines.append(f"    c = p{i} % mod")
+        lines += [f"    p{i - m + j} -= c * l{j}" for j in range(m)]
+    outputs = "".join(f"p{k} % mod, " for k in range(m))
+    lines += [f"    return ({outputs})", ""]
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=None)
+def _compiled_product(m):
+    """mul of product_source(m), compiled once per degree."""
+    namespace = {}
+    exec(compile(product_source(m), "<padicdyn product>", "exec"), namespace)
+    return namespace["mul"]
 
 
 class FiniteField:
@@ -158,17 +224,19 @@ class FiniteField:
         self._hash = hash(self._sig)
         self._zero = self.from_int(0)
         self._one = self.from_int(1)
-        # discrete-log tables, made on first use by _logs
+        self._mul = tuple_product(self.degree)
+        # discrete-log and Zech tables, made on first use by _logs
         self._tabled = self.degree > 1 and self.order <= _TABLE_MAX_ORDER
-        self._log = self._exp = None
+        self._log = self._exp = self._zech = self._neg_log = None
 
     def _logs(self):
         """_log, None for a field without tables. The first call makes
         _log and _exp from the smallest-index element of order q - 1, by
-        q - 2 kernel products."""
+        q - 2 kernel products, then _zech and _neg_log from q - 1 kernel
+        sums."""
         if self._log is not None or not self._tabled:
             return self._log
-        p, low, q = self.p, self.modulus, self.order
+        p, low, q, mul = self.p, self.modulus, self.order, self._mul
         one = self._one.rep
         factors = _prime_factors(q - 1)
         for idx in range(1, q):
@@ -180,9 +248,14 @@ class FiniteField:
         exp = [self._one]
         cur = one
         for k in range(1, q - 1):
-            cur = poly_mulmod(cur, g, low, p)
+            cur = mul(cur, g, low, p)
             log[cur] = k
             exp.append(FFElement(self, cur))
+        # zech[k] = log(1 + g^k), None where 1 + g^k = 0; doubled, so that
+        # a difference of two logs (plus _neg_log) indexes it unreduced
+        zech = [log.get(vec_add(one, x.rep, p)) for x in exp]
+        self._zech = zech + zech
+        self._neg_log = log[self.from_int(-1).rep]
         self._exp = exp + exp
         self._log = log
         return log
@@ -300,7 +373,21 @@ class FFElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FFElement(self.field, vec_add(self.rep, o.rep, self.field.p))
+        fld = self.field
+        log = fld._log
+        if log is None:
+            if not fld._tabled:
+                return FFElement(fld, vec_add(self.rep, o.rep, fld.p))
+            log = fld._logs()
+        # g^i + g^j = g^(i + zech[j - i])
+        i = log.get(self.rep)
+        j = log.get(o.rep)
+        if i is None:
+            return fld._zero if j is None else fld._exp[j]
+        if j is None:
+            return self
+        k = fld._zech[j - i]
+        return fld._zero if k is None else fld._exp[i + k]
 
     __radd__ = __add__
 
@@ -308,16 +395,23 @@ class FFElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FFElement(self.field, vec_sub(self.rep, o.rep, self.field.p))
+        fld = self.field
+        if not fld._tabled:
+            return FFElement(fld, vec_sub(self.rep, o.rep, fld.p))
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FFElement(self.field, vec_sub(o.rep, self.rep, self.field.p))
+        return o - self
 
     def __neg__(self):
-        return FFElement(self.field, vec_neg(self.rep, self.field.p))
+        fld = self.field
+        if not fld._tabled:
+            return FFElement(fld, vec_neg(self.rep, fld.p))
+        i = fld._logs().get(self.rep)
+        return fld._zero if i is None else fld._exp[i + fld._neg_log]
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -327,8 +421,8 @@ class FFElement:
         log = fld._log
         if log is None:
             if not fld._tabled:
-                return FFElement(fld, poly_mulmod(self.rep, o.rep,
-                                                  fld.modulus, fld.p))
+                return FFElement(fld, fld._mul(self.rep, o.rep, fld.modulus,
+                                               fld.p))
             log = fld._logs()
         i = log.get(self.rep)
         j = log.get(o.rep)

@@ -9,9 +9,9 @@ divisions reduce the tag, by exactly the amount divided out.
 
 A W coordinate is a tuple of d ints, low to high in b, the representation
 of the residue field F_q = F_p[b]/(unram_poly) as well: W arithmetic is the
-kernel of ``finitefields`` (``vec_add``, ``poly_mulmod`` and the rest) with
-mod = p^prec where the field uses mod = p. The residue map takes the
-r^0 layer's tuple mod p.
+kernel of ``finitefields`` (``vec_add``, the product ``tuple_product(d)``,
+compiled for d <= 12, and the rest) with mod = p^prec where the field uses
+mod = p. The residue map takes the r^0 layer's tuple mod p.
 
 The uniformizer valuation v_r is first class: v_r(p) = e, v_r(r) = 1, and a
 query on an element whose retained digits all vanish returns INFINITY, the
@@ -27,9 +27,9 @@ from fractions import Fraction
 
 from .errors import (ContextMismatchError, IndeterminacyError, NonUnitError,
                      PrecisionError)
-from .finitefields import (FFElement, FiniteField, is_prime, poly_mulmod,
-                           prime_power_field, rational_mod, vec_add, vec_neg,
-                           vec_sub)
+from .finitefields import (FFElement, FiniteField, is_prime,
+                           prime_power_field, rational_mod, tuple_product,
+                           vec_add, vec_neg, vec_sub)
 
 INFINITY = float("inf")
 
@@ -80,6 +80,7 @@ class PadicContext:
         self.unram_low = self.unram_poly[:-1]
         self.d = len(unram_poly) - 1
         self.q = p ** self.d
+        self._wmul = tuple_product(self.d)
 
         # the cached field when the modulus is its own (every degree-1
         # modulus is), so that the search and the lift share one F_q
@@ -340,12 +341,13 @@ class PadicElement:
     # -- arithmetic -----------------------------------------------------------
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.coerce(other)
-        elif not isinstance(other, PadicElement):
-            return None, None, None
-        elif other.ctx is not self.ctx and other.ctx != self.ctx:
-            raise ContextMismatchError("mixed p-adic contexts")
+        if other.__class__ is not PadicElement or other.ctx is not self.ctx:
+            if isinstance(other, (int, Fraction)):
+                other = self.ctx.coerce(other)
+            elif not isinstance(other, PadicElement):
+                return None, None, None
+            elif other.ctx != self.ctx:
+                raise ContextMismatchError("mixed p-adic contexts")
         prec = min(self.prec, other.prec)
         return other, prec, self.ctx.modulus(prec)
 
@@ -394,17 +396,16 @@ class PadicElement:
         ctx = self.ctx
         a = self._tighten(prec, mod)
         b = o._tighten(prec, mod)
-        e, g = ctx.e, ctx.unram_low
+        e, g, mul = ctx.e, ctx.unram_low, ctx._wmul
         if e == 1:
-            return ctx._make([poly_mulmod(a[0], b[0], g, mod)], prec)
+            return ctx._make([mul(a[0], b[0], g, mod)], prec)
         zero = ctx._wzero()
         prod = [zero] * (2 * e - 1)
         for i, x in enumerate(a):
             if x == zero:
                 continue
             for j, y in enumerate(b):
-                prod[i + j] = vec_add(prod[i + j], poly_mulmod(x, y, g, mod),
-                                      mod)
+                prod[i + j] = vec_add(prod[i + j], mul(x, y, g, mod), mod)
         low = ctx.eis_low
         for i in range(2 * e - 2, e - 1, -1):
             c = prod[i]
@@ -413,7 +414,7 @@ class PadicElement:
             prod[i] = zero
             for j in range(e):
                 prod[i - e + j] = vec_sub(prod[i - e + j],
-                                          poly_mulmod(c, low[j], g, mod), mod)
+                                          mul(c, low[j], g, mod), mod)
         return ctx._make(prod[:e], prec)
 
     __rmul__ = __mul__

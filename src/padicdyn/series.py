@@ -44,6 +44,14 @@ class TruncatedSeries:
             clean[idx] = c
         self.coeffs = clean
 
+    def _like(self, coeffs):
+        """A series of self's ring with coeffs, whose keys are already
+        exponent tuples within the cap: no check runs again."""
+        out = TruncatedSeries.__new__(TruncatedSeries)
+        out.ctx, out.n, out.cap, out.coeffs = (self.ctx, self.n, self.cap,
+                                               coeffs)
+        return out
+
     @classmethod
     def constant(cls, ctx, n, cap, value):
         return cls(ctx, n, cap, {(0,) * n: value})
@@ -68,11 +76,11 @@ class TruncatedSeries:
         """Drop the constant term exactly."""
         out = dict(self.coeffs)
         out.pop(self._zero_idx(), None)
-        return TruncatedSeries(self.ctx, self.n, self.cap, out)
+        return self._like(out)
 
     def _check_compatible(self, other):
-        if (other.ctx != self.ctx or other.n != self.n
-                or other.cap != self.cap):
+        if ((other.ctx is not self.ctx and other.ctx != self.ctx)
+                or other.n != self.n or other.cap != self.cap):
             raise ValueError("incompatible series")
 
     def __add__(self, other):
@@ -82,11 +90,11 @@ class TruncatedSeries:
             zero = self._zero_idx()
             out[zero] = (out[zero] + other if zero in out
                          else self.ctx.coerce(other))
-            return TruncatedSeries(self.ctx, self.n, self.cap, out)
+            return self._like(out)
         self._check_compatible(other)
         for idx, c in other.coeffs.items():
             out[idx] = out[idx] + c if idx in out else c
-        return TruncatedSeries(self.ctx, self.n, self.cap, out)
+        return self._like(out)
 
     __radd__ = __add__
 
@@ -94,15 +102,12 @@ class TruncatedSeries:
         return self + -other
 
     def __neg__(self):
-        return TruncatedSeries(self.ctx, self.n, self.cap,
-                               {i: -c for i, c in self.coeffs.items()})
+        return self._like({i: -c for i, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             # scalar (PadicElement or int)
-            return TruncatedSeries(self.ctx, self.n, self.cap,
-                                   {i: c * other
-                                    for i, c in self.coeffs.items()})
+            return self._like({i: c * other for i, c in self.coeffs.items()})
         self._check_compatible(other)
         # other's terms by degree, so each left term visits only the right
         # terms it can multiply without passing the cap
@@ -116,7 +121,7 @@ class TruncatedSeries:
                     idx = tuple(a + b for a, b in zip(i1, i2))
                     prod = c1 * c2
                     out[idx] = out[idx] + prod if idx in out else prod
-        return TruncatedSeries(self.ctx, self.n, self.cap, out)
+        return self._like(out)
 
     __rmul__ = __mul__
 

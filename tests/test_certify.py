@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicdyn import finitefields
 from padicdyn.certify import (NON_PREPERIODIC, OUTSIDE, PERIODIC, Certificate,
                               _digest, _replay_record, classify,
                               find_witness, period_bound, run_pipeline,
@@ -351,9 +352,20 @@ def test_precision_shortfall_is_named_by_its_stage(quad_p3_naive, section,
 
 
 def test_a_large_reduction_degree_is_rejected_without_field_tables(
-        quad_p3_naive):
+        quad_p3_naive, monkeypatch):
     # F_{3^24} is far above the discrete-log table cap: replaying a
-    # certificate that names it multiplies through the kernel
+    # certificate that names it multiplies and adds through the kernel, and
+    # its degree, untrusted input, compiles no product
+    compiled = []
+    source = finitefields.product_source
+
+    def recording_source(m):
+        compiled.append(m)
+        return source(m)
+
+    monkeypatch.setattr(finitefields, "product_source", recording_source)
+    # every product compiled from here on passes through the recorder
+    finitefields._compiled_product.cache_clear()
     cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
     bad = copy.deepcopy(cert.data)
     bad["reduction"]["m"] = 24
@@ -364,7 +376,9 @@ def test_a_large_reduction_degree_is_rejected_without_field_tables(
     assert time.perf_counter() - start < 1.0
     assert failures[:2] == ["context", "reduction"], failures
     fld = prime_power_field(3, 24)
-    assert fld._log is None and fld._exp is None
+    assert fld._log is None and fld._exp is None and fld._zech is None
+    assert all(m <= finitefields._COMPILED_MAX_DEGREE for m in compiled)
+    assert fld._mul.__code__.co_filename != "<padicdyn product>"
 
 
 def test_mahler_consistency_with_classification():

@@ -11,11 +11,12 @@ from padicdyn import dynamics
 from padicdyn.certify import run_pipeline
 from padicdyn.dynamics import (CLEAR, INDETERMINATE, RAMIFIED, ReducedMap,
                                _walk_orbit, find_periodic_point, locus_check,
-                               point_at_index, reduce_map, verify_record)
+                               point_at_index, reduce_map, search_order,
+                               verify_record)
 from padicdyn.errors import (BadReductionError, InseparableError,
                              NoPeriodicPointError, PadicDynError,
                              UnsupportedExtensionError)
-from padicdyn.finitefields import FiniteField
+from padicdyn.finitefields import FiniteField, prime_power_field
 from padicdyn.mapfile import load_map_file
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import MultiPoly, RationalSelfMap, evaluate_terms
@@ -227,11 +228,17 @@ def walk_every_start(fbar, m_max, constraints):
 @st.composite
 def search_cases(draw):
     """A small integer rational self-map of A^1 or A^2 reduced mod p, an
-    m_max whose last field has at most 625 points, and sometimes a
-    constraint that skips starts by the index of their first coordinate."""
+    m_max whose last field has at most 625 points, up to 3 at p = 2 and at
+    p = 3 with n = 1 so that the walk climbs through tabled fields of
+    degree 3, and sometimes a constraint that skips starts by the index of
+    their first coordinate."""
     n = draw(st.integers(1, 2))
-    p = draw(st.sampled_from([3, 5, 7]))
-    m_max = draw(st.integers(1, 2 if p ** (2 * n) <= 625 else 1))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if p == 2 or (p == 3 and n == 1):
+        top = 3
+    else:
+        top = 2 if p ** (2 * n) <= 625 else 1
+    m_max = draw(st.integers(1, top))
     exponents = st.tuples(*[st.integers(0, 2)] * n)
 
     def poly():
@@ -269,6 +276,19 @@ def test_search_matches_a_walk_from_every_start(case):
     assert (rec.point, rec.period, rec.orbit, rec.enumeration_index,
             rec.visited) == (point, period, orbit, index, visited)
     assert verify_record(fbar, rec)
+
+
+@pytest.mark.parametrize("p, m, n", [(2, 2, 2), (3, 2, 2), (11, 3, 1),
+                                     (2, 2, 3)])
+def test_the_search_enumerates_points_in_index_order(p, m, n):
+    # F_4^2, F_9^2, F_1331 and F_4^3, where two coordinates above the first
+    # must run in index order too
+    fld = prime_power_field(p, m)
+    points = list(search_order(fld, n))
+    assert len(points) == fld.order ** n
+    for index, point in enumerate(points):
+        expected = point_at_index(fld, n, index)
+        assert [x.rep for x in point] == [x.rep for x in expected], index
 
 
 def search_inputs(name):

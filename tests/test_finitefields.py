@@ -1,13 +1,18 @@
 """The flat finite fields F_p and F_p[x]/(m), and maps reduced mod p.
 
 Field laws are checked on random elements of every F_{p^m}, p in {3, 5, 7}
-and m in 1..3, and the discrete-log tables against the coefficient-tuple
-kernel whose products they cache. The reduced Jacobian determinant is checked against the exact
+and m in 1..3, and the discrete-log and Zech tables against the
+coefficient-tuple kernel whose products and sums they cache. The kernel's
+compiled products are checked against the interpreted schoolbook loop they
+unroll. The reduced Jacobian determinant is checked against the exact
 rational determinant of the map over Q at integer lifts, and the reduced map
 against exact evaluation over Q followed by reduction mod p, which is a ring
 homomorphism: oracles that share no code with the reduction.
 """
 
+import io
+import re
+import tokenize
 from fractions import Fraction
 
 import pytest
@@ -17,11 +22,13 @@ from hypothesis import strategies as st
 from padicdyn.dynamics import CLEAR, RAMIFIED, locus_check, reduce_map
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              InseparableError, PadicDynError)
-from padicdyn.finitefields import (_TABLE_MAX_ORDER, FiniteField,
-                                   affine_order, is_irreducible, mat_eq,
-                                   mat_identity, mat_mul, mat_vec,
-                                   poly_mulmod, poly_powmod,
-                                   prime_power_field)
+from padicdyn.finitefields import (_COMPILED_MAX_DEGREE, _TABLE_MAX_ORDER,
+                                   FiniteField, affine_order,
+                                   is_irreducible, mat_eq, mat_identity,
+                                   mat_mul, mat_vec, poly_mulmod,
+                                   poly_powmod, prime_power_field,
+                                   product_source, tuple_product, vec_add,
+                                   vec_neg, vec_sub)
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import MultiPoly, RationalSelfMap, matrix_det
 
@@ -98,8 +105,19 @@ def table_cases(draw):
                                      st.integers(0, 2 * fld.order)))
 
 
+def _table_example(p, m, i, j, k=1):
+    fld = prime_power_field(p, m)
+    return fld, fld.element_from_index(i), fld.element_from_index(j), k
+
+
 @settings(max_examples=300, deadline=None)
 @given(table_cases())
+# F_4 and F_8, where -1 = 1 and x + x = 0, with zero operands
+@example(_table_example(2, 2, 3, 3))
+@example(_table_example(2, 2, 0, 2))
+@example(_table_example(2, 3, 5, 6))
+@example(_table_example(2, 3, 7, 0, 0))
+@example(_table_example(3, 2, 0, 0))
 def test_table_arithmetic_equals_the_kernel(case):
     fld, x, y, k = case
     low, p = fld.modulus, fld.p
@@ -108,8 +126,15 @@ def test_table_arithmetic_equals_the_kernel(case):
     if not x.is_zero():
         assert x.inverse().rep == poly_powmod(x.rep, fld.order - 2, low, p)
         assert (x ** -k).rep == poly_powmod(x.inverse().rep, k, low, p)
+    # sums, differences and negatives by Zech logarithms
+    assert (x + y).rep == vec_add(x.rep, y.rep, p)
+    assert (x - y).rep == vec_sub(x.rep, y.rep, p)
+    assert (-x).rep == vec_neg(x.rep, p)
+    assert (x + (-x)).rep == fld.zero().rep
+    assert (1 - x).rep == vec_sub(fld.one().rep, x.rep, p)
     assert len(fld._log) == fld.order - 1
     assert len(fld._exp) == 2 * (fld.order - 1)
+    assert len(fld._zech) == 2 * (fld.order - 1)
 
 
 def test_tables_are_made_on_the_first_product_from_the_first_generator():
@@ -142,7 +167,95 @@ def test_prime_fields_and_large_fields_multiply_through_the_kernel():
         assert (x * y).rep == poly_mulmod(x.rep, y.rep, fld.modulus, fld.p)
         assert x * x.inverse() == fld.one()
         assert x ** 5 == x * x * x * x * x
-        assert fld._log is None and fld._exp is None
+        assert (x + y).rep == vec_add(x.rep, y.rep, fld.p)
+        assert (x - y).rep == vec_sub(x.rep, y.rep, fld.p)
+        assert (-x).rep == vec_neg(x.rep, fld.p)
+        assert fld._log is None and fld._exp is None and fld._zech is None
+
+
+def schoolbook_mulmod(x, y, low, mod):
+    """x * y modulo x^m + low(x) and mod by the interpreted schoolbook loop:
+    the full product, then its top coefficients folded down, top first."""
+    m = len(low)
+    if m == 1:
+        return ((x[0] * y[0]) % mod,)
+    prod = [0] * (2 * m - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i] % mod
+        if c:
+            for j, lj in enumerate(low):
+                prod[i - m + j] -= c * lj
+    return tuple(c % mod for c in prod[:m])
+
+
+def schoolbook_powmod(x, k, low, mod):
+    result = (1,) + (0,) * (len(low) - 1)
+    while k:
+        if k & 1:
+            result = schoolbook_mulmod(result, x, low, mod)
+        k >>= 1
+        if k:
+            x = schoolbook_mulmod(x, x, low, mod)
+    return result
+
+
+@st.composite
+def kernel_cases(draw):
+    """A degree from 1 to one above the compiled bound, a modulus p or p^s
+    of up to 300 bits, and tuples of arbitrary ints: negative, reduced or
+    not, for low as for the operands."""
+    m = draw(st.integers(1, _COMPILED_MAX_DEGREE + 1))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 251]))
+    bits = draw(st.sampled_from([1, 64, 256, 300]))
+    mod = p ** max(1, bits // p.bit_length())
+    ints = st.one_of(st.integers(-2, 2), st.integers(-2 * mod, 2 * mod))
+    x, y, low = (tuple(draw(ints) for _ in range(m)) for _ in range(3))
+    return x, y, low, mod, draw(st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+@example(((1,) * 13, (-1,) * 13, (2 ** 300,) * 13, 3 ** 190, 5))
+def test_the_compiled_product_equals_the_schoolbook_loop(case):
+    x, y, low, mod, k = case
+    expected = schoolbook_mulmod(x, y, low, mod)
+    assert poly_mulmod(x, y, low, mod) == expected
+    assert tuple_product(len(low))(x, y, low, mod) == expected
+    assert poly_powmod(x, k, low, mod) == schoolbook_powmod(x, k, low, mod)
+
+
+def test_products_are_compiled_up_to_the_table_degree_only():
+    assert 2 ** _COMPILED_MAX_DEGREE <= _TABLE_MAX_ORDER
+    assert 2 ** (_COMPILED_MAX_DEGREE + 1) > _TABLE_MAX_ORDER
+    for m in range(2, _COMPILED_MAX_DEGREE + 1):
+        assert tuple_product(m).__code__.co_filename == "<padicdyn product>"
+        assert tuple_product(m) is tuple_product(m)
+    above = tuple_product(_COMPILED_MAX_DEGREE + 1)
+    assert above.__code__.co_filename != "<padicdyn product>"
+    assert tuple_product(24) is above
+
+
+GENERATED_NAME = re.compile(r"[xylp]\d+\Z")
+PRODUCT_WORDS = {"def", "return", "mul", "x", "y", "low", "mod", "c"}
+
+
+@pytest.mark.parametrize("m", range(2, _COMPILED_MAX_DEGREE + 1))
+def test_the_product_source_holds_generated_names_only(m):
+    # the text is made from m alone: no coefficient of low or mod, and no
+    # number at all, can appear in it
+    source = product_source(m)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert (tok.string in PRODUCT_WORDS
+                    or GENERATED_NAME.match(tok.string)), tok.string
+        else:
+            assert tok.type in (tokenize.OP, tokenize.NEWLINE, tokenize.NL,
+                                tokenize.INDENT, tokenize.DEDENT,
+                                tokenize.ENDMARKER), tok
 
 
 def test_extension_fields_are_shared():
