@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-# A ramified working ring: adjoin a square root of 5 (Eisenstein layer
-# x^2 - 5), so the uniformizer r satisfies r^2 = 5 and v_r(5) = 2.
+# A ramified working ring: adjoin a square root of 5 (e = 2, the Eisenstein
+# layer r^2 - 5), so the uniformizer r satisfies r^2 = 5 and v_r(5) = 2.
 # Ramification shrinks the analyticity disc: for x^2 at p=5 the exponent
 # jumps from 0 to 1 and the period bound from 4 to 20.
 
 from padicdyn import (RationalSelfMap, PadicContext, run_pipeline,
                       find_witness, verify_certificate, analyticity_exponent)
 
-ctx = PadicContext(5, eis_poly=[-5, 0, 1])
+ctx = PadicContext(5, e=2)
 rho = ctx.uniformizer()
 print("rho^2 == 5:", rho * rho == ctx.from_int(5))
 print("v_r(rho) =", rho.valuation(), " v_r(5) =",

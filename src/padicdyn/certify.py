@@ -194,7 +194,6 @@ def run_pipeline(f, prime="auto", e=1, precision=64, degree=8, m_max=6,
     fbar = reduce_map(f, base_ctx)
     record = find_periodic_point(fbar, m_max=m_max)
     ctx = context_for_record(report.p, record, e=e, precision=precision)
-    report = report.with_residue_degree(ctx.d)
     center = hensel_lift(record, ctx, convention=lift)
     nbhd = build_neighborhood(f, record.period, center, ctx, cap=degree,
                               record=record, lift_convention=lift)
@@ -330,6 +329,14 @@ SECTIONS = ("map", "map_hash", "context", "reduction", "neighborhood",
             "period_bound", "witness", "payload", "mahler_profile")
 
 
+def _eisenstein_coords(ctx):
+    """r^e - p, the context's Eisenstein polynomial, as the W-coordinate
+    lists of its coefficients, low to high."""
+    zero = [0] * (ctx.d - 1)
+    return ([[-ctx.p] + zero] + [[0] + zero] * (ctx.e - 1)
+            + [[1] + zero])
+
+
 def _certificate_data(nbhd, bound, omega, result, kmax):
     """The certificate's data without its digest. The one writer of the
     format: make_certificate runs it on the producer's results, and
@@ -354,8 +361,8 @@ def _certificate_data(nbhd, bound, omega, result, kmax):
             "d": ctx.d,
             "e": ctx.e,
             "precision": ctx.precision,
-            "unram_poly": list(ctx.unram_poly),
-            "eis_poly": [list(c) for c in ctx.eis_low_raw] + [[1] + [0] * (ctx.d - 1)],
+            "unram_poly": list(ctx.unram_low) + [1],
+            "eis_poly": _eisenstein_coords(ctx),
         },
         "reduction": {
             "m": record.m,

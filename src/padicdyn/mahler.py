@@ -112,8 +112,10 @@ def mahler_coefficients(phi, omega, k_max, orbit_points=None):
     needed = (k_max + 2) // 2
     if ctx.e * min_prec <= needed:
         raise PrecisionError(
-            f"precision {min_prec} cannot resolve valuations up to {needed};"
-            " reduce k_max or raise precision")
+            f"the orbit keeps {min_prec} of the {ctx.precision} digits of"
+            f" working precision, too few to resolve v_r up to {needed} at"
+            f" k_max {k_max}; raise the precision (--precision) or lower"
+            " k_max (--kmax)")
 
     coeffs = []
     valuations = []

@@ -17,7 +17,7 @@ same function when first read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .dynamics import CLEAR, locus_check, reduce_map
@@ -36,19 +36,14 @@ FALLBACK_NOTE = ("analyticity fallback required: p <= 2(e+1), interpolation"
 @dataclass(frozen=True)
 class GoodPrimeReport:
     """Outcome of the prime scan: the chosen prime, the requested
-    ramification e, the residue degree d (filled once a periodic point is
-    found), whether the smaller-disc fallback applies, and the reasons each
-    smaller prime was passed over."""
+    ramification e, whether the smaller-disc fallback applies, and the
+    reasons each smaller prime was passed over."""
 
     p: int
     e: int = 1
-    d: int = 1
     fallback: bool = False
     rejections: dict = None
     scan_range: tuple = None
-
-    def with_residue_degree(self, d):
-        return replace(self, d=d)
 
 
 def _prime_hard_reason(f, p):
@@ -112,8 +107,9 @@ def choose_good_prime(f, scan_range=(3, 200), e=1):
         f"no usable prime in {scan_range}; rejections: {rejections}")
 
 
-def context_for_record(p, record, e=1, precision=64, eis_poly=None):
-    """Build the lifting context whose residue field is the record's field.
+def context_for_record(p, record, e=1, precision=64):
+    """Build the lifting context whose residue field is the record's field,
+    O = W[r]/(r^e - p) with W unramified of degree m.
 
     The search base field must be F_p itself (map coefficients are rational),
     so the record's field has degree m over F_p; a search over a larger base
@@ -123,11 +119,7 @@ def context_for_record(p, record, e=1, precision=64, eis_poly=None):
         raise UnsupportedExtensionError(
             "search base field is already an extension; tower lifts are not"
             " supported")
-    unram = list(record.field.modulus) + [1]
-    if eis_poly is None and e > 1:
-        eis_poly = [-p] + [0] * (e - 1) + [1]
-    return PadicContext(p, unram_poly=unram, eis_poly=eis_poly,
-                        precision=precision)
+    return PadicContext(p, d=record.m, e=e, precision=precision)
 
 
 def hensel_lift(record, ctx, convention="teichmuller"):
@@ -212,12 +204,11 @@ class PadicNeighborhood:
         self.lift_convention = lift_convention
         self.n = f.n
         self.center_residue = tuple(ctx.residue(y) for y in center)
-        # apply_fk may iterate on integers when d = e = 1 and every
-        # component of f has a variable: a component without one evaluates
-        # to tag precision in the PadicElement loop, not to the point's tag
-        self._integer_loop = ctx.d == 1 and ctx.e == 1 and all(
-            num.total_degree() or den.total_degree()
-            for num, den in zip(f.numerators, f.denominators))
+        # apply_fk may iterate on integers when d = e = 1. Every component
+        # of f has a variable, so both loops keep the point's tag: a
+        # constant component zeroes a row of the Jacobian, and reduce_map
+        # rejects f before a neighborhood is built
+        self._integer_loop = ctx.d == 1 and ctx.e == 1
 
     @cached_property
     def _series_at_cap(self):

@@ -1,17 +1,21 @@
 """Exact arithmetic in Z_p and in a two-layer extension ring at fixed precision.
 
-The ring is built as an unramified layer W = Z_p[b]/(unram_poly) followed by
-an Eisenstein layer O = W[r]/(eis_poly). Elements store d*e integer
-coordinates modulo p^prec on the basis b^i * r^j, together with their own
-absolute precision tag ``prec`` (p-adic digits valid on every coordinate).
-Operations never silently lose precision: only uniformizer/factorial
-divisions reduce the tag, by exactly the amount divided out.
+The ring is O = W[r]/(r^e - p) over the unramified layer W = Z_p[b]/(g),
+where g is the canonical modulus of F_{p^d} (``prime_power_field(p, d)``, x
+at d = 1): a context is named by (p, d, e) and its working precision.
+Elements store d*e integer coordinates modulo p^prec on the basis
+b^i * r^j, together with their own absolute precision tag ``prec`` (p-adic
+digits valid on every coordinate). Operations never silently lose
+precision: only uniformizer/factorial divisions reduce the tag, by exactly
+the amount divided out.
 
 A W coordinate is a tuple of d ints, low to high in b, the representation
-of the residue field F_q = F_p[b]/(unram_poly) as well: W arithmetic is the
-kernel of ``finitefields`` (``vec_add``, the product ``tuple_product(d)``,
-compiled for d <= 12, and the rest) with mod = p^prec where the field uses
-mod = p. The residue map takes the r^0 layer's tuple mod p.
+of the residue field F_q = F_p[b]/(g) as well: W arithmetic is the kernel
+of ``finitefields`` (``vec_add``, the product ``tuple_product(d)``, compiled
+for d <= 12, and the rest) with mod = p^prec where the field uses mod = p.
+The residue map takes the r^0 layer's tuple mod p. Since r^e = p, a product
+folds its r^(e+i) terms onto r^i times p, and a division by r shifts the
+layers down, c_0 / p going to r^(e-1).
 
 The uniformizer valuation v_r is first class: v_r(p) = e, v_r(r) = 1, and a
 query on an element whose retained digits all vanish returns INFINITY, the
@@ -27,9 +31,9 @@ from fractions import Fraction
 
 from .errors import (ContextMismatchError, IndeterminacyError, NonUnitError,
                      PrecisionError)
-from .finitefields import (FFElement, FiniteField, is_prime,
-                           prime_power_field, rational_mod, tuple_product,
-                           vec_add, vec_neg, vec_sub)
+from .finitefields import (FFElement, is_prime, prime_power_field,
+                           rational_mod, tuple_product, vec_add, vec_neg,
+                           vec_sub)
 
 INFINITY = float("inf")
 
@@ -52,89 +56,34 @@ def _vp(n, p):
 
 
 class PadicContext:
-    """Prime, extension tower and working precision for one ring O.
+    """Prime p, residue degree d, ramification e and working precision for
+    the ring O = W[r]/(r^e - p), W = Z_p[b]/(g) with g the modulus of
+    ``prime_power_field(p, d)``."""
 
-    unram_poly: monic integer polynomial, irreducible mod p (degree d; the
-        trivial layer is [0, 1], i.e. x).
-    eis_poly: monic Eisenstein polynomial over the unramified layer, entries
-        int or length-d coordinate lists (degree e; the trivial layer is
-        x - p, i.e. [-p, 1]).
-    """
-
-    def __init__(self, p, unram_poly=None, eis_poly=None,
-                 precision=DEFAULT_PRECISION):
+    def __init__(self, p, d=1, e=1, precision=DEFAULT_PRECISION):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if precision < 1:
-            raise ValueError("precision must be positive")
+        for name, value in (("d", d), ("e", e), ("precision", precision)):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1,"
+                                 f" got {value!r}")
         self.p = p
+        self.d = d
+        self.e = e
         self.precision = precision
         self.pmod = p ** precision
-
-        if unram_poly is None:
-            unram_poly = [0, 1]
-        unram_poly = [int(c) for c in unram_poly]
-        if len(unram_poly) < 2 or unram_poly[-1] != 1:
-            raise ValueError("unram_poly must be monic of degree >= 1")
-        self.unram_poly = tuple(unram_poly)
-        self.unram_low = self.unram_poly[:-1]
-        self.d = len(unram_poly) - 1
-        self.q = p ** self.d
-        self._wmul = tuple_product(self.d)
-
-        # the cached field when the modulus is its own (every degree-1
-        # modulus is), so that the search and the lift share one F_q
-        fld = prime_power_field(p, self.d)
-        if self.d > 1 and fld.modulus != tuple(c % p for c in self.unram_low):
-            try:
-                fld = FiniteField(p, modulus=self.unram_low)
-            except ValueError as exc:
-                raise ValueError(f"unram_poly not irreducible mod {p}:"
-                                 f" {exc}")
-        self.residue_field = fld
-
-        if eis_poly is None:
-            eis_poly = [-p, 1]
-        raw = [self._w_raw_input(c) for c in eis_poly]
-        if len(raw) < 2:
-            raise ValueError("eis_poly must have degree >= 1")
-        if raw[-1] != tuple([1] + [0] * (self.d - 1)):
-            raise ValueError("eis_poly must be monic with unit leading"
-                             " coefficient 1")
-        self.e = len(raw) - 1
-        low_raw = raw[:-1]
-        # Eisenstein criterion on the raw integers, before reduction: the
-        # leading coefficient is a unit, lower ones have positive valuation
-        # and the constant has valuation exactly 1.
-        for c in low_raw:
-            if self._wval(c) < 1:
-                raise ValueError("eis_poly lower coefficients must have"
-                                 " positive p-valuation")
-        if self._wval(low_raw[0]) != 1:
-            raise ValueError("eis_poly constant coefficient must have"
-                             " p-valuation exactly 1")
-        self.eis_low = tuple(tuple(x % self.pmod for x in c)
-                             for c in low_raw)
-        self.eis_low_raw = tuple(low_raw)
-        self._unif_cache = None
-        self._hash = hash((p, self.unram_poly, self.eis_low, precision))
+        self.q = p ** d
+        # one F_q object per (p, d), shared by the search and the lift
+        self.residue_field = prime_power_field(p, d)
+        self.unram_low = self.residue_field.modulus
+        self._wmul = tuple_product(d)
+        self._hash = hash((p, d, e, precision))
 
     def modulus(self, prec):
         """p^prec, without the power at the working precision."""
         return self.pmod if prec == self.precision else self.p ** prec
 
     # -- W-layer helpers: tuples of d ints mod p^prec ------------------------
-
-    def _w_raw_input(self, c):
-        if isinstance(c, int):
-            coords = [c] + [0] * (self.d - 1)
-        else:
-            coords = [int(x) for x in c]
-            if len(coords) > self.d:
-                raise ValueError("eis_poly coefficient has too many"
-                                 " coordinates")
-            coords += [0] * (self.d - len(coords))
-        return tuple(coords)
 
     def _wzero(self):
         return (0,) * self.d
@@ -203,8 +152,7 @@ class PadicContext:
 
     def uniformizer(self):
         if self.e == 1:
-            neg_c0 = vec_neg(self.eis_low[0], self.pmod)
-            return self._make([neg_c0], self.precision)
+            return self.from_int(self.p)
         layers = [self._wzero()] * self.e
         layers[1] = tuple([1] + [0] * (self.d - 1))
         return self._make(layers, self.precision)
@@ -214,27 +162,6 @@ class PadicContext:
         mod = self.p ** prec
         return self.from_coords(
             [rng.randrange(mod) for _ in range(self.d * self.e)], prec)
-
-    def _uniformizer_division_data(self):
-        """(u0^{-1}, r^(e-1) + g) at full precision, from the raw Eisenstein
-        data: r * (r^(e-1) + g) = -a0 = -p*u0, so x/r =
-        -x * (r^(e-1) + g) * u0^{-1} / p."""
-        if self._unif_cache is None:
-            zero = self._wzero()
-            e = self.e
-            u0_raw = tuple(x // self.p for x in self.eis_low_raw[0])
-            u0 = self._make(
-                [tuple(x % self.pmod for x in u0_raw)] + [zero] * (e - 1),
-                self.precision)
-            layers = [zero] * e
-            layers[e - 1] = tuple([1] + [0] * (self.d - 1))
-            w = self._make(layers, self.precision)  # r^(e-1)
-            g_layers = [zero] * e
-            for j in range(1, e):
-                g_layers[j - 1] = self.eis_low[j]
-            w = w + self._make(g_layers, self.precision)
-            self._unif_cache = (u0.inverse(), w)
-        return self._unif_cache
 
     # -- residue field -------------------------------------------------------
 
@@ -287,9 +214,8 @@ class PadicContext:
 
     def __eq__(self, other):
         return (isinstance(other, PadicContext)
-                and self.p == other.p
-                and self.unram_poly == other.unram_poly
-                and self.eis_low == other.eis_low
+                and self.p == other.p and self.d == other.d
+                and self.e == other.e
                 and self.precision == other.precision)
 
     def __hash__(self):
@@ -406,15 +332,13 @@ class PadicElement:
                 continue
             for j, y in enumerate(b):
                 prod[i + j] = vec_add(prod[i + j], mul(x, y, g, mod), mod)
-        low = ctx.eis_low
-        for i in range(2 * e - 2, e - 1, -1):
+        # r^i = p r^(i-e), and i <= 2e - 2 puts r^(i-e) below r^e
+        p = ctx.p
+        for i in range(e, 2 * e - 1):
             c = prod[i]
-            if c == zero:
-                continue
-            prod[i] = zero
-            for j in range(e):
-                prod[i - e + j] = vec_sub(prod[i - e + j],
-                                          mul(c, low[j], g, mod), mod)
+            if c != zero:
+                prod[i - e] = tuple((x + p * y) % mod
+                                    for x, y in zip(prod[i - e], c))
         return ctx._make(prod[:e], prec)
 
     __rmul__ = __mul__
@@ -517,26 +441,23 @@ class PadicElement:
         return self.ctx._make(new_layers, self.prec - s)
 
     def divide_uniformizer(self):
-        """Divide by r (requires v_r >= 1). Costs one digit of precision."""
+        """Divide by r (requires v_r >= 1). Costs one digit of precision
+        (of the tag capped at the context's, as for every product).
+
+        sum_j c_j r^j / r = sum_{j >= 1} c_j r^(j-1) + (c_0 / p) r^(e-1),
+        since r^e = p; v_r >= 1 is exactly p | c_0."""
         ctx = self.ctx
-        if self.valuation() < 1:
-            raise NonUnitError("element is a unit; cannot divide by r exactly")
-        if self.prec <= 1:
-            raise PrecisionError("division by r exhausts precision")
-        e = ctx.e
-        zero = ctx._wzero()
-        # tail: coordinates of r, r^2, ... shift down one slot
-        tail_layers = list(self.layers[1:]) + [zero]
-        tail = ctx._make(tail_layers, self.prec)
+        p = ctx.p
         c0 = self.layers[0]
-        if c0 == zero:
-            part = ctx.zero(self.prec - 1)
-        else:
-            u0_inv, w = ctx._uniformizer_division_data()
-            c0_elem = ctx._make([c0] + [zero] * (e - 1), self.prec)
-            z = c0_elem * w * u0_inv
-            part = -z.divide_exact_p(1)
-        return tail + part
+        if any(c % p for c in c0):
+            raise NonUnitError("element is a unit; cannot divide by r exactly")
+        prec = min(self.prec, ctx.precision) - 1
+        if prec < 1:
+            raise PrecisionError("division by r exhausts precision")
+        mod = ctx.modulus(prec)
+        layers = self.layers[1:] + (tuple(c // p for c in c0),)
+        return ctx._make(
+            tuple(tuple(c % mod for c in layer) for layer in layers), prec)
 
     # -- misc -----------------------------------------------------------------
 

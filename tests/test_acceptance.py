@@ -166,8 +166,7 @@ def test_criterion_05_reduced_map_order(suite):
 def test_criterion_06_analyticity_consistency(suite):
     for p in (3, 5, 7, 11, 13):
         for e in (1, 2, 3, 4):
-            eis = None if e == 1 else [-p] + [0] * (e - 1) + [1]
-            ctx = PadicContext(p, eis_poly=eis, precision=2)
+            ctx = PadicContext(p, e=e, precision=2)
             l = analyticity_exponent(ctx)
             assert (l == 0) == (p > 2 * (e + 1)), (p, e, l)
             assert (p - 1) * p ** l > 2 * e

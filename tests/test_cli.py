@@ -202,3 +202,16 @@ def test_run_pipeline_rejects_ramification_below_one():
     cfg = parse_map_config(QUAD)
     with pytest.raises(ValueError, match="e must be"):
         run_pipeline(cfg.map, prime=3, e=0)
+
+
+def test_too_little_precision_for_the_profile_names_the_options(tmp_path):
+    mp = write_map(tmp_path / "m.json", dict(QUAD, kmax=16))
+    out = tmp_path / "c.json"
+    res = run_cli("certify", "--map", mp, "--precision", "3",
+                  "--out", str(out))
+    assert res.returncode == 1
+    assert ("the orbit keeps 1 of the 3 digits of working precision"
+            in res.stderr)
+    assert "--precision" in res.stderr and "--kmax" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()

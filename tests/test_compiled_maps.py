@@ -32,7 +32,7 @@ SERIES = "series over Z_7 at cap 2"
 SERIES_CTX = PadicContext(7, precision=5)
 RINGS = [QQ, prime_power_field(5, 1), prime_power_field(5, 2),
          IntegersMod(7, 7 ** 5), PadicContext(5, precision=6),
-         PadicContext(5, eis_poly=[-5, 0, 1], precision=6), SERIES]
+         PadicContext(5, e=2, precision=6), SERIES]
 
 
 def reference_apply(ring, comps, point):

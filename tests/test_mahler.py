@@ -131,8 +131,10 @@ def binomial_sum_coefficients(pts, k_max):
     needed = (k_max + 2) // 2
     if ctx.e * min_prec <= needed:
         raise PrecisionError(
-            f"precision {min_prec} cannot resolve valuations up to {needed};"
-            " reduce k_max or raise precision")
+            f"the orbit keeps {min_prec} of the {ctx.precision} digits of"
+            f" working precision, too few to resolve v_r up to {needed} at"
+            f" k_max {k_max}; raise the precision (--precision) or lower"
+            " k_max (--kmax)")
     coeffs, valuations = [], []
     for i in range(len(pts[0])):
         row, vals = [], []
@@ -183,8 +185,8 @@ def orbit_from_coefficients(omega, coeffs, tags):
 
 MAHLER_CONTEXTS = [
     PadicContext(5, precision=12),                          # (d, e) = (1, 1)
-    PadicContext(3, unram_poly=[1, 0, 1], precision=10),    # (2, 1)
-    PadicContext(5, eis_poly=[-5, 0, 1], precision=8),      # (1, 2)
+    PadicContext(3, d=2, precision=10),                     # (2, 1)
+    PadicContext(5, e=2, precision=8),                      # (1, 2)
 ]
 
 
@@ -237,7 +239,7 @@ def test_finite_differences_equal_the_binomial_sums(case):
 
 def test_theory_violation_fires_on_a_crafted_orbit():
     # b_1 = r and b_2 = r^2 obey the law, b_3 = r does not (bound 2)
-    ctx = PadicContext(5, eis_poly=[-5, 0, 1], precision=8)
+    ctx = PadicContext(5, e=2, precision=8)
     r = ctx.uniformizer()
     omega = [ctx.from_int(2), ctx.from_int(7)]
     coeffs = [[r, r * r, r, ctx.zero()], [r * r, ctx.zero(), ctx.zero(),
@@ -261,13 +263,11 @@ def test_precision_gate():
 def test_analyticity_exponent_grid_and_monotonicity():
     grid = {(5, 1): 0, (3, 1): 1, (5, 3): 1, (7, 1): 0, (3, 3): 2}
     for (p, e), want in grid.items():
-        eis = None if e == 1 else [-p] + [0] * (e - 1) + [1]
-        assert analyticity_exponent(PadicContext(p, eis_poly=eis)) == want
+        assert analyticity_exponent(PadicContext(p, e=e)) == want
     for e in (1, 2, 3, 4):
         prev = None
         for p in (3, 5, 7, 11, 13):
-            eis = None if e == 1 else [-p] + [0] * (e - 1) + [1]
-            l = analyticity_exponent(PadicContext(p, eis_poly=eis))
+            l = analyticity_exponent(PadicContext(p, e=e))
             if p > 2 * (e + 1):
                 assert l == 0
             if prev is not None:

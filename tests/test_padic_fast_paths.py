@@ -19,9 +19,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
-                             NonUnitError)
+                             InseparableError, NonUnitError)
 from padicdyn import neighborhood
-from padicdyn.neighborhood import PadicNeighborhood, map_eval_padic
+from padicdyn.neighborhood import (PadicNeighborhood, build_neighborhood,
+                                   map_eval_padic)
 from padicdyn.padics import IntegersMod, PadicContext
 from padicdyn.polynomials import (QQ, MultiPoly, RationalSelfMap, apply_map,
                                   embed_map)
@@ -31,10 +32,10 @@ CONTEXTS = [
     PadicContext(3, precision=8),
     PadicContext(5, precision=20),
     PadicContext(7),
-    PadicContext(3, unram_poly=[1, 0, 1], precision=10),
-    PadicContext(5, eis_poly=[-5, 0, 1], precision=12),
-    PadicContext(5, unram_poly=[2, 0, 1], eis_poly=[-5, 0, 1], precision=6),
-    PadicContext(7, eis_poly=[-7, 0, 0, 1], precision=8),
+    PadicContext(3, d=2, precision=10),
+    PadicContext(5, e=2, precision=12),
+    PadicContext(5, d=2, e=2, precision=6),
+    PadicContext(7, e=3, precision=8),
 ]
 
 
@@ -184,10 +185,13 @@ def neighborhood_of(f, ctx, point, k):
 def int_kernel_cases(draw):
     """A map of A^1 or A^2 over Z_p, p in {3, 5, 7}, a point whose
     coordinates share a tag s <= precision (sometimes mixed tags), k and
-    times."""
+    times. Every component of the map has a variable, as in every map that
+    build_neighborhood accepts."""
     ctx = draw(st.sampled_from(CONTEXTS[:3]))
     n = draw(st.integers(1, 2))
     f = draw(rational_maps(n))
+    assume(all(num.total_degree() or den.total_degree()
+               for num, den in zip(f.numerators, f.denominators)))
     s = draw(st.integers(1, ctx.precision))
     tags = [s] * n
     if draw(st.booleans()):
@@ -228,8 +232,6 @@ def test_apply_fk_takes_the_integer_loop_only_on_uniform_tags(monkeypatch):
         # mixed tags
         (["x2", "x2^2 - x1 + 1"], (ctx.from_int(3, 6), ctx.from_int(40, 7)),
          True),
-        # the constant component 2 evaluates to tag 10, not 6
-        (["x1 + x2", "2"], (ctx.from_int(3, 6), ctx.from_int(40, 6)), True),
     ]
     for texts, point, generic in cases:
         f = RationalSelfMap.from_texts(2, texts)
@@ -240,7 +242,12 @@ def test_apply_fk_takes_the_integer_loop_only_on_uniform_tags(monkeypatch):
         monkeypatch.undo()
         assert bool(calls) == generic, texts
         assert all(same(a, b) for a, b in zip(got, expected))
-    assert expected[1].prec == ctx.precision
+    # a constant component would evaluate to tag 10 in the generic loop, not
+    # to the point's 6; no neighborhood has one, since it zeroes a row of
+    # the Jacobian
+    f = RationalSelfMap.from_texts(2, ["x1 + x2", "2"])
+    with pytest.raises(InseparableError):
+        build_neighborhood(f, 2, (ctx.from_int(3), ctx.from_int(40)), ctx)
 
 
 def test_apply_fk_scales_by_constant_denominators_on_integers(monkeypatch):

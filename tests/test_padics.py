@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from padicdyn.errors import (BadReductionError, ContextMismatchError,
                              NonUnitError, PrecisionError)
-from padicdyn.finitefields import FiniteField
+from padicdyn.finitefields import FiniteField, prime_power_field
 from padicdyn.padics import (INFINITY, PadicContext, binomial_eval,
                              factorial_valuation, int_binomial)
 
@@ -17,14 +17,17 @@ from padicdyn.padics import (INFINITY, PadicContext, binomial_eval,
 def test_context_validation():
     with pytest.raises(ValueError):
         PadicContext(4)
-    with pytest.raises(ValueError):
-        PadicContext(3, unram_poly=[-1, 0, 1])  # x^2-1 = (x-1)(x+1) mod 3
-    with pytest.raises(ValueError):
-        PadicContext(5, eis_poly=[-25, 0, 1])  # constant valuation 2
-    with pytest.raises(ValueError):
-        PadicContext(5, eis_poly=[-1, 0, 1])   # constant is a unit
-    ctx = PadicContext(5, unram_poly=[2, 0, 1], eis_poly=[-5, 0, 1])
+    for bad in ({"d": 0}, {"e": 0}, {"precision": 0}, {"e": 2.0},
+                {"d": "2"}, {"precision": True}):
+        with pytest.raises(ValueError):
+            PadicContext(5, **bad)
+    ctx = PadicContext(5, d=2, e=2)
     assert ctx.d == 2 and ctx.e == 2 and ctx.q == 25
+    assert ctx.residue_field is prime_power_field(5, 2)
+    assert ctx == PadicContext(5, d=2, e=2)
+    assert hash(ctx) == hash(PadicContext(5, d=2, e=2))
+    assert len({ctx, PadicContext(5, d=2), PadicContext(5, e=2),
+                PadicContext(5, d=2, e=2, precision=8)}) == 4
 
 
 def test_basic_arithmetic_and_residue():
@@ -38,7 +41,7 @@ def test_basic_arithmetic_and_residue():
 
 
 def test_defining_relation_of_eisenstein_layer():
-    ctx = PadicContext(5, eis_poly=[-5, 0, 1])
+    ctx = PadicContext(5, e=2)
     rho = ctx.uniformizer()
     assert rho * rho == ctx.from_int(5)
     assert (rho * rho).valuation() == 2
@@ -56,7 +59,7 @@ def test_context_mismatch():
 
 def test_valuation_examples():
     assert PadicContext(3).from_int(18).valuation() == 2
-    ctx = PadicContext(5, eis_poly=[-5, 0, 1])
+    ctx = PadicContext(5, e=2)
     assert ctx.from_int(0).valuation() is INFINITY
     assert ctx.zero().valuation() is INFINITY
 
@@ -73,7 +76,7 @@ def test_invert():
 
 
 def test_invert_in_tower():
-    ctx = PadicContext(5, unram_poly=[2, 0, 1], eis_poly=[-5, 0, 1])
+    ctx = PadicContext(5, d=2, e=2)
     rng = random.Random(1)
     for _ in range(20):
         x = ctx.random_element(rng)
@@ -84,8 +87,8 @@ def test_invert_in_tower():
 
 def test_ultrametric_property():
     rng = random.Random(2)
-    for ctx in (PadicContext(3), PadicContext(5, unram_poly=[2, 0, 1]),
-                PadicContext(5, eis_poly=[-5, 0, 1])):
+    for ctx in (PadicContext(3), PadicContext(5, d=2),
+                PadicContext(5, e=2)):
         for _ in range(1000):
             x = ctx.random_element(rng)
             y = ctx.random_element(rng)
@@ -97,7 +100,7 @@ def test_ultrametric_property():
 
 def test_multiplicativity():
     rng = random.Random(3)
-    for ctx in (PadicContext(3), PadicContext(5, eis_poly=[-5, 0, 1])):
+    for ctx in (PadicContext(3), PadicContext(5, e=2)):
         bound = ctx.precision * ctx.e
         for _ in range(400):
             x = ctx.random_element(rng)
@@ -108,18 +111,12 @@ def test_multiplicativity():
             assert (x * y).valuation() == vx + vy
 
 
-# monic irreducibles mod 5 of degree d = 1, 2, 3 and Eisenstein
-# polynomials of degree e = 1, 2
-UNRAM_POLYS = ([0, 1], [2, 0, 1], [1, 1, 0, 1])
-EIS_POLYS = ([-5, 1], [-5, 0, 1])
-
-
 def test_residue_reduction_is_homomorphism():
     # W and F_q share one multiplication kernel, at mod p^s and mod p
     rng = random.Random(4)
-    for unram in UNRAM_POLYS:
-        for eis in EIS_POLYS:
-            ctx = PadicContext(5, unram_poly=unram, eis_poly=eis)
+    for d in (1, 2, 3):
+        for e in (1, 2):
+            ctx = PadicContext(5, d=d, e=e)
             assert ctx.residue_field.order == ctx.q
             for _ in range(60):
                 x = ctx.random_element(rng)
@@ -131,8 +128,8 @@ def test_residue_reduction_is_homomorphism():
 
 
 def test_degree_one_layers_have_the_prime_residue_field():
-    for unram in ([0, 1], [3, 1], [-7, 1]):
-        ctx = PadicContext(5, unram_poly=unram)
+    for e in (1, 2):
+        ctx = PadicContext(5, e=e)
         assert ctx.residue_field == FiniteField(5)
         assert ctx.residue_field.modulus_indexes() is None
         assert ctx.residue(ctx.from_int(7)).coords() == [2]
@@ -182,7 +179,7 @@ def test_binomial_eval_integrality_and_precision():
         # v_3(27!) = 13 >= precision 10
         binomial_eval(ctx.from_int(5), 27)
     with pytest.raises(ValueError):
-        bad = PadicContext(5, unram_poly=[2, 0, 1])
+        bad = PadicContext(5, d=2)
         # the root b of x^2 + 2, which is not in Z_5
         binomial_eval(bad.from_coords([0, 1]), 2)
 
@@ -204,24 +201,21 @@ def test_divide_uniformizer_precision_cost():
     with pytest.raises(NonUnitError):
         ctx.from_int(1).divide_uniformizer()
     # ramified: 5/rho = rho for rho^2 = 5
-    ce = PadicContext(5, eis_poly=[-5, 0, 1])
+    ce = PadicContext(5, e=2)
     assert ce.from_int(5).divide_uniformizer() == ce.uniformizer()
     assert (ce.uniformizer() ** 3).divide_uniformizer() == \
         ce.uniformizer() ** 2
 
 
-def test_general_eisenstein_division():
-    # nontrivial middle coefficient (with an unramified-layer component):
-    # x^2 + (5 + 5b)x - 5 over W = Z_5[b]/(b^2 + 2)
-    ctx = PadicContext(5, unram_poly=[2, 0, 1],
-                       eis_poly=[-5, [5, 5], 1])
+def test_division_by_r_in_a_tower():
+    # r^2 = 5 over W = Z_5[b]/(b^2 + 2)
+    ctx = PadicContext(5, d=2, e=2)
     rho = ctx.uniformizer()
     assert rho.valuation() == 1
     assert ctx.from_int(5).valuation() == 2
-    # rho^2 = 5 - (5 + 5b) rho from the defining relation
     beta = ctx.from_coords([0, 1, 0, 0])      # the root b of x^2 + 2
-    assert rho * rho == ctx.from_int(5) - (ctx.from_int(5)
-                                           + ctx.from_int(5) * beta) * rho
+    assert beta * beta == ctx.from_int(-2)
+    assert (beta * rho * 5).divide_uniformizer() == beta * 5
     rng = random.Random(6)
     for _ in range(30):
         x = ctx.random_element(rng)
@@ -240,7 +234,7 @@ def test_teichmuller_properties():
     assert t == ctx.from_int(-1)
     assert ctx.teichmuller_lift(ctx.residue_field.from_int(0)) == ctx.zero()
     assert ctx.teichmuller_lift(ctx.residue_field.from_int(1)) == ctx.one()
-    cd = PadicContext(5, unram_poly=[2, 0, 1])
+    cd = PadicContext(5, d=2)
     for idx in (1, 7, 13, 24):
         res = cd.residue_field.element_from_index(idx)
         t = cd.teichmuller_lift(res)
@@ -264,12 +258,11 @@ def q_power_teichmuller(ctx, res):
 
 @pytest.mark.parametrize("ctx, indexes", [
     (PadicContext(5), range(5)),                                   # F_5
-    (PadicContext(7, unram_poly=[1, 0, 1]), range(49)),            # F_49
-    (PadicContext(11, unram_poly=[1, 4, 0, 1], precision=16),      # F_1331
+    (PadicContext(7, d=2), range(49)),                             # F_49
+    (PadicContext(11, d=3, precision=16),                          # F_1331
      [0, 1, 2, 10, 11, 120, 121, 122, 500, 1000, 1330]),
-    (PadicContext(5, eis_poly=[-5, 0, 1], precision=20), range(5)),  # e = 2
-    (PadicContext(3, unram_poly=[1, 0, 1], eis_poly=[-3, 0, 1],
-                  precision=12), range(9)),
+    (PadicContext(5, e=2, precision=20), range(5)),                # e = 2
+    (PadicContext(3, d=2, e=2, precision=12), range(9)),
 ])
 def test_teichmuller_newton_equals_the_q_power_iteration(ctx, indexes):
     for idx in indexes:
@@ -295,13 +288,8 @@ def inverted_derivative_teichmuller(ctx, res):
     raise AssertionError("Newton iteration did not stabilize")
 
 
-# (d, e) -> (p, unram_poly, eis_poly)
-TOWERS = {
-    (1, 1): (7, None, None),
-    (2, 1): (5, [2, 0, 1], None),
-    (3, 1): (3, [1, 2, 0, 1], None),               # x^3 + 2x + 1 over F_3
-    (2, 2): (3, [1, 0, 1], [-3, 0, 1]),
-}
+# (d, e) -> p
+TOWERS = {(1, 1): 7, (2, 1): 5, (3, 1): 3, (2, 2): 3}
 
 
 @settings(max_examples=80, deadline=None)
@@ -309,10 +297,8 @@ TOWERS = {
        st.integers(0, 10 ** 6))
 def test_teichmuller_carried_inverse_equals_the_inverted_derivative(
         de, precision, index):
-    p, unram, eis = TOWERS[de]
-    ctx = PadicContext(p, unram_poly=unram, eis_poly=eis,
-                       precision=precision)
-    assert (ctx.d, ctx.e) == de
+    d, e = de
+    ctx = PadicContext(TOWERS[de], d=d, e=e, precision=precision)
     res = ctx.residue_field.element_from_index(index % ctx.q)
     got = ctx.teichmuller_lift(res)
     want = inverted_derivative_teichmuller(ctx, res)
@@ -321,7 +307,77 @@ def test_teichmuller_carried_inverse_equals_the_inverted_derivative(
 
 
 def test_base_subring_detection():
-    ctx = PadicContext(5, unram_poly=[2, 0, 1], eis_poly=[-5, 0, 1])
+    ctx = PadicContext(5, d=2, e=2)
     assert ctx.from_int(17).in_base_subring()
     assert not ctx.uniformizer().in_base_subring()
     assert not ctx.from_coords([0, 1, 0, 0]).in_base_subring()
+
+
+def oracle_product(p, d, e, mod, x, y):
+    """x * y on plain int lists, index j*d + i holding the b^i r^j
+    coefficient: the full product in b and r, then r^j = p r^(j-e) for
+    j >= e and b^k = -(g_0 b^(k-d) + ... + g_(d-1) b^(k-1)) for k >= d,
+    g the modulus of F_{p^d}, everything mod p^s."""
+    g = prime_power_field(p, d).modulus
+    full = [[0] * (2 * d - 1) for _ in range(2 * e - 1)]
+    for j1 in range(e):
+        for i1 in range(d):
+            for j2 in range(e):
+                for i2 in range(d):
+                    full[j1 + j2][i1 + i2] += x[j1 * d + i1] * y[j2 * d + i2]
+    for j in range(2 * e - 2, e - 1, -1):
+        for i in range(2 * d - 1):
+            full[j - e][i] += p * full[j][i]
+    out = []
+    for row in full[:e]:
+        for k in range(2 * d - 2, d - 1, -1):
+            for i, gi in enumerate(g):
+                row[k - d + i] -= row[k] * gi
+        out += [c % mod for c in row[:d]]
+    return out
+
+
+@st.composite
+def ring_cases(draw):
+    """A context with p in {3, 5, 7} and d, e in {1, 2, 3}, and two
+    elements of it with tags up to its precision."""
+    d, e = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ctx = PadicContext(draw(st.sampled_from([3, 5, 7])), d=d, e=e,
+                       precision=draw(st.integers(1, 12)))
+
+    def element():
+        tag = draw(st.integers(1, ctx.precision))
+        return ctx.from_coords([draw(st.integers(0, ctx.p ** tag - 1))
+                                for _ in range(d * e)], tag)
+
+    return ctx, element(), element()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_cases())
+def test_ring_of_r_to_the_e_equal_p_against_an_int_oracle(case):
+    ctx, x, y = case
+    p, d, e = ctx.p, ctx.d, ctx.e
+    s = min(x.prec, y.prec)
+    mod = p ** s
+    a, b = x.coords(), y.coords()
+    for got, want in ((x + y, [u + v for u, v in zip(a, b)]),
+                      (x - y, [u - v for u, v in zip(a, b)]),
+                      (x * y, oracle_product(p, d, e, mod, a, b))):
+        assert got.prec == s
+        assert got.coords() == [c % mod for c in want]
+    r = ctx.uniformizer()
+    assert r ** e == ctx.from_int(p)
+    for z in (x, y):
+        if z.prec == 1:
+            with pytest.raises(PrecisionError):
+                (z * r).divide_uniformizer()
+            continue
+        back = (z * r).divide_uniformizer()
+        assert back.prec == z.prec - 1 and back == z
+        if z.valuation() >= 1:
+            quot = z.divide_uniformizer()
+            assert quot.prec == z.prec - 1 and quot * r == z
+        else:
+            with pytest.raises(NonUnitError):
+                z.divide_uniformizer()
