@@ -22,12 +22,15 @@ the map compiled for those components and bound to the field on first
 use. The locus test is compiled the same way: a second EmbeddedMap whose
 components are the non-constant denominators and then the determinant,
 each a numerator with no denominator and no scale, so ``locus_check``
-evaluates them all at a point by one call and reads which vanish.
+evaluates them all at a point by one call and reads which vanish. A third,
+``ReducedMap.jacobian``, is made on first use: the n^2 entries of the
+Jacobian matrix, which the neighborhood multiplies along a residue orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice, product
 
 from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
@@ -77,6 +80,26 @@ class ReducedMap:
             [(den, None, None) for _, den, _ in self.components
              if den is not None]
             + [(self.jacobian_det, None, None)])
+
+    @cached_property
+    def jacobian(self):
+        """The Jacobian matrix of the map as an EmbeddedMap of its n^2
+        entries, row by row: entry (i, j) is
+        RationalSelfMap.jacobian_numerators()[i][j] / den_i^2, reduced term
+        by term. A constant denominator stays a scale, squared."""
+        f, fld = self.map, self.field
+        comps = []
+        for row, den, (_, den_terms, scale) in zip(
+                f.jacobian_numerators(), f.denominators, self.components):
+            if den_terms is None:
+                den_sq = None
+                scale_sq = None if scale is None else scale * scale
+            else:
+                den_sq = _nonzero(embed_terms(den * den, fld))
+                scale_sq = None
+            comps += [(_nonzero(embed_terms(entry, fld)), den_sq, scale_sq)
+                      for entry in row]
+        return EmbeddedMap(comps)
 
     def extend(self, new_field):
         """The same map over an extension of F_p."""

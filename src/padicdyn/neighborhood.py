@@ -9,11 +9,17 @@ applies f to points of O^n, to series and, for the Mahler orbit over Z_p,
 to integers mod p^s (``padics.IntegersMod``). Subtracting y gives H, whose
 constant term is divisible by the uniformizer r, and the rescaling
 F(t) = H(r t)/r turns the ball into O^n with the iterate acting by integral
-power series. The reduction of F mod r is an invertible affine map; its
-order is the second factor of the period bound. That reduction reads only
-the terms of degree at most 1, so the neighborhood is built from the 1-jets
-of H and F, and the series truncated at degree ``cap`` are built by the
-same function when first read."""
+power series.
+
+The reduction of F mod r is an invertible affine map t -> L t + c; its
+order is the second factor of the period bound. It reads no series: L is
+the Jacobian of the reduced map's k-th iterate at the residue of y, the
+product of the reduced Jacobians along the residue orbit (differentiation
+commutes with reduction mod p), and c is the residue of (f^k(y) - y)/r,
+which reads only f^k(y) mod r^2, so f^k is applied to y mod p^2 (r^2
+divides p^2, and reduction mod p^2 is a ring homomorphism). The series H
+and F truncated at degree ``cap`` are built at working precision when
+first read."""
 
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ from .dynamics import CLEAR, locus_check, reduce_map
 from .errors import (BadReductionError, DivisibilityError, NoGoodPrimeError,
                      OrbitNotClearError, PadicDynError, RamificationLeakError,
                      ResidueMismatchError, UnsupportedExtensionError)
-from .finitefields import affine_order, is_prime
+from .finitefields import affine_order, is_prime, mat_identity, mat_mul
 from .padics import IntegersMod, PadicContext, PadicElement
 from .polynomials import apply_map, embed_map, matrix_det
 from .series import SeriesRing, TruncatedSeries
@@ -183,20 +189,19 @@ class PadicNeighborhood:
     the k-th map iterate at the center (constant = f^k(y) - y, divisible by
     r); ``F`` is the rescaled series H(r t)/r with integral coefficients whose
     index-K coefficient is divisible by r^(|K|-1). Both are truncated at
-    degree ``cap`` and built on first read; ``H1`` and ``F1`` are their
-    1-jets, which the neighborhood is built from.
+    degree ``cap`` and built on first read. ``L`` and ``c`` are the linear
+    part (a list of rows) and the translation of the reduction of F mod r,
+    entries in the residue field.
     """
 
-    def __init__(self, ctx, f, period_k, center, orbit_points, H1, F1,
-                 affine_order, cap, fbar=None, record=None,
-                 lift_convention=None):
+    def __init__(self, ctx, f, period_k, center, L, c, affine_order, cap,
+                 fbar=None, record=None, lift_convention=None):
         self.ctx = ctx
         self.map = f
         self.period_k = period_k
         self.center = tuple(center)
-        self.orbit_points = tuple(orbit_points)
-        self.H1 = tuple(H1)
-        self.F1 = tuple(F1)
+        self.L = L
+        self.c = c
         self.affine_order = affine_order
         self.cap = cap
         self.fbar = fbar
@@ -213,9 +218,7 @@ class PadicNeighborhood:
     @cached_property
     def _series_at_cap(self):
         ring = SeriesRing(self.ctx, self.n, self.cap)
-        _, H, F = _local_series(self.map, self.period_k, self.center,
-                                self.fbar, ring)
-        return H, F
+        return _local_series(self.map, self.period_k, self.center, ring)
 
     H = property(lambda self: self._series_at_cap[0])
     F = property(lambda self: self._series_at_cap[1])
@@ -287,26 +290,9 @@ class PadicNeighborhood:
         return self.from_local(u)
 
     def affine_parts(self):
-        """(L, c) of the reduction of F mod r, read from the 1-jet F1: L the
-        linear coefficients, c the constant terms, entries in the residue
-        field."""
-        ctx = self.ctx
-        fld = ctx.residue_field
-        n = self.n
-        L = []
-        c = []
-        for i in range(n):
-            coeffs = self.F1[i].coeffs
-            row = []
-            for j in range(n):
-                idx = tuple(1 if t == j else 0 for t in range(n))
-                row.append(ctx.residue(coeffs[idx]) if idx in coeffs
-                           else fld.zero())
-            L.append(row)
-            zero_idx = (0,) * n
-            c.append(ctx.residue(coeffs[zero_idx]) if zero_idx in coeffs
-                     else fld.zero())
-        return L, c
+        """(L, c): the reduction of F mod r is t -> L t + c over the
+        residue field."""
+        return self.L, self.c
 
     def __repr__(self):
         return (f"PadicNeighborhood(p={self.ctx.p}, n={self.n},"
@@ -342,35 +328,20 @@ class IteratedMap:
         return out
 
 
-def _local_series(f, k, y, fbar, ring):
-    """The orbit points of the center y and the series H and F of f^k at y
-    in ring: f applied k times to the generic point y + t, H = f^k(y + t) - y
-    and F(t) = H(r t)/r. One function for the 1-jet and for the view at the
-    cap, so the checks below run wherever F is built.
+def _local_series(f, k, y, ring):
+    """The series H and F of f^k at y in ring: f applied k times to the
+    generic point y + t, H = f^k(y + t) - y and F(t) = H(r t)/r.
 
-    Checks performed: the orbit of the center stays clear of the
-    indeterminacy and ramification loci mod r; the constant terms of H have
-    v_r >= 1; every F coefficient at index K with 1 <= |K| <= ring.cap has
-    v_r >= |K| - 1 (violation aborts: it signals a bug or a bad prime).
+    build_neighborhood has checked that the orbit of y is clear mod r and
+    that r divides f^k(y) - y. Every F coefficient at index K with
+    1 <= |K| <= ring.cap must have v_r >= |K| - 1 (violation aborts: it
+    signals a bug or a bad prime).
     """
     ctx = ring.ctx
     iterate = ring.generic_point(y)
-    orbit_points = [y]
     for _ in range(k):
-        res_pt = tuple(ctx.residue(z) for z in orbit_points[-1])
-        if locus_check(fbar, res_pt) != CLEAR:
-            raise OrbitNotClearError(
-                "orbit of the center hits the indeterminacy or ramification"
-                " locus mod r")
         iterate = map_eval_padic(f, iterate, ring)
-        orbit_points.append(tuple(s.constant_term() for s in iterate))
-
     H = [s - yi for s, yi in zip(iterate, y)]
-    for h in H:
-        v = h.constant_term().valuation()
-        if v < 1:
-            raise OrbitNotClearError(
-                f"f^k does not fix the center mod r (constant valuation {v})")
 
     r = ctx.uniformizer()
     rpow = [ctx.one()]
@@ -391,26 +362,63 @@ def _local_series(f, k, y, fbar, ring):
                     f" {c.valuation()} < {deg - 1}")
             coeffs[idx] = c
         F.append(TruncatedSeries(ctx, ring.n, ring.cap, coeffs))
-    return orbit_points[:k], H, F
+    return H, F
+
+
+def _reduced_linear_part(fbar, k, point):
+    """The Jacobian of fbar^k at point, J(x_(k-1)) ... J(x_0) along the
+    orbit x_0 = point, x_(i+1) = fbar(x_i); OrbitNotClearError if the
+    orbit meets the indeterminacy or ramification locus."""
+    n, fld = fbar.n, fbar.field
+    jacobian = fbar.jacobian.bound(fld)
+    L = mat_identity(fld, n)
+    for _ in range(k):
+        if locus_check(fbar, point) != CLEAR:
+            raise OrbitNotClearError(
+                "orbit of the center hits the indeterminacy or ramification"
+                " locus mod r")
+        entries = jacobian(point)
+        L = mat_mul([entries[i * n:(i + 1) * n] for i in range(n)], L)
+        point = fbar.apply(point)
+    return L
+
+
+def _reduced_translation(nbhd):
+    """The residue of (f^k(y) - y)/r, from the center y mod p^2 (r^2
+    divides p^2 for every e): OrbitNotClearError if r does not divide
+    f^k(y) - y."""
+    ctx = nbhd.ctx
+    y = tuple(ctx.from_coords(z.coords(), min(z.prec, 2))
+              for z in nbhd.center)
+    c = []
+    for z, yi in zip(nbhd.apply_fk(y), y):
+        h = z - yi
+        v = h.valuation()
+        if v < 1:
+            raise OrbitNotClearError(
+                f"f^k does not fix the center mod r (constant valuation {v})")
+        c.append(ctx.residue(h.divide_uniformizer()))
+    return c
 
 
 def build_neighborhood(f, k, center, ctx, cap=8, record=None,
                        lift_convention=None):
-    """Expand f^k at the lifted center through degree 1 and normalize.
+    """The neighborhood of f^k at the lifted center, with the reduction
+    t -> L t + c of F mod r and its order.
 
-    The checks of _local_series run on the 1-jet, and the reduction of F
-    mod r must be an invertible affine map. ``cap`` is the degree of the
-    series ``H`` and ``F`` that the neighborhood builds when first read.
+    L is the reduced Jacobian of f^k along the residue orbit of the center,
+    which must stay clear of the loci; c needs f^k(y) mod r^2 only, and r
+    must divide f^k(y) - y. L must be invertible. ``cap`` is the degree of
+    the series ``H`` and ``F`` that the neighborhood builds when first read.
     """
     if cap < 1:
         raise ValueError(f"series degree {cap} is below 1")
     fbar = reduce_map(f, ctx)
-    y = tuple(center)
-    orbit_points, H1, F1 = _local_series(f, k, y, fbar,
-                                         SeriesRing(ctx, f.n, 1))
-    nbhd = PadicNeighborhood(ctx, f, k, y, orbit_points, H1, F1,
+    nbhd = PadicNeighborhood(ctx, f, k, center, L=None, c=None,
                              affine_order=None, cap=cap, fbar=fbar,
                              record=record, lift_convention=lift_convention)
+    nbhd.L = _reduced_linear_part(fbar, k, nbhd.center_residue)
+    nbhd.c = _reduced_translation(nbhd)
     nbhd.affine_order = reduced_affine_order(nbhd)
     return nbhd
 

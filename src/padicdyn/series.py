@@ -6,9 +6,9 @@ term is invertible in it, so ``SeriesRing`` is one more ring for
 ``polynomials.apply_map``, which applies a map in every ring: a
 rational map applied to the generic point y + t gives its expansion at y,
 exact through the cap. Its ``reduce`` makes a scalar sum a constant series.
-The neighborhood uses the ring at cap 1 for the 1-jet of f^k and at its
-configured cap for the series it builds on first read; a product visits
-only the pairs of terms whose degrees sum to at most the cap.
+The neighborhood uses the ring at its configured cap for the series it
+builds on first read; a product visits only the pairs of terms whose
+degrees sum to at most the cap.
 
 A key that is absent is an *exact* zero; a stored coefficient may still be
 zero to working precision and is never dropped on that basis. This makes

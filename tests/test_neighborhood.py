@@ -5,22 +5,27 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padicdyn import neighborhood
 from padicdyn.certify import find_witness, run_pipeline, verify_certificate
 from padicdyn.dynamics import find_periodic_point, reduce_map
 from padicdyn.errors import (NoGoodPrimeError, NonUnitError,
+                             OrbitNotClearError, PadicDynError,
                              ResidueMismatchError)
 from padicdyn.mapfile import load_map_file
 from padicdyn.neighborhood import (build_neighborhood, choose_good_prime,
                                    context_for_record, hensel_lift,
                                    reduced_affine_order, validate_prime)
 from padicdyn.padics import INFINITY, PadicContext
-from padicdyn.polynomials import RationalSelfMap
+from padicdyn.polynomials import MultiPoly, RationalSelfMap
 from padicdyn.series import SeriesRing
 from tests.conftest import SUITE_SPECS, build_pipeline
 
-PERFBENCH_MAPS = Path(__file__).resolve().parent.parent / "perfbench" / "maps"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH_MAPS = ROOT / "perfbench" / "maps"
+DEMO_MAPS = ROOT / "demos" / "maps"
 
 
 def quad():
@@ -162,6 +167,7 @@ def test_local_series_is_f_k_at_the_center(n, nums, dens, p, e):
     nbhd = run_pipeline(f, prime=p, e=e).nbhd
     ctx = nbhd.ctx
     assert nbhd.period_k > 1
+    assert nbhd.affine_parts() == low_degree_residues(nbhd)
     r = ctx.uniformizer()
     rng = random.Random(11)
     for _ in range(10):
@@ -172,33 +178,76 @@ def test_local_series_is_f_k_at_the_center(n, nums, dens, p, e):
             assert v is INFINITY or v >= nbhd.cap + 1, (nums, v)
 
 
-def digits(series):
-    """Each coefficient's precision tag and digits, by index."""
-    return {idx: (c.prec, c.layers) for idx, c in series.coeffs.items()}
-
-
-def map_file_pipeline(name):
-    cfg = load_map_file(PERFBENCH_MAPS / f"{name}.json")
+def map_file_pipeline(name, directory=PERFBENCH_MAPS):
+    cfg = load_map_file(directory / f"{name}.json")
     return run_pipeline(cfg.map, prime=cfg.prime, e=cfg.e,
                         precision=cfg.precision, degree=cfg.degree,
                         m_max=cfg.m_max, lift=cfg.lift)
 
 
+def low_degree_residues(nbhd):
+    """(L, c) read off the series F at the cap, built at working precision:
+    the residues of its linear and constant coefficients."""
+    ctx, n = nbhd.ctx, nbhd.n
+    zero = ctx.residue_field.zero()
+
+    def residue(series, idx):
+        c = series.coeffs.get(idx)
+        return zero if c is None else ctx.residue(c)
+
+    units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+    L = [[residue(s, idx) for idx in units] for s in nbhd.F]
+    c = [residue(s, (0,) * n) for s in nbhd.F]
+    return L, c
+
+
 @pytest.mark.parametrize("name", [*SUITE_SPECS, "henon_p5", "henon_p7",
-                                  "ext_c_p7"])
+                                  "ext_a_p7", "ext_b_p7", "ext_c_p7",
+                                  "ext_d_p11", "square_ramified_p5"])
 def test_series_at_cap_extends_the_jet(name):
-    # the affine order is read from the 1-jet; the series built at the cap
-    # on first read has the same terms of degree <= 1, digit for digit
-    pipe = (build_pipeline(name) if name in SUITE_SPECS
-            else map_file_pipeline(name))
+    # the reduction t -> L t + c of F mod r is the 1-jet of F mod r; (L, c)
+    # come from reduced Jacobians and f^k(y) mod r^2, and the series F
+    # built at the cap by applying f to y + t is an independent oracle
+    if name in SUITE_SPECS:
+        pipe = build_pipeline(name)
+    elif name == "square_ramified_p5":
+        pipe = map_file_pipeline(name, DEMO_MAPS)
+    else:
+        pipe = map_file_pipeline(name)
     nbhd = pipe.nbhd
     assert nbhd.cap == 8
-    for jet, series in ((nbhd.H1, nbhd.H), (nbhd.F1, nbhd.F)):
-        for low, full in zip(jet, series):
-            assert low.cap == 1 and full.cap == nbhd.cap
-            assert digits(low) == {idx: c for idx, c in digits(full).items()
-                                   if sum(idx) <= 1}, name
+    assert nbhd.affine_parts() == low_degree_residues(nbhd), name
     assert reduced_affine_order(nbhd) == nbhd.affine_order
+
+
+@st.composite
+def polynomial_maps(draw):
+    """A polynomial map of A^1 or A^2 with small integer numerator
+    coefficients over a constant denominator 1, 2 or 3, and a prime p in
+    {5, 7, 11}."""
+    n = draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    coefficients = st.integers(-4, 4).filter(bool)
+    nums = [MultiPoly(n, draw(st.dictionaries(exponents, coefficients,
+                                              min_size=1, max_size=3)))
+            for _ in range(n)]
+    dens = [MultiPoly.constant(n, draw(st.sampled_from([1, 2, 3])))
+            for _ in range(n)]
+    return RationalSelfMap(nums, dens), draw(st.sampled_from([5, 7, 11]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_maps())
+def test_affine_parts_match_F_on_random_polynomial_maps(case):
+    f, p = case
+    try:
+        pipe = run_pipeline(f, prime=p, m_max=2, degree=2)
+    except (PadicDynError, ValueError):
+        assume(False)
+    nbhd = pipe.nbhd
+    # the oracle applies f k times to series in n variables
+    assume(nbhd.period_k <= 40)
+    assert nbhd.affine_parts() == low_degree_residues(nbhd)
 
 
 def test_the_lift_reuses_the_search_field():
@@ -208,9 +257,10 @@ def test_the_lift_reuses_the_search_field():
     assert pipe.ctx.residue_field is pipe.record.field
 
 
-def test_pipeline_and_verifier_expand_only_the_jet(monkeypatch):
-    # certify and verify never apply f in a series ring above degree 1; the
-    # series at the cap is built when H or F is first read, and only then
+def test_pipeline_and_verifier_apply_f_to_no_series(monkeypatch):
+    # certify and verify read (L, c) from reduced Jacobians and f^k(y) mod
+    # r^2 and apply f in no series ring; the series at the cap is built
+    # when H or F is first read, and only then
     caps = []
     apply_f = neighborhood.map_eval_padic
 
@@ -224,11 +274,38 @@ def test_pipeline_and_verifier_expand_only_the_jet(monkeypatch):
     cert = find_witness(pipe.nbhd, pipe.bound, 50, kmax=4)
     assert verify_certificate(cert)
     henon = map_file_pipeline("henon_p7")
-    assert caps and set(caps) == {1}
-    assert len(caps) == 2 * pipe.nbhd.period_k + henon.nbhd.period_k
-    del caps[:]
+    ext = map_file_pipeline("ext_c_p7")
+    assert caps == []
     assert henon.nbhd.F[0].cap == 8 and henon.nbhd.H[1].cap == 8
     assert caps == [8] * henon.nbhd.period_k
+    del caps[:]
+    assert ext.nbhd.H[0].cap == 8 and ext.nbhd.F[0].cap == 8
+    assert caps == [8] * ext.nbhd.period_k
+
+
+def test_a_wrong_period_is_rejected():
+    # x + 1 at p = 5 has every residue on one 5-cycle: f^2(y) - y = 2 is a
+    # unit, so k = 2 does not fix the center mod r
+    f = RationalSelfMap.from_texts(1, ["x1 + 1"])
+    ctx = PadicContext(5)
+    center = (ctx.from_int(0),)
+    assert build_neighborhood(f, 5, center, ctx).affine_order == 5
+    with pytest.raises(OrbitNotClearError, match="does not fix the center"):
+        build_neighborhood(f, 2, center, ctx)
+
+
+@pytest.mark.parametrize("nums, dens, start, k", [
+    # 1 -> 2 -> 0 -> 1 mod 5, and f' = 2 x vanishes at 0
+    (["x1^2 + 1"], None, 1, 3),
+    # 3 -> 7 = 2 mod 5, where the denominator x1 - 2 vanishes
+    (["x1 + 4"], ["x1 - 2"], 3, 2),
+])
+def test_a_center_whose_orbit_meets_the_locus_is_rejected(nums, dens,
+                                                           start, k):
+    f = RationalSelfMap.from_texts(1, nums, dens)
+    ctx = PadicContext(5)
+    with pytest.raises(OrbitNotClearError, match="locus"):
+        build_neighborhood(f, k, (ctx.from_int(start),), ctx)
 
 
 def test_a_series_degree_below_one_is_rejected():

@@ -177,8 +177,8 @@ def generic_fk(f, point, ctx, count):
 
 def neighborhood_of(f, ctx, point, k):
     """A neighborhood of f^k at point, carrying only what apply_fk reads."""
-    return PadicNeighborhood(ctx, f, k, point, (), (), (), affine_order=1,
-                             cap=1)
+    return PadicNeighborhood(ctx, f, k, point, L=None, c=None,
+                             affine_order=1, cap=1)
 
 
 @st.composite
