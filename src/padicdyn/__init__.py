@@ -24,8 +24,8 @@ from .neighborhood import (GoodPrimeReport, IteratedMap, PadicNeighborhood,
                            build_neighborhood, choose_good_prime,
                            context_for_record, hensel_lift,
                            reduced_affine_order, validate_prime)
-from .padics import (INFINITY, PadicContext, PadicElement, ResidueElement,
-                     binomial_eval, factorial_valuation)
+from .padics import (INFINITY, PadicContext, PadicElement, binomial_eval,
+                     factorial_valuation)
 from .polynomials import MultiPoly, RationalSelfMap, parse_poly, poly_text
 from .series import TruncatedSeries, expand_at, poly_eval, series_compose
 
@@ -41,8 +41,8 @@ __all__ = [
     "GoodPrimeReport", "IteratedMap", "PadicNeighborhood",
     "build_neighborhood", "choose_good_prime", "context_for_record",
     "hensel_lift", "reduced_affine_order", "validate_prime",
-    "INFINITY", "PadicContext", "PadicElement", "ResidueElement",
-    "binomial_eval", "factorial_valuation",
+    "INFINITY", "PadicContext", "PadicElement", "binomial_eval",
+    "factorial_valuation",
     "MultiPoly", "RationalSelfMap", "parse_poly", "poly_text",
     "TruncatedSeries", "expand_at", "poly_eval", "series_compose",
     "__version__",

@@ -189,7 +189,7 @@ def run_pipeline(f, prime="auto", e=1, precision=64, degree=8, m_max=6,
         if not ok:
             raise ValueError(f"prime {prime} rejected: {reason}")
         report = GoodPrimeReport(p=int(prime), e=e, fallback=fallback,
-                                 rejections={}, scan_range=None)
+                                 rejections={})
     base_ctx = PadicContext(report.p, precision=1)
     fbar = reduce_map(f, base_ctx)
     record = find_periodic_point(fbar, m_max=m_max)
@@ -206,11 +206,11 @@ def run_pipeline(f, prime="auto", e=1, precision=64, degree=8, m_max=6,
 
 # Integers of at most this many bits (at most 1,234 digits, well under
 # CPython's 4,300-digit int/str conversion guard) go through str(). Larger
-# ones are split on powers of 2 and reassembled in exact decimal arithmetic,
+# ones are split on powers of 2 down to pieces of this width, which
+# Decimal() converts exactly, and reassembled in exact decimal arithmetic,
 # which is subquadratic where str() is quadratic (Brent & Zimmermann, Modern
 # Computer Arithmetic, sec. 1.7).
 TEXT_DIRECT_BITS = 4096
-_TEXT_LEAF_BITS = 128
 
 
 def _int_text(n):
@@ -226,7 +226,7 @@ def _int_text(n):
         # the halving below asks only for widths w and w + 1 per level
         result = powers.get(w)
         if result is None:
-            if w <= _TEXT_LEAF_BITS:
+            if w <= TEXT_DIRECT_BITS:
                 result = D(2) ** w
             elif w - 1 in powers:
                 result = powers[w - 1] * 2
@@ -237,7 +237,7 @@ def _int_text(n):
 
     def convert(m, w):
         # 0 <= m < 2^w
-        if w <= _TEXT_LEAF_BITS:
+        if w <= TEXT_DIRECT_BITS:
             return D(m)
         half = w >> 1
         hi = m >> half

@@ -32,33 +32,38 @@ def _add_pipeline_args(sub):
     sub.add_argument("--map", required=True, help="map-specification file")
     sub.add_argument("--prime", default=None,
                      help="'auto' or an explicit odd prime")
-    sub.add_argument("--e", type=int, default=None,
+    sub.add_argument("--e", default=None,
                      help="requested ramification index")
-    sub.add_argument("--precision", type=int, default=None)
-    sub.add_argument("--degree", type=int, default=None,
+    sub.add_argument("--precision", default=None)
+    sub.add_argument("--degree", default=None,
                      help="series truncation degree")
-    sub.add_argument("--kmax", type=int, default=None,
+    sub.add_argument("--kmax", default=None,
                      help="Mahler truncation order")
-    sub.add_argument("--mmax", type=int, default=None,
+    sub.add_argument("--mmax", default=None,
                      help="largest residue extension degree searched")
     sub.add_argument("--lift", choices=["teichmuller", "naive"], default=None)
 
 
 # integer options and the map-file fields they override, with the same
-# bounds; --budget belongs to certify alone
+# bounds (text that is no integer is rejected by name, as in a map file);
+# --budget belongs to certify alone
 INT_OPTIONS = {"e": "e", "precision": "precision", "degree": "degree",
                "kmax": "kmax", "mmax": "m_max", "budget": "search_budget"}
 
 
-def _prime_option(text):
-    """'auto' or an integer >= 2, as the map file's prime field."""
-    if text == "auto":
-        return text
+def _int_option(option, text, low):
+    """The integer value of an option, with the bound of the map-file field
+    it overrides."""
     try:
         value = int(text)
     except ValueError:
         value = text                 # _int_field rejects it by name
-    return _int_field("command line", "--prime", value, 2)
+    return _int_field("command line", option, value, low)
+
+
+def _prime_option(text):
+    """'auto' or an integer >= 2, as the map file's prime field."""
+    return text if text == "auto" else _int_option("--prime", text, 2)
 
 
 def _config_from_args(args):
@@ -68,8 +73,8 @@ def _config_from_args(args):
     for option, key in INT_OPTIONS.items():
         value = getattr(args, option, None)
         if value is not None:
-            setattr(cfg, key, _int_field("command line", f"--{option}",
-                                         value, INT_FIELDS[key]))
+            setattr(cfg, key, _int_option(f"--{option}", value,
+                                          INT_FIELDS[key]))
     if args.lift is not None:
         cfg.lift = args.lift
     return cfg
@@ -133,13 +138,22 @@ def cmd_verify(args):
     return EXIT_INVALID_CERT
 
 
+def _point_option(text, n):
+    """The n rational coordinates of --point, comma-separated."""
+    parts = text.split(",")
+    if len(parts) != n:
+        raise ValueError(f"--point must have {n} comma-separated"
+                         f" coordinates, got {text!r}")
+    try:
+        return [Fraction(w) for w in parts]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--point must hold rational numbers, got {text!r}")
+
+
 def cmd_interpolate(args):
     cfg = _config_from_args(args)
+    omega = _point_option(args.point, cfg.map.n)
     pipe = _run_pipeline(cfg)
-    omega = [Fraction(w) for w in args.point.split(",")]
-    if len(omega) != pipe.map.n:
-        print(f"expected {pipe.map.n} coordinates", file=sys.stderr)
-        return 1
     result = classify(pipe.nbhd, pipe.bound, omega)
     if result.kind == "outside_neighborhood":
         print("point is outside the constructed neighborhood",
@@ -195,7 +209,7 @@ def build_parser():
 
     c = sub.add_parser("certify", help="emit a non-preperiodicity certificate")
     _add_pipeline_args(c)
-    c.add_argument("--budget", type=int, default=None,
+    c.add_argument("--budget", default=None,
                    help="witness scan budget")
     c.add_argument("--out", required=True, help="certificate output path")
     c.set_defaults(func=cmd_certify)

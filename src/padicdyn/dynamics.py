@@ -17,14 +17,15 @@ A reduced map keeps the components ``polynomials.embed_map`` gives over
 its field, residues reduced once by ``FiniteField.from_rational``, and its
 Jacobian determinant as a tuple of (exponents, residue) terms; there is one
 per map and field object (``reduce_map``, ``ReducedMap.extend`` for
-F_{p^m}). ``apply`` is one call of ``polynomials.apply_map``, which runs
-the map compiled for those components and bound to the field on first
-use. The locus test is compiled the same way: a second EmbeddedMap whose
-components are the non-constant denominators and then the determinant,
-each a numerator with no denominator and no scale, so ``locus_check``
-evaluates them all at a point by one call and reads which vanish. A third,
-``ReducedMap.jacobian``, is made on first use: the n^2 entries of the
-Jacobian matrix, which the neighborhood multiplies along a residue orbit.
+F_{p^m}). The components form an EmbeddedMap of the field, and ``apply``
+calls its ``run``: the map compiled for those components and bound to the
+field on first use. The locus test is compiled the same way: a second
+EmbeddedMap of the field whose components are the non-constant
+denominators and then the determinant, each a numerator with no
+denominator and no scale, so ``locus_check`` evaluates them all at a point
+by one call and reads which vanish. A third, ``ReducedMap.jacobian``, is
+made on first use: the n^2 entries of the Jacobian matrix, which the
+neighborhood multiplies along a residue orbit.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from itertools import islice, product
 
 from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
 from .finitefields import FiniteField
-from .polynomials import EmbeddedMap, apply_map, embed_map, embed_terms
+from .polynomials import EmbeddedMap, embed_map, embed_terms
 
 CLEAR = "clear"
 INDETERMINATE = "indeterminate"
@@ -46,7 +47,7 @@ class ReducedMap:
     """A rational self-map over a finite field with its Jacobian data.
 
     ``components`` are the embed_map components of f over the field (an
-    EmbeddedMap), and ``jacobian_det`` is a tuple of (exponents,
+    EmbeddedMap of the field), and ``jacobian_det`` is a tuple of (exponents,
     coefficient) terms, with a coefficient of None for 1. Only nonzero
     residues are kept, so an empty tuple is exactly the zero polynomial. A
     constant denominator is a unit, inverted once, or zero, which rejects
@@ -65,9 +66,9 @@ class ReducedMap:
         self.field = fld
         self.map = f
         self.n = f.n
-        self.components = EmbeddedMap(
+        self.components = EmbeddedMap(fld, [
             (_nonzero(num), den if den is None else _nonzero(den), scale)
-            for num, den, scale in embed_map(f, fld))
+            for num, den, scale in embed_map(f, fld)])
         if any(den == () for _, den, _ in self.components):
             raise IndeterminacyError("denominator reduces to zero")
         self.jacobian_det = _nonzero(
@@ -76,10 +77,9 @@ class ReducedMap:
             raise InseparableError(
                 "Jacobian determinant is identically zero"
                 " (inseparable reduction)")
-        self.locus = EmbeddedMap(
-            [(den, None, None) for _, den, _ in self.components
-             if den is not None]
-            + [(self.jacobian_det, None, None)])
+        self.locus = EmbeddedMap(fld, [
+            (den, None, None) for _, den, _ in self.components
+            if den is not None] + [(self.jacobian_det, None, None)])
 
     @cached_property
     def jacobian(self):
@@ -99,14 +99,14 @@ class ReducedMap:
                 scale_sq = None
             comps += [(_nonzero(embed_terms(entry, fld)), den_sq, scale_sq)
                       for entry in row]
-        return EmbeddedMap(comps)
+        return EmbeddedMap(fld, comps)
 
     def extend(self, new_field):
         """The same map over an extension of F_p."""
         return _reduced(self.map, new_field)
 
     def apply(self, point):
-        return apply_map(self.field, self.components, point)
+        return self.components.run(point)
 
     def __repr__(self):
         return f"ReducedMap(n={self.n}, q={self.field.order})"
@@ -139,7 +139,7 @@ def locus_check(fbar, point):
     Jacobian data is meaningless there. A constant denominator is a unit
     and is not in fbar.locus; a vanishing one is only a value here.
     """
-    *dens, det = fbar.locus.bound(fbar.field)(point)
+    *dens, det = fbar.locus.run(point)
     for value in dens:
         if value.is_zero():
             return INDETERMINATE

@@ -35,10 +35,9 @@ compute through the kernel, and the cap bounds the work a field named by
 untrusted input can cause.
 
 ``FiniteField.from_rational`` reduces a rational mod p by ``rational_mod``. A
-field is a ring for ``polynomials.apply_map``, which applies a map in every
-ring: a map reduced mod p keeps its polynomials as (exponents,
-coefficient) terms of such residues, and there is no finite-field
-polynomial class.
+field is a ring in which ``polynomials.embed_map`` embeds a map and runs
+it: a map reduced mod p keeps its polynomials as (exponents, coefficient)
+terms of such residues, and there is no finite-field polynomial class.
 """
 
 from __future__ import annotations

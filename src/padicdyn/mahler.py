@@ -29,8 +29,8 @@ def orbit(phi, omega, count):
 
     ``phi`` is any callable on coordinate vectors; an IteratedMap is used
     through its ``orbit`` method, which applies f^(k*multiplier) in ambient
-    coordinates with ``PadicNeighborhood.apply_fk`` (``apply_map`` on
-    coordinate integers mod p^s when d = e = 1 and the tags agree, else one
+    coordinates with ``PadicNeighborhood.apply_fk`` (the run of f embedded
+    in the integers mod p^s when d = e = 1 and the tags agree, else one
     ``map_eval_padic`` per application of f) and converts each point to
     local coordinates once, so the whole run costs one digit of precision
     rather than one per step.

@@ -42,7 +42,10 @@ class MapConfig:
 
 def load_map_file(path):
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return parse_map_config(raw, source=path)
 
 

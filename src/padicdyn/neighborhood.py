@@ -4,12 +4,12 @@ Given a purely periodic point of the reduced map with a clear orbit, the
 center y is lifted to O^n. On the residue ball at y, f^k acts by its power
 series at y, and that series is f applied k times to the generic point
 y + t of the ball, in the ring of series truncated at a total degree
-(``series.SeriesRing``). The one map evaluator ``polynomials.apply_map``
-applies f to points of O^n, to series and, for the Mahler orbit over Z_p,
-to integers mod p^s (``padics.IntegersMod``). Subtracting y gives H, whose
-constant term is divisible by the uniformizer r, and the rescaling
-F(t) = H(r t)/r turns the ball into O^n with the iterate acting by integral
-power series.
+(``series.SeriesRing``). One map evaluator, the ``run`` of f embedded in a
+ring by ``polynomials.embed_map``, applies f to points of O^n, to series
+and, for the Mahler orbit over Z_p, to integers mod p^s
+(``padics.IntegersMod``). Subtracting y gives H, whose constant term is
+divisible by the uniformizer r, and the rescaling F(t) = H(r t)/r turns
+the ball into O^n with the iterate acting by integral power series.
 
 The reduction of F mod r is an invertible affine map t -> L t + c; its
 order is the second factor of the period bound. It reads no series: L is
@@ -32,7 +32,7 @@ from .errors import (BadReductionError, DivisibilityError, NoGoodPrimeError,
                      ResidueMismatchError, UnsupportedExtensionError)
 from .finitefields import affine_order, is_prime, mat_identity, mat_mul
 from .padics import IntegersMod, PadicContext, PadicElement
-from .polynomials import apply_map, embed_map, matrix_det
+from .polynomials import embed_map, matrix_det
 from .series import SeriesRing, TruncatedSeries
 
 FALLBACK_NOTE = ("analyticity fallback required: p <= 2(e+1), interpolation"
@@ -49,7 +49,6 @@ class GoodPrimeReport:
     e: int = 1
     fallback: bool = False
     rejections: dict = None
-    scan_range: tuple = None
 
 
 def _prime_hard_reason(f, p):
@@ -76,41 +75,37 @@ def validate_prime(f, p, e=1):
     return True, None, not prime_is_preferred(p, e)
 
 
-def choose_good_prime(f, scan_range=(3, 200), e=1):
-    """Smallest odd prime in range with p-integral coefficients, nonzero
-    reduced denominators and separable reduction; primes failing only the
-    p > 2(e+1) preference are used as a fallback when nothing better exists.
+# choose_good_prime scans the odd primes below this bound
+PRIME_SCAN_LIMIT = 200
+
+
+def choose_good_prime(f, e=1):
+    """Smallest odd prime below PRIME_SCAN_LIMIT with p-integral
+    coefficients, nonzero reduced denominators and separable reduction;
+    primes failing only the p > 2(e+1) preference are used as a fallback
+    when nothing better exists.
     """
     f.check_dominant()
-    lo, hi = scan_range
     rejections = {}
     fallback_candidate = None
-    p = max(3, lo)
-    if p % 2 == 0:
-        p += 1
-    chosen = None
-    while p <= hi:
-        if is_prime(p):
-            reason = _prime_hard_reason(f, p)
-            if reason is not None:
-                rejections[p] = reason
-            elif not prime_is_preferred(p, e):
-                rejections[p] = FALLBACK_NOTE
-                if fallback_candidate is None:
-                    fallback_candidate = p
-            else:
-                chosen = p
-                break
-        p += 2
-    if chosen is not None:
-        return GoodPrimeReport(p=chosen, e=e, fallback=False,
-                               rejections=rejections, scan_range=scan_range)
+    for p in filter(is_prime, range(3, PRIME_SCAN_LIMIT, 2)):
+        reason = _prime_hard_reason(f, p)
+        if reason is not None:
+            rejections[p] = reason
+        elif prime_is_preferred(p, e):
+            return GoodPrimeReport(p=p, e=e, fallback=False,
+                                   rejections=rejections)
+        else:
+            rejections[p] = FALLBACK_NOTE
+            if fallback_candidate is None:
+                fallback_candidate = p
     if fallback_candidate is not None:
         rejections.pop(fallback_candidate, None)
         return GoodPrimeReport(p=fallback_candidate, e=e, fallback=True,
-                               rejections=rejections, scan_range=scan_range)
+                               rejections=rejections)
     raise NoGoodPrimeError(
-        f"no usable prime in {scan_range}; rejections: {rejections}")
+        f"no usable odd prime below {PRIME_SCAN_LIMIT}; rejections:"
+        f" {rejections}")
 
 
 def context_for_record(p, record, e=1, precision=64):
@@ -170,16 +165,15 @@ def _int_kernel_tag(f, zvec, ctx):
 
 def map_eval_padic(f, point, ring=None):
     """f applied exactly (to precision) to a vector of PadicElements, ring
-    their PadicContext, or of series in a SeriesRing: apply_map with the
-    coefficients embedded in the context. Denominators must be units; a
-    coefficient that is not p-integral raises BadReductionError before any
-    denominator is checked."""
+    their PadicContext, or of series in a SeriesRing: the run of f embedded
+    in ring. Denominators must be units; a coefficient that is not
+    p-integral raises BadReductionError before any denominator is
+    checked."""
     if ring is None:
         ring = point[0].ctx
     if len(point) != f.n:
         raise ValueError("point dimension mismatch")
-    ctx = ring.ctx if isinstance(ring, SeriesRing) else ring
-    return apply_map(ring, embed_map(f, ctx), point)
+    return embed_map(f, ring).run(point)
 
 
 class PadicNeighborhood:
@@ -263,8 +257,8 @@ class PadicNeighborhood:
 
         When d = e = 1 and every coordinate carries the same tag s, the
         point is unwrapped to integers once, f is applied k*times times by
-        its compiled function bound to ``IntegersMod(p, p^s)`` (the one
-        ``apply_map`` calls), and the result is wrapped back with tag s.
+        the run of f embedded in ``IntegersMod(p, p^s)``, and the result is
+        wrapped back with tag s.
         Every other point goes through ``map_eval_padic`` once per
         application of f. Both give the same digits and tags.
         """
@@ -272,8 +266,7 @@ class PadicNeighborhood:
         count = self.period_k * times
         s = _int_kernel_tag(f, zvec, ctx) if self._integer_loop else None
         if s is not None:
-            ring = _integers_mod(ctx.p, ctx.modulus(s))
-            run = embed_map(f, ring).bound(ring)
+            run = embed_map(f, _integers_mod(ctx.p, ctx.modulus(s))).run
             x = [z.layers[0][0] for z in zvec]
             for _ in range(count):
                 x = run(x)
@@ -370,7 +363,7 @@ def _reduced_linear_part(fbar, k, point):
     orbit x_0 = point, x_(i+1) = fbar(x_i); OrbitNotClearError if the
     orbit meets the indeterminacy or ramification locus."""
     n, fld = fbar.n, fbar.field
-    jacobian = fbar.jacobian.bound(fld)
+    jacobian = fbar.jacobian.run
     L = mat_identity(fld, n)
     for _ in range(k):
         if locus_check(fbar, point) != CLEAR:

@@ -31,17 +31,12 @@ from fractions import Fraction
 
 from .errors import (ContextMismatchError, IndeterminacyError, NonUnitError,
                      PrecisionError)
-from .finitefields import (FFElement, is_prime, prime_power_field,
-                           rational_mod, tuple_product, vec_add, vec_neg,
-                           vec_sub)
+from .finitefields import (is_prime, prime_power_field, rational_mod,
+                           tuple_product, vec_add, vec_neg, vec_sub)
 
 INFINITY = float("inf")
 
 DEFAULT_PRECISION = 64
-
-# Residue-field elements are finite-field elements of ctx.residue_field;
-# PadicContext.residue() returns them. The alias names the role.
-ResidueElement = FFElement
 
 
 def _vp(n, p):
@@ -496,17 +491,6 @@ def factorial_valuation(k, p):
     if k < 0:
         raise ValueError("k must be nonnegative")
     return (k - digit_sum(k, p)) // (p - 1)
-
-
-def int_binomial(z, k):
-    """binomial(z, k) for any integer z (falling factorial over k!)."""
-    num = 1
-    for j in range(k):
-        num *= z - j
-    den = 1
-    for j in range(2, k + 1):
-        den *= j
-    return num // den
 
 
 def binomial_eval(z, k):

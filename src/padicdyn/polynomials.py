@@ -8,16 +8,16 @@ A rational map is applied in five rings: Q (``QQ``), F_q (a FiniteField),
 O (a PadicContext), O/p^s on ints (``padics.IntegersMod``) and the truncated
 series (``series.SeriesRing``). Each ring offers one(), zero(),
 from_rational(c), reduce(x) and unit_inverse(x). ``embed_map`` carries the
-map's coefficients into a ring once, as an ``EmbeddedMap``. The map is
-compiled into one straight-line Python function of the point, generated
-from the map's shape alone: its exponent tuples, the coefficients that are
-exactly 1 and the components whose denominator is a constant. The source
-holds generated names only, never a coefficient; it is compiled once per
-shape and bound once per embedding and ring of evaluation, and the binding
-is kept on the embedding, so it lives as long as the map. ``apply_map``
-calls that function; it evaluates, checks, inverts and applies the
-denominators. ``evaluate_terms`` evaluates one polynomial, for the series,
-``MultiPoly.eval_fraction`` and the constant denominators of ``embed_map``.
+map's coefficients into a ring once, as an ``EmbeddedMap`` of that ring,
+kept on the map. Its ``run`` is the map compiled into one straight-line
+Python function of the point, generated from the map's shape alone: its
+exponent tuples, the coefficients that are exactly 1 and the components
+whose denominator is a constant. The source holds generated names only,
+never a coefficient; it is compiled once per shape and bound to the
+embedding's coefficients and ring on first use, so the binding lives as
+long as the map. ``run`` evaluates, checks, inverts and applies the
+denominators. ``evaluate_terms`` evaluates one polynomial, for the series
+and ``MultiPoly.eval_fraction``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import hashlib
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import IndeterminacyError, NotDominantError
 
@@ -164,6 +164,7 @@ def parse_poly(text, n):
     """Parse the canonical form: sum of terms, each a '*'-product of rational
     literals and powers x<i>^<k>. No parentheses."""
     tokens = []
+    ends = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -179,9 +180,11 @@ def parse_poly(text, n):
         else:
             tokens.append(("op", m.group("op")))
         pos = m.end()
+        ends.append(pos)
 
     terms = {}
     i = 0
+    start = 0
 
     def take_factor(i, coeff, expo):
         kind, val = tokens[i]
@@ -190,6 +193,9 @@ def parse_poly(text, n):
             if i < len(tokens) and tokens[i] == ("op", "/"):
                 if i + 1 >= len(tokens) or tokens[i + 1][0] != "num":
                     raise ValueError("expected denominator after '/'")
+                if tokens[i + 1][1] == 0:
+                    raise ValueError(f"zero denominator in term"
+                                     f" {text[start:ends[i + 1]].strip()!r}")
                 coeff *= Fraction(val, tokens[i + 1][1])
                 i += 2
             else:
@@ -217,6 +223,7 @@ def parse_poly(text, n):
             i += 1
         if i >= len(tokens):
             raise ValueError("dangling sign")
+        start = ends[i - 1] if i else 0
         coeff = Fraction(sign)
         expo = [0] * n
         i, coeff = take_factor(i, coeff, expo)
@@ -288,13 +295,19 @@ class RationalSelfMap:
         self.n = n
         self._jac = None
         self._jac_det = None
-        # ring -> (ring, EmbeddedMap), filled by embed_map
+        # ring -> EmbeddedMap in that ring, filled by embed_map
         self._embedded = {}
         # field -> dynamics.ReducedMap, filled by dynamics.reduce_map
         self._reduced = {}
 
     @classmethod
     def from_texts(cls, n, numerators, denominators=None):
+        # checked before parsing, which makes an exponent list of length n
+        # per term
+        if len(numerators) != n or (denominators is not None
+                                    and len(denominators) != n):
+            raise ValueError(f"a self-map of {n} variables needs {n}"
+                             " numerators and denominators")
         nums = [parse_poly(t, n) for t in numerators]
         if denominators is None:
             dens = [MultiPoly.constant(n, 1)] * n
@@ -307,8 +320,7 @@ class RationalSelfMap:
         denominator."""
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
-        return list(apply_map(QQ, embed_map(self, QQ),
-                              [Fraction(x) for x in point]))
+        return list(embed_map(self, QQ).run([Fraction(x) for x in point]))
 
     def iterate_fraction(self, point, times):
         z = [Fraction(x) for x in point]
@@ -416,62 +428,60 @@ def embed_terms(poly, ring):
 
 
 def embed_map(f, ring):
-    """Per component of f, (numerator terms, denominator terms, scale) for
-    apply_map, embedded once per ring object and cached on f as an
+    """f embedded in ring: per component (numerator terms, denominator
+    terms, scale), made once per ring object and cached on f as an
     EmbeddedMap.
 
-    A constant unit denominator is inverted here: its terms are None and
-    scale is its inverse, or None when that inverse is exactly 1. Any other
-    denominator keeps its terms and is checked and inverted at each point.
-    An equal ring that is another object is embedded afresh, so that
-    coefficients live in the very ring object of the points.
+    A constant denominator c is inverted here when c is a unit of the ring:
+    its terms are None and scale is the inverse of ring.from_rational(c),
+    or None when c == 1. Any other denominator keeps its terms and is
+    checked and inverted at each point. An equal ring that is another
+    object is embedded afresh, so that coefficients live in the very ring
+    object of the points.
     """
     hit = f._embedded.get(ring)
-    if hit is not None and hit[0] is ring:
-        return hit[1]
+    if hit is not None and hit.ring is ring:
+        return hit
     comps = []
     for num, den in zip(f.numerators, f.denominators):
         num_terms = embed_terms(num, ring)
         den_terms = embed_terms(den, ring)
         scale = None
         if den.total_degree() == 0:
+            c = den.terms[(0,) * f.n]
             try:
-                scale = ring.unit_inverse(evaluate_terms(ring, den_terms, ()))
+                if c != 1:
+                    scale = ring.unit_inverse(ring.from_rational(c))
                 den_terms = None
             except IndeterminacyError:
                 pass
-        comps.append((num_terms, den_terms,
-                      None if scale == ring.one() else scale))
-    emb = EmbeddedMap(comps)
-    f._embedded[ring] = (ring, emb)
+        comps.append((num_terms, den_terms, scale))
+    emb = f._embedded[ring] = EmbeddedMap(ring, comps)
     return emb
 
 
 class EmbeddedMap:
-    """The components of a map embedded in one ring: per component
-    (numerator terms, denominator terms, scale) as embed_map describes them,
-    which iteration yields. ``bound(ring)`` is the map compiled for their
-    shape and bound to their coefficients and to ``ring``, the ring of the
-    points (a SeriesRing over the coefficients' context, say), made once
-    per ring object."""
+    """A map embedded in one ring: per component (numerator terms,
+    denominator terms, scale) as embed_map describes them, which iteration
+    yields. ``run`` is the map as one function of a point of the ring."""
 
-    __slots__ = ("components", "_bound")
-
-    def __init__(self, components):
+    def __init__(self, ring, components):
+        self.ring = ring
         self.components = tuple(components)
-        self._bound = {}
 
     def __iter__(self):
         return iter(self.components)
 
-    def bound(self, ring):
-        hit = self._bound.get(ring)
-        if hit is None or hit[0] is not ring:
-            shape, constants = map_shape(self.components)
-            run = _compiled(shape)(constants, ring.reduce, ring.unit_inverse,
-                                   ring.one(), ring.zero())
-            hit = self._bound[ring] = (ring, run)
-        return hit[1]
+    @cached_property
+    def run(self):
+        """The function compiled for the components' shape, bound to their
+        coefficients and to the ring on first use: it evaluates each
+        denominator, requires a unit (IndeterminacyError otherwise),
+        inverts it and scales the numerator."""
+        shape, constants = map_shape(self.components)
+        ring = self.ring
+        return _compiled(shape)(constants, ring.reduce, ring.unit_inverse,
+                                ring.one(), ring.zero())
 
 
 def map_shape(components):
@@ -616,11 +626,3 @@ def evaluate_terms(ring, terms, point):
             term = ring.one()
         total = term if total is None else total + term
     return ring.reduce(ring.zero() if total is None else total)
-
-
-def apply_map(ring, comps, point):
-    """The map with embed_map components comps, applied to point in ring:
-    the compiled function of comps bound to ring (EmbeddedMap.bound), which
-    evaluates each denominator, requires a unit (IndeterminacyError
-    otherwise), inverts it and scales the numerator."""
-    return comps.bound(ring)(point)

@@ -2,13 +2,15 @@
 
 A series lives in O[t_1, ..., t_n] modulo the monomials of total degree
 above ``cap``. That quotient is a ring, and a series with a unit constant
-term is invertible in it, so ``SeriesRing`` is one more ring for
-``polynomials.apply_map``, which applies a map in every ring: a
-rational map applied to the generic point y + t gives its expansion at y,
-exact through the cap. Its ``reduce`` makes a scalar sum a constant series.
-The neighborhood uses the ring at its configured cap for the series it
-builds on first read; a product visits only the pairs of terms whose
-degrees sum to at most the cap.
+term is invertible in it, so ``SeriesRing`` is one more ring in which
+``polynomials.embed_map`` embeds a map and runs it: a rational map applied
+to the generic point y + t gives its expansion at y, exact through the
+cap. Its ``from_rational`` gives scalars of the context, so the embedded
+coefficients and constant denominators are scalars, not series, and its
+``reduce`` makes a scalar sum a constant series. The neighborhood uses the
+ring at its configured cap for the series it builds on first read; a
+product visits only the pairs of terms whose degrees sum to at most the
+cap.
 
 A key that is absent is an *exact* zero; a stored coefficient may still be
 zero to working precision and is never dropped on that basis. This makes
@@ -23,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndeterminacyError, RecenteringError
-from .polynomials import (EmbeddedMap, apply_map, embed_terms,
-                          evaluate_terms)
+from .polynomials import EmbeddedMap, embed_terms, evaluate_terms
 
 
 class TruncatedSeries:
@@ -160,8 +161,8 @@ class TruncatedSeries:
 
 @dataclass(frozen=True)
 class SeriesRing:
-    """The truncated series in n variables over ctx, as a ring for
-    apply_map; coefficients are scalars of ctx."""
+    """The truncated series in n variables over ctx, as a ring in which
+    a map is embedded and run; coefficients are scalars of ctx."""
 
     ctx: object
     n: int
@@ -234,6 +235,6 @@ def expand_at(component, center, cap, ctx=None):
     """
     num, den = component
     ring = SeriesRing(center[0].ctx if ctx is None else ctx, num.n, cap)
-    comps = EmbeddedMap(((embed_terms(num, ring.ctx),
-                          embed_terms(den, ring.ctx), None),))
-    return apply_map(ring, comps, ring.generic_point(center))[0]
+    comps = EmbeddedMap(ring, [(embed_terms(num, ring),
+                                embed_terms(den, ring), None)])
+    return comps.run(ring.generic_point(center))[0]

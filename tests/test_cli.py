@@ -1,13 +1,22 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padicdyn import cli
 from padicdyn.certify import Certificate
-from padicdyn.mapfile import load_map_file, parse_map_config
+from padicdyn.mapfile import INT_FIELDS, load_map_file, parse_map_config
 
 
 def run_cli(*args, module="padicdyn.cli"):
@@ -215,3 +224,172 @@ def test_too_little_precision_for_the_profile_names_the_options(tmp_path):
     assert "--precision" in res.stderr and "--kmax" in res.stderr
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def test_a_zero_denominator_in_a_map_file_exits_one_naming_the_term(
+        tmp_path):
+    mp = write_map(tmp_path / "m.json", dict(QUAD, numerators=["x1^2 + 1/0"]))
+    res = run_cli("certify", "--map", mp, "--out", str(tmp_path / "c.json"))
+    assert res.returncode == 1
+    assert "error: zero denominator in term '1/0'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_a_component_count_unlike_n_is_rejected_before_parsing():
+    # parsing makes an exponent list of length n per term, so a map file
+    # with a huge n must be rejected before any text is parsed
+    with mock.patch("padicdyn.polynomials.parse_poly",
+                    side_effect=AssertionError("parsed")):
+        for body in ({"n": 10 ** 12, "numerators": ["x1"]},
+                     {"n": 1, "numerators": ["x1"],
+                      "denominators": ["1", "1"]}):
+            with pytest.raises(ValueError, match="numerators and"):
+                parse_map_config(body)
+
+
+@pytest.mark.parametrize("point", ["1/0", "1,2", "two"])
+def test_a_bad_point_exits_one_naming_the_option(tmp_path, point):
+    mp = write_map(tmp_path / "m.json", QUAD)
+    out = tmp_path / "r.txt"
+    res = run_cli("interpolate", "--map", mp, "--point", point,
+                  "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: --point")
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+# -- malformed input never gets past the parse layer --------------------------
+
+def is_int_at_least(text, low):
+    try:
+        return int(text) >= low
+    except ValueError:
+        return False
+
+
+def is_rational(text):
+    try:
+        Fraction(text)
+        return True
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+# JSON values of every type; whichever a field does not accept is malformed
+JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=6),
+                 st.integers(-3, 3), st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(),
+                                 max_size=2))
+
+
+def not_an_int_at_least(low):
+    return st.one_of(JUNK.filter(lambda v: type(v) is not int),
+                     st.integers(max_value=low - 1))
+
+
+# polynomial text that never parses: whatever text precedes ' + 1/0', the
+# parse fails in that text, at the '+' or at the zero denominator
+BAD_POLY = st.text("x1234567890+-*/^ .()", max_size=8).map(
+    lambda t: t + " + 1/0")
+
+BAD_FIELDS = {
+    "n": st.one_of(not_an_int_at_least(1), st.integers(2, 1000)),
+    "numerators": st.one_of(
+        JUNK.filter(lambda v: not isinstance(v, list)),
+        st.lists(JUNK.filter(lambda v: not isinstance(v, str)), min_size=1,
+                 max_size=2),
+        st.lists(BAD_POLY, min_size=1, max_size=1),
+        st.just(["x1", "x1"])),
+    "denominators": st.one_of(
+        JUNK.filter(lambda v: v is not None and not isinstance(v, list)),
+        st.lists(BAD_POLY, min_size=1, max_size=1), st.just(["0"]),
+        st.just([])),
+    "prime": st.one_of(JUNK.filter(lambda v: type(v) is not int
+                                   and v not in (None, "auto")),
+                       st.integers(max_value=1)),
+    "lift": JUNK.filter(lambda v: v not in ("teichmuller", "naive")),
+    **{key: not_an_int_at_least(low) for key, low in INT_FIELDS.items()},
+}
+
+
+@st.composite
+def malformed_map_files(draw):
+    """The bytes of a map file that cannot parse: one bad field in a good
+    map, a missing field, a JSON value that is no object, broken JSON or
+    JSON nested past the recursion limit."""
+    kind = draw(st.sampled_from(["field", "missing", "value", "bytes"]))
+    body = dict(QUAD)
+    if kind == "field":
+        key = draw(st.sampled_from(sorted(BAD_FIELDS)))
+        body[key] = draw(BAD_FIELDS[key])
+    elif kind == "missing":
+        del body[draw(st.sampled_from(["n", "numerators"]))]
+    elif kind == "value":
+        body = draw(JUNK.filter(lambda v: not isinstance(v, dict)))
+    else:
+        good = json.dumps(QUAD).encode()
+        return draw(st.sampled_from([good[:-1], b"\xff" + good,
+                                     b"[" * 100000 + b"]" * 100000]))
+    return json.dumps(body).encode()
+
+
+MAP, OUT = "<map>", "<out>"
+
+
+def exit_code_without_the_pipeline(args, map_bytes=None):
+    """cli.main's return value for args, with MAP and OUT standing for
+    paths in a fresh directory; the pipeline must never be reached."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mp = Path(tmp) / "m.json"
+        mp.write_bytes(json.dumps(QUAD).encode() if map_bytes is None
+                       else map_bytes)
+        paths = {MAP: str(mp), OUT: str(Path(tmp) / "out")}
+        argv = [paths.get(arg, arg) for arg in args]
+        stderr = io.StringIO()
+        with mock.patch.object(cli, "run_pipeline",
+                               side_effect=AssertionError("pipeline ran")), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert stderr.getvalue().startswith("error: ")
+        assert not (Path(tmp) / "out").exists()
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_map_files(), st.sampled_from(["certify", "interpolate"]))
+def test_a_malformed_map_file_exits_one(map_bytes, command):
+    args = [command, "--map", MAP, "--out", OUT]
+    if command == "interpolate":
+        args += ["--point", "2"]
+    assert exit_code_without_the_pipeline(args, map_bytes) == 1
+
+
+def bad_option_values():
+    int_options = [(f"--{option}", INT_FIELDS[key])
+                   for option, key in cli.INT_OPTIONS.items()]
+    int_option = st.sampled_from(int_options).flatmap(
+        lambda pair: st.tuples(st.just(pair[0]), st.one_of(
+            st.text(max_size=6).filter(
+                lambda t: not is_int_at_least(t, pair[1])),
+            st.integers(max_value=pair[1] - 1).map(str))))
+    prime = st.tuples(st.just("--prime"), st.one_of(
+        st.text(max_size=6).filter(
+            lambda t: t != "auto" and not is_int_at_least(t, 2)),
+        st.integers(max_value=1).map(str)))
+    # no exponent letter, which would let Fraction build a huge power
+    point = st.tuples(st.just("--point"), st.one_of(
+        st.text("0123456789/,.-+ _x", max_size=8).filter(
+            lambda t: "," in t or not is_rational(t)),
+        st.integers().map(lambda a: f"{a}/0")))
+    return st.one_of(int_option, prime, point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_option_values())
+def test_a_bad_option_value_exits_one(option_value):
+    option, value = option_value
+    # --opt=value, so that a value starting with '-' is not an option
+    args = ["interpolate" if option == "--point" else "certify",
+            "--map", MAP, "--out", OUT, f"{option}={value}"]
+    assert exit_code_without_the_pipeline(args) == 1

@@ -1,14 +1,16 @@
 """The compiled map evaluator against the per-term loop it replaces.
 
-``apply_map`` runs one straight-line function per map, generated from the
-map's shape and bound to its embedded coefficients and to a ring. It must
-give the values and precision tags of the per-term loop, and raise where
-that loop raises, in every ring: Q, F_q, O/p^s on ints, O with e = 1 and
-e = 2 and the truncated series. Its source names coefficients but never
-spells them, and its bindings live exactly as long as the map.
+The ``run`` of a map embedded in a ring is one straight-line function per
+map, generated from the map's shape and bound once to its embedded
+coefficients and to that ring. It must give the values and precision tags
+of the per-term loop, and raise where that loop raises, in every ring: Q,
+F_q, O/p^s on ints, O with e = 1 and e = 2 and the truncated series. Its
+source names coefficients but never spells them, and its bindings live
+exactly as long as the map.
 """
 
 import gc
+import hashlib
 import io
 import re
 import tokenize
@@ -22,7 +24,8 @@ from hypothesis import strategies as st
 from padicdyn.errors import IndeterminacyError
 from padicdyn.finitefields import FiniteField, prime_power_field
 from padicdyn.padics import IntegersMod, PadicContext, PadicElement
-from padicdyn.polynomials import (QQ, RationalSelfMap, apply_map, embed_map,
+from padicdyn.certify import run_pipeline
+from padicdyn.polynomials import (QQ, EmbeddedMap, RationalSelfMap, embed_map,
                                   embed_terms, evaluate_terms, map_shape,
                                   map_source)
 from padicdyn.series import SeriesRing, TruncatedSeries
@@ -116,15 +119,15 @@ def rings_maps_points(draw):
 @given(rings_maps_points())
 def test_the_compiled_map_equals_the_per_term_loop(case):
     ring, f, point = case
-    comps = embed_map(f, ring.ctx if isinstance(ring, SeriesRing) else ring)
+    comps = embed_map(f, ring)
     try:
         expected = reference_apply(ring, comps.components, point)
     except IndeterminacyError:
         with pytest.raises(IndeterminacyError):
-            apply_map(ring, comps, point)
+            comps.run(point)
         return
     for _ in range(2):          # the second call reads the cached binding
-        got = apply_map(ring, comps, point)
+        got = comps.run(point)
         assert len(got) == len(expected)
         assert all(same(a, b) for a, b in zip(got, expected))
 
@@ -164,13 +167,57 @@ def test_a_deleted_map_and_its_bindings_are_collected():
     ctx = PadicContext(5, precision=6)
     ints = IntegersMod(5, 5 ** 6)
     series = SeriesRing(ctx, 2, 1)
-    runs = [embed_map(f, QQ).bound(QQ), embed_map(f, ints).bound(ints),
-            embed_map(f, ctx).bound(ctx), embed_map(f, ctx).bound(series)]
+    runs = [embed_map(f, ring).run for ring in (QQ, ints, ctx, series)]
     assert f.eval_fraction([1, 2]) == [Fraction(2), Fraction(4)]
     refs = [weakref.ref(obj) for obj in [f, *runs]]
     del f, runs
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_each_embedding_is_bound_once_to_its_own_ring():
+    f = RationalSelfMap.from_texts(2, ["x2", "x2^2 - x1 + 1"], ["1", "x1"])
+    ctx = PadicContext(5, precision=6)
+    for ring in (QQ, prime_power_field(5, 2), IntegersMod(5, 5 ** 6), ctx,
+                 SeriesRing(ctx, 2, 1)):
+        emb = embed_map(f, ring)
+        assert emb.ring is ring and embed_map(f, ring) is emb
+        assert embed_map(f, ring).run is embed_map(f, ring).run
+    # an equal ring that is another object gets its own embedding
+    other = IntegersMod(5, 5 ** 6)
+    assert embed_map(f, other).ring is other
+
+
+# sha256 of the H and F digits of the map below at p = 5, computed when a
+# series run still took its coefficients from the context's embedding
+HF_DIGESTS = (
+    "9d8f9c9a97a46183c6bd0709fce4acc6a1b9a7ff858c689673dbbc4cf6c49b2e",
+    "9240d2458486e304486f90822c5a8b8423cf496678eb37faa0aa276283133869")
+
+
+def series_digest(series):
+    text = repr([sorted((idx, c.layers, c.prec) for idx, c in s.coeffs.items())
+                 for s in series])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_constant_denominators_embed_in_the_series_ring_as_scalars():
+    f = RationalSelfMap.from_texts(2, ["x2", "x2^2 - x1 + 1"], ["2", "3"])
+    nbhd = run_pipeline(f, prime=5).nbhd
+    ctx = nbhd.ctx
+    series = SeriesRing(ctx, 2, nbhd.cap)
+    scales = [scale for _, den, scale in embed_map(f, series)]
+    assert all(den is None for _, den, _ in embed_map(f, series))
+    # the inverses of 2 and 3 in the context, not constant series
+    assert all(isinstance(c, PadicElement) and c.ctx is ctx for c in scales)
+    assert [c * ctx.from_int(d) for c, d in zip(scales, (2, 3))] == \
+        [ctx.one(), ctx.one()]
+    # the same digits as the context's embedding run in the series ring
+    via_ctx = EmbeddedMap(series, embed_map(f, ctx).components)
+    point = series.generic_point(nbhd.center)
+    assert all(same(a, b) for a, b in zip(embed_map(f, series).run(point),
+                                          via_ctx.run(point)))
+    assert (series_digest(nbhd.H), series_digest(nbhd.F)) == HF_DIGESTS
 
 
 def test_exponent_1200_in_every_ring():
@@ -186,7 +233,7 @@ def test_exponent_1200_in_every_ring():
              (IntegersMod(5, mod), 2, (2 ** 1200 + 2) % mod),
              (ctx, two, ctx.from_int(2 ** 1200 + 2))]
     for ring, x, expected in cases:
-        assert same(apply_map(ring, embed_map(f, ring), [x])[0], expected)
+        assert same(embed_map(f, ring).run([x])[0], expected)
         assert same(evaluate_terms(ring, embed_terms(poly, ring), [x]),
                     expected)
     # (2 + t)^1200 + 2 + t through degree 2
@@ -196,6 +243,6 @@ def test_exponent_1200_in_every_ring():
         (1,): ctx.from_int(1200 * 2 ** 1199 + 1),
         (2,): ctx.from_int(1200 * 1199 // 2 * 2 ** 1198)})
     point = series.generic_point([two])
-    assert same(apply_map(series, embed_map(f, ctx), point)[0], expected)
+    assert same(embed_map(f, series).run(point)[0], expected)
     assert same(evaluate_terms(series, embed_terms(poly, ctx), point),
                 expected)

@@ -303,11 +303,11 @@ def test_search_applies_the_map_once_per_point(monkeypatch, name):
     f, p, m_max = search_inputs(name)
     applied = []
     checked = []
-    apply_map = ReducedMap.apply
+    apply = ReducedMap.apply
 
     def counting_apply(fm, point):
         applied.append((fm.field.order, point))
-        return apply_map(fm, point)
+        return apply(fm, point)
 
     def counting_check(fm, point):
         checked.append((fm.field.order, point))

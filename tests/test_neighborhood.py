@@ -33,7 +33,7 @@ def quad():
 
 
 def test_choose_good_prime_prefers_large_enough_primes():
-    rep = choose_good_prime(quad(), (3, 50), e=1)
+    rep = choose_good_prime(quad(), e=1)
     assert rep.p == 5 and not rep.fallback
     assert "fallback" in rep.rejections[3]
     ok, reason, fallback = validate_prime(quad(), 3, e=1)
@@ -42,21 +42,21 @@ def test_choose_good_prime_prefers_large_enough_primes():
     assert ok and not fallback
 
 
-def test_choose_good_prime_rejections():
-    rep = choose_good_prime(RationalSelfMap.from_texts(1, ["1/6*x1"]),
-                            (3, 50))
+def test_choose_good_prime_rejections(monkeypatch):
+    rep = choose_good_prime(RationalSelfMap.from_texts(1, ["1/6*x1"]))
     assert rep.p == 5
     assert "3-integral" in rep.rejections[3]
-    rep2 = choose_good_prime(RationalSelfMap.from_texts(1, ["x1^3"]),
-                             (3, 20))
+    rep2 = choose_good_prime(RationalSelfMap.from_texts(1, ["x1^3"]))
     assert rep2.p == 5                     # 3 is inseparable for x^3
     assert "inseparable" in rep2.rejections[3]
-    with pytest.raises(NoGoodPrimeError):
-        choose_good_prime(RationalSelfMap.from_texts(1, ["x1^3"]), (3, 3))
+    monkeypatch.setattr(neighborhood, "PRIME_SCAN_LIMIT", 4)
+    with pytest.raises(NoGoodPrimeError, match="below 4"):
+        choose_good_prime(RationalSelfMap.from_texts(1, ["x1^3"]))
 
 
-def test_choose_good_prime_fallback_when_range_is_small():
-    rep = choose_good_prime(quad(), (3, 4), e=1)
+def test_choose_good_prime_fallback_when_range_is_small(monkeypatch):
+    monkeypatch.setattr(neighborhood, "PRIME_SCAN_LIMIT", 4)
+    rep = choose_good_prime(quad(), e=1)
     assert rep.p == 3 and rep.fallback
 
 

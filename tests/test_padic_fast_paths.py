@@ -9,7 +9,8 @@ inverse. Contexts cover Z_p and ramified and unramified extensions; points
 may carry more digits than the context, and the result is capped as before.
 ``PadicNeighborhood.apply_fk`` iterates on integers mod p^s when d = e = 1
 and the point's tags agree, and must match the ``map_eval_padic`` loop it
-replaces there. Over Q, ``apply_map`` must match a plain Fraction loop.
+replaces there. Over Q, the map embedded by ``embed_map`` must match a
+plain Fraction loop.
 """
 
 from fractions import Fraction
@@ -24,8 +25,7 @@ from padicdyn import neighborhood
 from padicdyn.neighborhood import (PadicNeighborhood, build_neighborhood,
                                    map_eval_padic)
 from padicdyn.padics import IntegersMod, PadicContext
-from padicdyn.polynomials import (QQ, MultiPoly, RationalSelfMap, apply_map,
-                                  embed_map)
+from padicdyn.polynomials import QQ, MultiPoly, RationalSelfMap, embed_map
 from padicdyn.series import poly_eval
 
 CONTEXTS = [
@@ -298,21 +298,21 @@ def maps_and_rational_points(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(maps_and_rational_points())
-def test_apply_map_over_QQ_equals_the_plain_fraction_loop(case):
+def test_the_map_over_QQ_equals_the_plain_fraction_loop(case):
     f, point = case
     try:
         expected = plain_fraction_eval(f, point)
     except IndeterminacyError:
         with pytest.raises(IndeterminacyError):
-            apply_map(QQ, embed_map(f, QQ), point)
+            embed_map(f, QQ).run(point)
         with pytest.raises(IndeterminacyError):
             f.eval_fraction(point)
         return
-    assert apply_map(QQ, embed_map(f, QQ), point) == expected
+    assert embed_map(f, QQ).run(point) == expected
     assert f.eval_fraction(point) == list(expected)
 
 
-def test_apply_map_over_QQ_raises_on_a_vanishing_denominator():
+def test_the_map_over_QQ_raises_on_a_vanishing_denominator():
     f = RationalSelfMap.from_texts(1, ["x1^2"], ["x1 - 1/2"])
     assert f.eval_fraction([2]) == [Fraction(8, 3)]
     with pytest.raises(IndeterminacyError):
