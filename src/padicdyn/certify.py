@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -31,6 +30,7 @@ from .neighborhood import (GoodPrimeReport, build_neighborhood,
                            validate_prime)
 from .padics import PadicContext, _vp
 from .polynomials import RationalSelfMap, poly_text
+from .records import Record
 
 CERT_FORMAT = "padicdyn-certificate"
 
@@ -39,14 +39,10 @@ NON_PREPERIODIC = "non_preperiodic"
 OUTSIDE = "outside_neighborhood"
 
 
-@dataclass(frozen=True)
-class PeriodBound:
+class PeriodBound(Record):
     """N = k * affine_order * p^analyticity_exponent."""
 
-    period_k: int
-    affine_order: int
-    analyticity_exponent: int
-    bound: int
+    __slots__ = ("period_k", "affine_order", "analyticity_exponent", "bound")
 
 
 def period_bound(nbhd):
@@ -59,13 +55,14 @@ def period_bound(nbhd):
                        bound=n)
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
-    kind: str
-    period: int = None
-    iterate: tuple = None             # f^N(omega) when non-preperiodic
-    differs_at: int = None            # 1-based coordinate
-    difference_valuation: int = None  # v_r of the differing coordinate
+class ClassifyResult(Record):
+    """kind, the period of a periodic point and, for a non-preperiodic
+    one, f^N(omega), the 1-based coordinate where it differs from omega and
+    the v_r of that difference."""
+
+    __slots__ = ("kind", "period", "iterate", "differs_at",
+                 "difference_valuation")
+    _defaults = dict.fromkeys(__slots__[1:])
 
 
 def rational_vr(x, ctx):
@@ -165,14 +162,11 @@ def find_witness(nbhd, bound, search_budget=200, kmax=32):
 
 # -- pipeline facade ----------------------------------------------------------
 
-@dataclass
-class PipelineResult:
-    map: RationalSelfMap
-    prime_report: GoodPrimeReport
-    ctx: PadicContext
-    record: PeriodicPointRecord
-    nbhd: object
-    bound: PeriodBound
+class PipelineResult(Record):
+    """The map and what each stage of run_pipeline made of it."""
+
+    __slots__ = ("map", "prime_report", "ctx", "record", "nbhd", "bound")
+    __hash__ = None
 
 
 def run_pipeline(f, prime="auto", e=1, precision=64, degree=8, m_max=6,
@@ -302,9 +296,10 @@ class Certificate:
     def from_json_text(cls, text):
         try:
             data = json.loads(text)
-        except ValueError as exc:
-            # malformed JSON, or an integer literal past the interpreter's
-            # int/str conversion limit
+        except (ValueError, RecursionError) as exc:
+            # malformed JSON, an integer literal past the interpreter's
+            # int/str conversion limit, or arrays nested past the
+            # recursion limit
             raise CertificateFormatError(f"bad certificate JSON: {exc}")
         if not isinstance(data, dict):
             raise CertificateFormatError("certificate must be a JSON object")

@@ -13,6 +13,8 @@ budget, 3 invalid certificate, 1 any other error.
 from __future__ import annotations
 
 import argparse
+import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -138,6 +140,19 @@ def cmd_verify(args):
     return EXIT_INVALID_CERT
 
 
+# a coordinate of --point as certificates write it: a or a/b, optionally
+# signed (Fraction would also read a decimal exponent and build the power)
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(text):
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(text)
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
+
+
 def _point_option(text, n):
     """The n rational coordinates of --point, comma-separated."""
     parts = text.split(",")
@@ -145,9 +160,10 @@ def _point_option(text, n):
         raise ValueError(f"--point must have {n} comma-separated"
                          f" coordinates, got {text!r}")
     try:
-        return [Fraction(w) for w in parts]
+        return [_rational(w) for w in parts]
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--point must hold rational numbers, got {text!r}")
+        raise ValueError(f"--point must hold rational numbers a or a/b,"
+                         f" got {text!r}")
 
 
 def cmd_interpolate(args):
@@ -200,7 +216,10 @@ def cmd_interpolate(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: parse_args reads it and
+    fills a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="padicdyn",
         description="p-adic certification of non-preperiodic points for"

@@ -30,13 +30,12 @@ neighborhood multiplies along a residue orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, product
 
 from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
-from .finitefields import FiniteField
 from .polynomials import EmbeddedMap, embed_map, embed_terms
+from .records import Record
 
 CLEAR = "clear"
 INDETERMINATE = "indeterminate"
@@ -148,18 +147,19 @@ def locus_check(fbar, point):
     return CLEAR
 
 
-@dataclass(frozen=True)
-class PeriodicPointRecord:
+class PeriodicPointRecord(Record):
     """A purely periodic point with a fully clear orbit, plus search
-    provenance for replay."""
+    provenance for replay: m is the extension degree over the search base
+    field, point and orbit (the period-many members) hold FFElements, and
+    visited (points visited per degree) takes no part in equality."""
 
-    m: int                      # extension degree over the search base field
-    field: FiniteField
-    point: tuple                # FFElements
-    period: int
-    orbit: tuple                # the period-many orbit members
-    enumeration_index: int
-    visited: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("m", "field", "point", "period", "orbit",
+                 "enumeration_index", "visited")
+    _compared = __slots__[:-1]
+
+    def __init__(self, *args, visited=None, **kwargs):
+        super().__init__(*args, visited={} if visited is None else visited,
+                         **kwargs)
 
     def point_coords(self):
         """F_p coordinates per coordinate of the point."""

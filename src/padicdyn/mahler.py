@@ -17,11 +17,11 @@ controls binomial(p^l z, k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError, TheoryViolationError
 from .padics import INFINITY, binomial_eval, factorial_valuation
+from .records import Record
 
 
 def orbit(phi, omega, count):
@@ -29,11 +29,12 @@ def orbit(phi, omega, count):
 
     ``phi`` is any callable on coordinate vectors; an IteratedMap is used
     through its ``orbit`` method, which applies f^(k*multiplier) in ambient
-    coordinates with ``PadicNeighborhood.apply_fk`` (the run of f embedded
-    in the integers mod p^s when d = e = 1 and the tags agree, else one
-    ``map_eval_padic`` per application of f) and converts each point to
-    local coordinates once, so the whole run costs one digit of precision
-    rather than one per step.
+    coordinates and converts each point to local coordinates once, so the
+    whole run costs one digit of precision rather than one per step. When
+    d = e = 1 and the start's tags agree, the whole orbit runs on integers
+    mod p^s and only its points are wrapped; otherwise each point takes one
+    ``PadicNeighborhood.apply_fk`` (one ``map_eval_padic`` per application
+    of f).
     """
     omega = tuple(omega)
     if hasattr(phi, "orbit"):
@@ -53,17 +54,13 @@ def orbit(phi, omega, count):
     return pts
 
 
-@dataclass(frozen=True)
-class MahlerInterpolation:
+class MahlerInterpolation(Record):
     """Center, truncation order, per-coordinate coefficients b_ik and their
-    valuation profile."""
+    valuation profile: coeffs[i][k-1] = b_ik for 1 <= k <= k_max, and
+    valuations[i][k-1] its v_r, INFINITY for zero-to-precision."""
 
-    ctx: object
-    omega: tuple
-    k_max: int
-    coeffs: tuple          # coeffs[i][k-1] = b_ik, 1 <= k <= k_max
-    valuations: tuple      # v_r(b_ik), INFINITY for zero-to-precision
-    orbit_points: tuple
+    __slots__ = ("ctx", "omega", "k_max", "coeffs", "valuations",
+                 "orbit_points")
 
     @property
     def n(self):
@@ -120,18 +117,19 @@ def mahler_coefficients(phi, omega, k_max, orbit_points=None):
     coeffs = []
     valuations = []
     for i in range(n):
-        # forward differences on the coordinate integers: b_ik is a
-        # Z-combination of the orbit points, and PadicElement addition and
-        # integer scaling act coordinate by coordinate
-        diffs = [pt[i].coords() for pt in pts[:k_max + 1]]
+        # forward differences on the coordinate integers, one column of the
+        # orbit per coordinate: b_ik is a Z-combination of the orbit
+        # points, and PadicElement addition and integer scaling act
+        # coordinate by coordinate
+        columns = list(zip(*[pt[i].coords() for pt in pts[:k_max + 1]]))
         prec = pts[0][i].prec
         row = []
         vals = []
         for k in range(1, k_max + 1):
             prec = min(prec, pts[k][i].prec)
-            diffs = [[b - a for a, b in zip(cur, nxt)]
-                     for cur, nxt in zip(diffs, diffs[1:])]
-            acc = ctx.from_coords(diffs[0], prec)
+            columns = [[b - a for a, b in zip(col, col[1:])]
+                       for col in columns]
+            acc = ctx.from_coords([col[0] for col in columns], prec)
             v = acc.valuation()
             bound = (k + 2) // 2
             if v is not INFINITY and v < bound:
@@ -158,10 +156,8 @@ def analyticity_exponent(ctx):
     return l
 
 
-@dataclass(frozen=True)
-class MahlerValue:
-    values: tuple
-    tail_valuation: int
+class MahlerValue(Record):
+    __slots__ = ("values", "tail_valuation")
 
 
 def evaluate(interp, z):
@@ -205,8 +201,7 @@ def evaluate(interp, z):
     return MahlerValue(tuple(values), interp.tail_valuation())
 
 
-@dataclass(frozen=True)
-class AnalyticityReport:
+class AnalyticityReport(Record):
     """Exact margin table for convergence of the rescaled series on p^l Z_p.
 
     ``margins`` rows are (k, slope_margin, ck_margin); a margin is the r-adic
@@ -215,13 +210,8 @@ class AnalyticityReport:
     margins and growth across the computed range.
     """
 
-    l: int
-    slope: Fraction
-    slope_positive: bool
-    margins: tuple
-    margins_nonnegative: bool
-    eventually_increasing: bool
-    certified: bool
+    __slots__ = ("l", "slope", "slope_positive", "margins",
+                 "margins_nonnegative", "eventually_increasing", "certified")
 
 
 def _nested_floor_sum(k, p, l):

@@ -11,9 +11,9 @@ ValueError that names it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .polynomials import RationalSelfMap
+from .records import Record
 
 DEFAULTS = {
     "prime": "auto",
@@ -27,17 +27,12 @@ DEFAULTS = {
 }
 
 
-@dataclass
-class MapConfig:
-    map: RationalSelfMap
-    prime: object
-    e: int
-    precision: int
-    degree: int
-    kmax: int
-    m_max: int
-    search_budget: int
-    lift: str
+class MapConfig(Record):
+    """A map file's map and settings; the CLI's options override them."""
+
+    __slots__ = ("map", "prime", "e", "precision", "degree", "kmax", "m_max",
+                 "search_budget", "lift")
+    __hash__ = None
 
 
 def load_map_file(path):

@@ -23,32 +23,30 @@ first read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .dynamics import CLEAR, locus_check, reduce_map
 from .errors import (BadReductionError, DivisibilityError, NoGoodPrimeError,
-                     OrbitNotClearError, PadicDynError, RamificationLeakError,
-                     ResidueMismatchError, UnsupportedExtensionError)
+                     OrbitNotClearError, PadicDynError, PrecisionError,
+                     RamificationLeakError, ResidueMismatchError,
+                     UnsupportedExtensionError)
 from .finitefields import affine_order, is_prime, mat_identity, mat_mul
 from .padics import IntegersMod, PadicContext, PadicElement
 from .polynomials import embed_map, matrix_det
+from .records import Record
 from .series import SeriesRing, TruncatedSeries
 
 FALLBACK_NOTE = ("analyticity fallback required: p <= 2(e+1), interpolation"
                  " will only be analytic on a smaller disc")
 
 
-@dataclass(frozen=True)
-class GoodPrimeReport:
+class GoodPrimeReport(Record):
     """Outcome of the prime scan: the chosen prime, the requested
     ramification e, whether the smaller-disc fallback applies, and the
     reasons each smaller prime was passed over."""
 
-    p: int
-    e: int = 1
-    fallback: bool = False
-    rejections: dict = None
+    __slots__ = ("p", "e", "fallback", "rejections")
+    _defaults = {"e": 1, "fallback": False, "rejections": None}
 
 
 def _prime_hard_reason(f, p):
@@ -252,6 +250,18 @@ class PadicNeighborhood:
                     return False
         return True
 
+    def _int_tag(self, zvec):
+        """The tag s at which f^k may run on the integers mod p^s of zvec
+        (d = e = 1 and one tag s on every coordinate), else None."""
+        if not self._integer_loop:
+            return None
+        return _int_kernel_tag(self.map, zvec, self.ctx)
+
+    def _int_run(self, s):
+        """The run of f embedded in ``IntegersMod(p, p^s)``."""
+        return embed_map(self.map,
+                         _integers_mod(self.ctx.p, self.ctx.modulus(s))).run
+
     def apply_fk(self, zvec, times=1):
         """Exact p-adic application of f^(k*times) to an ambient point.
 
@@ -264,9 +274,9 @@ class PadicNeighborhood:
         """
         f, ctx = self.map, self.ctx
         count = self.period_k * times
-        s = _int_kernel_tag(f, zvec, ctx) if self._integer_loop else None
+        s = self._int_tag(zvec)
         if s is not None:
-            run = embed_map(f, _integers_mod(ctx.p, ctx.modulus(s))).run
+            run = self._int_run(s)
             x = [z.layers[0][0] for z in zvec]
             for _ in range(count):
                 x = run(x)
@@ -295,11 +305,16 @@ class PadicNeighborhood:
 class IteratedMap:
     """t -> local coordinates of f^(k*multiplier) applied exactly.
 
-    Both ``__call__`` and ``orbit`` go through ``PadicNeighborhood.apply_fk``,
-    which iterates on integers mod p^s when d = e = 1 and the point's tags
-    agree. ``orbit`` iterates in ambient coordinates and converts each point
-    to local coordinates once, so the whole orbit loses a single digit of
-    precision instead of one per step.
+    ``orbit`` iterates in ambient coordinates and converts each point to
+    local coordinates once, so the whole orbit loses a single digit of
+    precision instead of one per step. When d = e = 1 and the ambient
+    point's coordinates share one tag s, it unwraps that point once, runs
+    f^(k*multiplier) on the integers mod p^s for the whole orbit (the run
+    of f embedded in ``IntegersMod(p, p^s)``), takes each local coordinate
+    on integers as ((x - y) mod p^m) / p with m = min(s, tag of y), tagged
+    m - 1, and wraps only the output points. Otherwise, and for
+    ``__call__``, each step goes through ``PadicNeighborhood.apply_fk`` and
+    ``to_local``. Both give the same digits, tags and errors.
     """
 
     def __init__(self, nbhd, multiplier=1):
@@ -314,11 +329,43 @@ class IteratedMap:
     def orbit(self, t0, count):
         nbhd = self.nbhd
         z = nbhd.from_local(t0)
-        out = [nbhd.to_local(z)]
+        s = nbhd._int_tag(z)
+        if s is None:
+            out = [nbhd.to_local(z)]
+            for _ in range(count):
+                z = nbhd.apply_fk(z, self.multiplier)
+                out.append(nbhd.to_local(z))
+            return out
+        ctx = nbhd.ctx
+        run = nbhd._int_run(s)
+        steps = nbhd.period_k * self.multiplier
+        centers = []
+        for y in nbhd.center:
+            m = min(s, y.prec)
+            centers.append((y.layers[0][0], m, ctx.modulus(m)))
+        x = [c.layers[0][0] for c in z]
+        out = [_int_to_local(ctx, x, centers)]
         for _ in range(count):
-            z = nbhd.apply_fk(z, self.multiplier)
-            out.append(nbhd.to_local(z))
+            for _ in range(steps):
+                x = run(x)
+            out.append(_int_to_local(ctx, x, centers))
         return out
+
+
+def _int_to_local(ctx, x, centers):
+    """``to_local`` at d = e = 1 of the point with coordinate integers x,
+    centers holding (y, m, p^m) per coordinate: the same digits, tags and
+    errors."""
+    p = ctx.p
+    out = []
+    for xi, (y, m, mod) in zip(x, centers):
+        c = (xi - y) % mod
+        if c % p:
+            raise ValueError("point is not in the neighborhood")
+        if m < 2:
+            raise PrecisionError("division by r exhausts precision")
+        out.append(ctx._make(((c // p,),), m - 1))
+    return tuple(out)
 
 
 def _local_series(f, k, y, ring):

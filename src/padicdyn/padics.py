@@ -26,13 +26,13 @@ paths use rational arithmetic for that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ContextMismatchError, IndeterminacyError, NonUnitError,
                      PrecisionError)
 from .finitefields import (is_prime, prime_power_field, rational_mod,
                            tuple_product, vec_add, vec_neg, vec_sub)
+from .records import Record
 
 INFINITY = float("inf")
 
@@ -221,14 +221,12 @@ class PadicContext:
                 f" precision={self.precision})")
 
 
-@dataclass(frozen=True)
-class IntegersMod:
+class IntegersMod(Record):
     """Z/p^s on Python ints, the ring mod = p^s. At d = e = 1 it is O/p^s,
     and reduction mod p^s is a ring homomorphism, so a map applied here
     gives the digits of the PadicElement loop at tag s."""
 
-    p: int
-    mod: int
+    __slots__ = ("p", "mod")
 
     def one(self):
         return 1

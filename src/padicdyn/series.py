@@ -22,10 +22,9 @@ polynomial or rational map has no unknown terms and needs no such check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import IndeterminacyError, RecenteringError
 from .polynomials import EmbeddedMap, embed_terms, evaluate_terms
+from .records import Record
 
 
 class TruncatedSeries:
@@ -159,14 +158,11 @@ class TruncatedSeries:
         return f"TruncatedSeries(n={self.n}, cap={self.cap}, idx={keys})"
 
 
-@dataclass(frozen=True)
-class SeriesRing:
+class SeriesRing(Record):
     """The truncated series in n variables over ctx, as a ring in which
     a map is embedded and run; coefficients are scalars of ctx."""
 
-    ctx: object
-    n: int
-    cap: int
+    __slots__ = ("ctx", "n", "cap")
 
     def one(self):
         return TruncatedSeries.constant(self.ctx, self.n, self.cap,

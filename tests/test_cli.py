@@ -19,9 +19,9 @@ from padicdyn.certify import Certificate
 from padicdyn.mapfile import INT_FIELDS, load_map_file, parse_map_config
 
 
-def run_cli(*args, module="padicdyn.cli"):
+def run_cli(*args, module="padicdyn.cli", timeout=None):
     return subprocess.run([sys.executable, "-m", module, *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def write_map(path, body):
@@ -257,6 +257,55 @@ def test_a_bad_point_exits_one_naming_the_option(tmp_path, point):
     assert res.stderr.startswith("error: --point")
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def test_a_deeply_nested_certificate_exits_one(tmp_path):
+    cert_path = tmp_path / "nested.json"
+    cert_path.write_bytes(b"[" * 100000)
+    res = run_cli("verify", "--cert", str(cert_path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: bad certificate JSON: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_a_point_with_a_decimal_exponent_exits_one_at_once(tmp_path):
+    # Fraction('1e10000000') builds the power exactly, which takes seconds;
+    # only the a or a/b that certificates write is read
+    assert cli._point_option("-3/4,+5", 2) == [Fraction(-3, 4), Fraction(5)]
+    with pytest.raises(ValueError, match="^--point"):
+        cli._point_option("1e10000000", 1)
+    mp = write_map(tmp_path / "m.json", QUAD)
+    out = tmp_path / "r.txt"
+    res = run_cli("interpolate", "--map", mp, "--point", "1e10000000",
+                  "--out", str(out), timeout=30)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: --point")
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_one_parser_serves_every_call_of_main(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    # certify, verify, certify --kmax 8 and certify in one process: the
+    # last certificate has the map's k_max again, so no option leaks from
+    # one call of main into the next
+    body = {key: value for key, value in QUAD.items() if key != "kmax"}
+    mp = write_map(tmp_path / "m.json", body)
+    certs = [str(tmp_path / f"c{i}.json") for i in range(3)]
+    calls = [["certify", "--map", mp, "--out", certs[0]],
+             ["verify", "--cert", certs[0]],
+             ["certify", "--map", mp, "--out", certs[1], "--kmax", "8"],
+             ["certify", "--map", mp, "--out", certs[2]]]
+    outputs = []
+    for argv in calls:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0, argv
+        outputs.append(out.getvalue())
+    assert "certificate is valid" in outputs[1]
+    k_max = [Certificate.load(c).data["mahler_profile"]["k_max"]
+             for c in certs]
+    assert k_max == [32, 8, 32]
+    assert Certificate.load(certs[0]) == Certificate.load(certs[2])
 
 
 # -- malformed input never gets past the parse layer --------------------------

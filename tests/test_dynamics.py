@@ -326,21 +326,19 @@ def test_search_applies_the_map_once_per_point(monkeypatch, name):
 def test_record_tamper_detection():
     fbar = reduce_map(quad(), PadicContext(3))
     rec = find_periodic_point(fbar, 1)
-    import dataclasses
-    bad = dataclasses.replace(rec, period=2,
-                              orbit=rec.orbit + rec.orbit)
+    bad = rec.replace(period=2, orbit=rec.orbit + rec.orbit)
     assert not verify_record(fbar, bad)
-    assert not verify_record(fbar, dataclasses.replace(rec, period=2))
+    assert not verify_record(fbar, rec.replace(period=2))
     wrong_pt = (fbar.field.from_int(1),)
-    bad2 = dataclasses.replace(rec, point=wrong_pt, orbit=(wrong_pt,))
+    bad2 = rec.replace(point=wrong_pt, orbit=(wrong_pt,))
     assert not verify_record(fbar, bad2)
     # a period shorter than the true one stops the walk at the stated period
     fcyc = reduce_map(RationalSelfMap.from_texts(1, ["x1 + 1"]),
                       PadicContext(3))
     cyc = find_periodic_point(fcyc, 1)
     assert verify_record(fcyc, cyc)
-    assert not verify_record(fcyc, dataclasses.replace(
-        cyc, period=2, orbit=cyc.orbit[:2]))
+    assert not verify_record(fcyc, cyc.replace(period=2,
+                                               orbit=cyc.orbit[:2]))
 
 
 @pytest.mark.parametrize("name", sorted(EXTFIELD_REFERENCE))

@@ -9,7 +9,8 @@ inverse. Contexts cover Z_p and ramified and unramified extensions; points
 may carry more digits than the context, and the result is capped as before.
 ``PadicNeighborhood.apply_fk`` iterates on integers mod p^s when d = e = 1
 and the point's tags agree, and must match the ``map_eval_padic`` loop it
-replaces there. Over Q, the map embedded by ``embed_map`` must match a
+replaces there; ``IteratedMap.orbit`` then runs the whole orbit on those
+integers and must match ``to_local`` of ``apply_fk`` point by point. Over Q, the map embedded by ``embed_map`` must match a
 plain Fraction loop.
 """
 
@@ -20,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
-                             InseparableError, NonUnitError)
+                             InseparableError, NonUnitError, PrecisionError)
 from padicdyn import neighborhood
 from padicdyn.neighborhood import (PadicNeighborhood, build_neighborhood,
                                    map_eval_padic)
@@ -265,6 +266,104 @@ def test_apply_fk_scales_by_constant_denominators_on_integers(monkeypatch):
     got = neighborhood_of(f, ctx, point, 2).apply_fk(point, 3)
     assert not calls
     assert all(same(a, b) for a, b in zip(got, expected))
+
+
+def reference_orbit(nbhd, t0, count, times):
+    """The local orbit by one apply_fk and one to_local per point."""
+    z = nbhd.from_local(t0)
+    out = [nbhd.to_local(z)]
+    for _ in range(count):
+        z = nbhd.apply_fk(z, times)
+        out.append(nbhd.to_local(z))
+    return out
+
+
+@st.composite
+def orbit_cases(draw):
+    """A p-integral map of A^1 or A^2 at p in {3, 5, 7}, a center and a
+    start whose tags are one s or mixed, k, the multiplier and the orbit
+    length. Half the maps are x + p g over 1 + p h, which keep the orbit
+    of every member in the neighborhood, so that its digits are compared;
+    the others mostly leave it."""
+    ctx = draw(st.sampled_from(CONTEXTS[:3]))
+    p, prec = ctx.p, ctx.precision
+    n = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        g = st.fractions(min_value=-6, max_value=6, max_denominator=2)
+        nums, dens = [], []
+        for i in range(n):
+            x_i = tuple(int(j == i) for j in range(n))
+            terms = {idx: p * c for idx, c in draw(polys(n, g)).terms.items()}
+            terms[x_i] = terms.get(x_i, 0) + 1
+            nums.append(MultiPoly(n, terms))
+            h = draw(polys(n, g, max_size=2)).terms
+            dens.append(MultiPoly(n, {(0,) * n: 1, **{
+                idx: p * c for idx, c in h.items() if any(idx)}}))
+        f = RationalSelfMap(nums, dens)
+    else:
+        f = draw(rational_maps(n))
+        assume(all(c.denominator % p for c in f.coefficients()))
+    assume(all(num.total_degree() or den.total_degree()
+               for num, den in zip(f.numerators, f.denominators)))
+
+    def point(tags):
+        return tuple(ctx.from_coords([draw(st.integers(0, p ** t - 1))], t)
+                     for t in tags)
+
+    def tags():
+        s = draw(st.integers(1, prec))
+        if draw(st.booleans()):
+            return [draw(st.integers(1, prec)) for _ in range(n)]
+        return [s] * n
+
+    center = point(tags() if draw(st.booleans()) else [prec] * n)
+    return (f, ctx, center, point(tags()), draw(st.integers(1, 3)),
+            draw(st.integers(1, 2)), draw(st.integers(0, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_cases())
+def test_the_integer_orbit_equals_to_local_of_apply_fk(case):
+    f, ctx, center, t0, k, times, count = case
+    nbhd = neighborhood_of(f, ctx, center, k)
+    phi = nbhd.iterated_local_map(times)
+    try:
+        expected = reference_orbit(nbhd, t0, count, times)
+    except (ValueError, PrecisionError, IndeterminacyError) as exc:
+        with pytest.raises(type(exc)):
+            phi.orbit(t0, count)
+        return
+    got = phi.orbit(t0, count)
+    assert len(got) == len(expected) == count + 1
+    for a, b in zip(got, expected):
+        assert len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+
+
+def test_the_orbit_runs_on_integers_when_the_tags_agree(monkeypatch):
+    # f is the swap mod 7, so f^2 fixes every center mod 7. One tag 6 on
+    # the start runs the whole orbit on ints, wrapping only its points;
+    # mixed tags apply f^k point by point
+    ctx = PadicContext(7, precision=10)
+    f = RationalSelfMap.from_texts(2, ["x2 + 7*x1^2", "x1 - 14*x2 + 7"])
+    center = (ctx.from_int(3), ctx.from_int(40))
+    nbhd = neighborhood_of(f, ctx, center, 2)
+    phi = nbhd.iterated_local_map(3)
+    t0 = (ctx.from_int(0, 6), ctx.from_int(0, 6))
+    expected = reference_orbit(nbhd, t0, 4, 3)
+    calls = []
+    monkeypatch.setattr(PadicNeighborhood, "apply_fk",
+                        lambda *args: calls.append(args))
+    got = phi.orbit(t0, 4)
+    assert not calls
+    assert [[(c.layers, c.prec) for c in pt] for pt in got] == \
+        [[(c.layers, c.prec) for c in pt] for pt in expected]
+    monkeypatch.undo()
+    mixed = (ctx.from_int(0, 6), ctx.from_int(0, 7))
+    assert len(phi.orbit(mixed, 4)) == 5
+    monkeypatch.setattr(PadicNeighborhood, "apply_fk",
+                        lambda *args: calls.append(args) or args[1])
+    phi.orbit(mixed, 4)
+    assert len(calls) == 4
 
 
 def plain_fraction_eval(f, point):
