@@ -28,8 +28,8 @@ from .mahler import INFINITY, analyticity_exponent, mahler_coefficients
 from .neighborhood import (GoodPrimeReport, build_neighborhood,
                            choose_good_prime, context_for_record, hensel_lift,
                            validate_prime)
-from .padics import PadicContext, _vp
-from .polynomials import RationalSelfMap, poly_text
+from .padics import PadicContext, _vp, integers_mod
+from .polynomials import RationalSelfMap, embed_map, poly_text
 from .records import Record
 
 CERT_FORMAT = "padicdyn-certificate"
@@ -108,6 +108,35 @@ def classify(nbhd, bound, omega):
                 difference_valuation=rational_vr(a - b, nbhd.ctx))
     raise InternalInconsistencyError("iterate equals omega but the periodic"
                                      " scan missed it")
+
+
+def classify_mod(nbhd, bound, omega):
+    """non_preperiodic / outside_neighborhood / "periodic or undecided mod
+    p^P" for an exact rational point, from f^N(omega) - omega in O/p^P (P
+    the working precision, ``padics.integers_mod``). Reduction mod p^P is
+    a ring homomorphism on members, so a nonzero difference proves
+    f^N(omega) != omega; its first coordinate and v_r are recorded. A zero
+    difference decides nothing."""
+    omega = tuple(Fraction(w) for w in omega)
+    if not nbhd.membership(omega):
+        return ClassifyResult(kind=OUTSIDE)
+    ctx = nbhd.ctx
+    ring = integers_mod(ctx.p, ctx.d, ctx.e, ctx.precision)
+    run = embed_map(nbhd.map, ring).run
+    start = z = tuple(ring.from_rational(w) for w in omega)
+    try:
+        for _ in range(bound.bound):
+            z = run(z)
+    except IndeterminacyError as exc:
+        raise InternalInconsistencyError(
+            "the orbit of a member met a non-unit denominator: " + str(exc))
+    for i, (a, b) in enumerate(zip(z, start)):
+        v = ctx.from_coords(ring.coords(a - b)).valuation()
+        if v is not INFINITY:
+            return ClassifyResult(kind=NON_PREPERIODIC, differs_at=i + 1,
+                                  difference_valuation=v)
+    return ClassifyResult(
+        kind=f"periodic or undecided mod p^{ctx.precision}")
 
 
 def witness_candidates(nbhd):

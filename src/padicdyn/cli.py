@@ -18,8 +18,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .certify import (Certificate, classify, find_witness, run_pipeline,
-                      verify_certificate)
+from .certify import (OUTSIDE, Certificate, classify_mod, find_witness,
+                      run_pipeline, verify_certificate)
 from .errors import (PadicDynError, SearchBudgetError,
                      UnsupportedExtensionError)
 from .mahler import analyticity_margins, mahler_coefficients
@@ -170,8 +170,8 @@ def cmd_interpolate(args):
     cfg = _config_from_args(args)
     omega = _point_option(args.point, cfg.map.n)
     pipe = _run_pipeline(cfg)
-    result = classify(pipe.nbhd, pipe.bound, omega)
-    if result.kind == "outside_neighborhood":
+    result = classify_mod(pipe.nbhd, pipe.bound, omega)
+    if result.kind == OUTSIDE:
         print("point is outside the constructed neighborhood",
               file=sys.stderr)
         return 1
@@ -250,6 +250,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--opt=--" as an empty list of values
+    empty = [name for name, value in vars(args).items() if value == []]
+    if empty:
+        print(f"error: --{empty[0]} needs a value", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (PadicDynError, ValueError, OSError) as exc:

@@ -31,10 +31,9 @@ def orbit(phi, omega, count):
     through its ``orbit`` method, which applies f^(k*multiplier) in ambient
     coordinates and converts each point to local coordinates once, so the
     whole run costs one digit of precision rather than one per step. When
-    d = e = 1 and the start's tags agree, the whole orbit runs on integers
-    mod p^s and only its points are wrapped; otherwise each point takes one
-    ``PadicNeighborhood.apply_fk`` (one ``map_eval_padic`` per application
-    of f).
+    the start's tags agree, for every (p, d, e), the whole orbit runs in
+    O/p^s (``padics.integers_mod``) and only its points are wrapped;
+    otherwise each point takes one ``PadicNeighborhood.apply_fk``.
     """
     omega = tuple(omega)
     if hasattr(phi, "orbit"):

@@ -6,32 +6,33 @@ series at y, and that series is f applied k times to the generic point
 y + t of the ball, in the ring of series truncated at a total degree
 (``series.SeriesRing``). One map evaluator, the ``run`` of f embedded in a
 ring by ``polynomials.embed_map``, applies f to points of O^n, to series
-and, for the Mahler orbit over Z_p, to integers mod p^s
-(``padics.IntegersMod``). Subtracting y gives H, whose constant term is
-divisible by the uniformizer r, and the rescaling F(t) = H(r t)/r turns
-the ball into O^n with the iterate acting by integral power series.
+and, for a point whose coordinates share one tag s, to its coordinates in
+O/p^s (``padics.integers_mod``): ``apply_fk``, the orbit of
+``IteratedMap`` and the translation below. Subtracting y gives H, whose
+constant term is divisible by the uniformizer r, and the rescaling
+F(t) = H(r t)/r turns the ball into O^n with the iterate acting by
+integral power series.
 
 The reduction of F mod r is an invertible affine map t -> L t + c; its
 order is the second factor of the period bound. It reads no series: L is
 the Jacobian of the reduced map's k-th iterate at the residue of y, the
 product of the reduced Jacobians along the residue orbit (differentiation
 commutes with reduction mod p), and c is the residue of (f^k(y) - y)/r,
-which reads only f^k(y) mod r^2, so f^k is applied to y mod p^2 (r^2
+which reads only f^k(y) mod r^2, so f^k is applied to y in O/p^2 (r^2
 divides p^2, and reduction mod p^2 is a ring homomorphism). The series H
 and F truncated at degree ``cap`` are built at working precision when
 first read."""
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .dynamics import CLEAR, locus_check, reduce_map
 from .errors import (BadReductionError, DivisibilityError, NoGoodPrimeError,
-                     OrbitNotClearError, PadicDynError, PrecisionError,
-                     RamificationLeakError, ResidueMismatchError,
-                     UnsupportedExtensionError)
+                     OrbitNotClearError, PadicDynError, RamificationLeakError,
+                     ResidueMismatchError, UnsupportedExtensionError)
 from .finitefields import affine_order, is_prime, mat_identity, mat_mul
-from .padics import IntegersMod, PadicContext, PadicElement
+from .padics import PadicContext, PadicElement, integers_mod
 from .polynomials import embed_map, matrix_det
 from .records import Record
 from .series import SeriesRing, TruncatedSeries
@@ -145,22 +146,6 @@ def hensel_lift(record, ctx, convention="teichmuller"):
     return tuple(lifts)
 
 
-# one IntegersMod object per modulus, so that embed_map's cache on f is hit
-# by every call of apply_fk
-_integers_mod = lru_cache(maxsize=64)(IntegersMod)
-
-
-def _int_kernel_tag(f, zvec, ctx):
-    """The common tag s of zvec when every coordinate is an element of ctx
-    tagged s with 1 <= s <= precision; else None."""
-    if len(zvec) != f.n:
-        return None
-    tags = {z.prec if isinstance(z, PadicElement) and z.ctx is ctx else None
-            for z in zvec}
-    s = tags.pop() if len(tags) == 1 else None
-    return s if s is not None and 1 <= s <= ctx.precision else None
-
-
 def map_eval_padic(f, point, ring=None):
     """f applied exactly (to precision) to a vector of PadicElements, ring
     their PadicContext, or of series in a SeriesRing: the run of f embedded
@@ -201,11 +186,6 @@ class PadicNeighborhood:
         self.lift_convention = lift_convention
         self.n = f.n
         self.center_residue = tuple(ctx.residue(y) for y in center)
-        # apply_fk may iterate on integers when d = e = 1. Every component
-        # of f has a variable, so both loops keep the point's tag: a
-        # constant component zeroes a row of the Jacobian, and reduce_map
-        # rejects f before a neighborhood is built
-        self._integer_loop = ctx.d == 1 and ctx.e == 1
 
     @cached_property
     def _series_at_cap(self):
@@ -250,37 +230,41 @@ class PadicNeighborhood:
                     return False
         return True
 
-    def _int_tag(self, zvec):
-        """The tag s at which f^k may run on the integers mod p^s of zvec
-        (d = e = 1 and one tag s on every coordinate), else None."""
-        if not self._integer_loop:
-            return None
-        return _int_kernel_tag(self.map, zvec, self.ctx)
-
-    def _int_run(self, s):
-        """The run of f embedded in ``IntegersMod(p, p^s)``."""
-        return embed_map(self.map,
-                         _integers_mod(self.ctx.p, self.ctx.modulus(s))).run
+    def _ring(self, zvec):
+        """O/p^s (``padics.integers_mod``) and zvec's coordinates in it
+        when its n coordinates are elements of the context with one tag s,
+        1 <= s <= precision; else (None, None). Every component of f has a
+        variable, so the ring loop keeps the tag s as the PadicElement loop
+        does: a constant component zeroes a row of the Jacobian, and
+        reduce_map rejects f before a neighborhood is built."""
+        ctx = self.ctx
+        tags = {z.prec if isinstance(z, PadicElement) and z.ctx is ctx
+                else None for z in zvec}
+        s = tags.pop() if len(tags) == 1 and len(zvec) == self.n else None
+        if s is None or not 1 <= s <= ctx.precision:
+            return None, None
+        ring = integers_mod(ctx.p, ctx.d, ctx.e, s)
+        return ring, [ring.from_coords(z.coords()) for z in zvec]
 
     def apply_fk(self, zvec, times=1):
         """Exact p-adic application of f^(k*times) to an ambient point.
 
-        When d = e = 1 and every coordinate carries the same tag s, the
-        point is unwrapped to integers once, f is applied k*times times by
-        the run of f embedded in ``IntegersMod(p, p^s)``, and the result is
-        wrapped back with tag s.
-        Every other point goes through ``map_eval_padic`` once per
-        application of f. Both give the same digits and tags.
+        When every coordinate carries the same tag s, the point is
+        unwrapped once into O/p^s (``padics.integers_mod``), f is applied
+        k*times times by the run of f embedded there, and the result is
+        wrapped back with tag s. A point with mixed tags goes through
+        ``map_eval_padic`` once per application of f. Both give the same
+        digits and tags.
         """
         f, ctx = self.map, self.ctx
         count = self.period_k * times
-        s = self._int_tag(zvec)
-        if s is not None:
-            run = self._int_run(s)
-            x = [z.layers[0][0] for z in zvec]
+        ring, x = self._ring(zvec)
+        if ring is not None:
+            run = embed_map(f, ring).run
             for _ in range(count):
                 x = run(x)
-            return tuple(ctx._make(((c,),), s) for c in x)
+            s = zvec[0].prec
+            return tuple(ctx.from_coords(ring.coords(c), s) for c in x)
         for _ in range(count):
             zvec = map_eval_padic(f, zvec, ctx)
         return zvec
@@ -307,14 +291,14 @@ class IteratedMap:
 
     ``orbit`` iterates in ambient coordinates and converts each point to
     local coordinates once, so the whole orbit loses a single digit of
-    precision instead of one per step. When d = e = 1 and the ambient
-    point's coordinates share one tag s, it unwraps that point once, runs
-    f^(k*multiplier) on the integers mod p^s for the whole orbit (the run
-    of f embedded in ``IntegersMod(p, p^s)``), takes each local coordinate
-    on integers as ((x - y) mod p^m) / p with m = min(s, tag of y), tagged
-    m - 1, and wraps only the output points. Otherwise, and for
-    ``__call__``, each step goes through ``PadicNeighborhood.apply_fk`` and
-    ``to_local``. Both give the same digits, tags and errors.
+    precision instead of one per step. When the ambient point's
+    coordinates share one tag s, it unwraps that point once into O/p^s
+    (``padics.integers_mod``), runs f^(k*multiplier) there for the whole
+    orbit, and takes each output point's local coordinates in the ring
+    (its ``to_local``), tagged m - 1 with m = min(s, tag of y).
+    Otherwise, and for ``__call__``, each step goes through
+    ``PadicNeighborhood.apply_fk`` and ``to_local``. Both give the same
+    digits, tags and errors.
     """
 
     def __init__(self, nbhd, multiplier=1):
@@ -329,43 +313,26 @@ class IteratedMap:
     def orbit(self, t0, count):
         nbhd = self.nbhd
         z = nbhd.from_local(t0)
-        s = nbhd._int_tag(z)
-        if s is None:
+        ring, x = nbhd._ring(z)
+        if ring is None:
             out = [nbhd.to_local(z)]
             for _ in range(count):
                 z = nbhd.apply_fk(z, self.multiplier)
                 out.append(nbhd.to_local(z))
             return out
-        ctx = nbhd.ctx
-        run = nbhd._int_run(s)
+        ctx, s = nbhd.ctx, z[0].prec
+        run = embed_map(nbhd.map, ring).run
         steps = nbhd.period_k * self.multiplier
         centers = []
         for y in nbhd.center:
             m = min(s, y.prec)
-            centers.append((y.layers[0][0], m, ctx.modulus(m)))
-        x = [c.layers[0][0] for c in z]
-        out = [_int_to_local(ctx, x, centers)]
+            centers.append((ring.from_coords(y.coords()), m, ctx.modulus(m)))
+        out = [ring.to_local(ctx, x, centers)]
         for _ in range(count):
             for _ in range(steps):
                 x = run(x)
-            out.append(_int_to_local(ctx, x, centers))
+            out.append(ring.to_local(ctx, x, centers))
         return out
-
-
-def _int_to_local(ctx, x, centers):
-    """``to_local`` at d = e = 1 of the point with coordinate integers x,
-    centers holding (y, m, p^m) per coordinate: the same digits, tags and
-    errors."""
-    p = ctx.p
-    out = []
-    for xi, (y, m, mod) in zip(x, centers):
-        c = (xi - y) % mod
-        if c % p:
-            raise ValueError("point is not in the neighborhood")
-        if m < 2:
-            raise PrecisionError("division by r exhausts precision")
-        out.append(ctx._make(((c // p,),), m - 1))
-    return tuple(out)
 
 
 def _local_series(f, k, y, ring):

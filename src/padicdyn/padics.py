@@ -22,16 +22,27 @@ query on an element whose retained digits all vanish returns INFINITY, the
 "indistinguishable from zero at this precision" flag. Exact equality of
 nonzero quantities is therefore never decided p-adically; certification
 paths use rational arithmetic for that.
+
+Loops that keep one tag s run without tags in O/p^s, one cached ring per
+(p, d, e, s) (``integers_mod``): bare ints mod p^s when d = e = 1
+(``IntegersMod``), else ``ModElement``s over the d*e coordinate ints mod
+p^s (``ExtensionMod``), multiplied by the product ``o_product`` that
+PadicElement shares. Reduction mod p^s is a ring homomorphism, so both
+give the digits of the PadicElement loop. ``PadicElement.inverse`` is the
+ring's inverse, and the Teichmuller lift runs on W tuples, since the root
+lies in W for every e.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (ContextMismatchError, IndeterminacyError, NonUnitError,
                      PrecisionError)
-from .finitefields import (is_prime, prime_power_field, rational_mod,
-                           tuple_product, vec_add, vec_neg, vec_sub)
+from .finitefields import (is_prime, poly_powmod, prime_power_field,
+                           rational_mod, tuple_product, tuple_sum, vec_add,
+                           vec_neg, vec_sub)
 from .records import Record
 
 INFINITY = float("inf")
@@ -71,7 +82,7 @@ class PadicContext:
         # one F_q object per (p, d), shared by the search and the lift
         self.residue_field = prime_power_field(p, d)
         self.unram_low = self.residue_field.modulus
-        self._wmul = tuple_product(d)
+        self._omul = o_product(p, d, e)
         self._hash = hash((p, d, e, precision))
 
     def modulus(self, prec):
@@ -99,27 +110,24 @@ class PadicContext:
     def _make(self, layers, prec):
         return PadicElement(self, tuple(layers), prec)
 
+    def _base(self, w, prec):
+        """The element with r^0 layer w and the others zero."""
+        return self._make((w,) + (self._wzero(),) * (self.e - 1), prec)
+
     def zero(self, prec=None):
-        prec = self.precision if prec is None else prec
-        return self._make([self._wzero()] * self.e, prec)
+        return self.from_int(0, prec)
 
     def one(self, prec=None):
         return self.from_int(1, prec)
 
     def from_int(self, k, prec=None):
         prec = self.precision if prec is None else prec
-        mod = self.p ** prec
-        layers = [self._wzero()] * self.e
-        layers[0] = tuple([k % mod] + [0] * (self.d - 1))
-        return self._make(layers, prec)
+        return self._base((k % self.modulus(prec),) + self._wzero()[1:], prec)
 
     def from_rational(self, x, prec=None):
         """Embed a Fraction/int; the denominator must be a p-unit."""
         prec = self.precision if prec is None else prec
-        val = rational_mod(x, self.p, self.p ** prec)
-        layers = [self._wzero()] * self.e
-        layers[0] = tuple([val] + [0] * (self.d - 1))
-        return self._make(layers, prec)
+        return self.from_int(rational_mod(x, self.p, self.modulus(prec)), prec)
 
     def reduce(self, x):
         """x capped at the context's precision in digits and tag, in this
@@ -167,34 +175,39 @@ class PadicContext:
     def naive_lift(self, res):
         """Coordinate lift of a residue element (digits copied verbatim)."""
         res = self.residue_field.coerce(res)
-        layers = [self._wzero()] * self.e
-        layers[0] = tuple(res.coords())
-        return self._make(layers, self.precision)
+        return self._base(tuple(res.coords()), self.precision)
 
     def teichmuller_lift(self, res):
         """The multiplicative lift: the unique root of x^q = x over res.
 
-        Zero lifts to zero; units lift to roots of unity of order dividing
-        q - 1. Computed by Newton's iteration on x^q - x from the naive
-        lift: the derivative q x^(q-1) - 1 is -1 mod q, a unit, so the root
-        is unique mod p^precision and each step doubles the r-adic digits
-        that are correct. The derivative's inverse u is carried along from
-        u = -1: one Newton step u(2 - f'(x) u) per step keeps it correct to
-        at least the digits of x.
+        Zero and one lift to themselves; units lift to roots of unity of
+        order dividing q - 1. The root lies in W for every e, so it is
+        computed on W tuples through the kernel, by Newton's iteration on
+        x^q - x from the naive lift: the derivative q x^(q-1) - 1 is -1 mod
+        p, a unit, so the root is unique mod p^precision and each step
+        doubles the digits that are correct, from 1. Step i therefore works
+        mod p^min(2^i, precision). The derivative's inverse u is carried
+        along from u = -1: one Newton step u(2 - f'(x) u) before each step
+        of x keeps it correct to the digits of x.
         """
         res = self.residue_field.coerce(res)
-        x = self.naive_lift(res)
-        if res.is_zero():
-            return x
-        u, two = self.from_int(-1), self.from_int(2)
-        for _ in range((self.e * self.precision).bit_length() + 2):
-            x_q1 = x ** (self.q - 1)
-            fx = x_q1 * x - x
-            if fx.valuation() is INFINITY:
-                return x
-            u = u * (two - (x_q1 * self.q - 1) * u)
-            x = x - fx * u
-        raise PrecisionError("Teichmuller iteration failed to stabilize")
+        lift = self.naive_lift(res)
+        if res.is_zero() or res == self.residue_field.one():
+            return lift
+        g, mul, q = self.unram_low, tuple_product(self.d), self.q
+        x, one = lift.layers[0], (1,) + (0,) * (self.d - 1)
+        u, digits = vec_neg(one, self.p), 1
+        while digits < self.precision:
+            digits = min(2 * digits, self.precision)
+            mod = self.modulus(digits)
+            x_q1 = poly_powmod(x, q - 1, g, mod)
+            fx = vec_sub(mul(x_q1, x, g, mod), x, mod)
+            dfx = vec_sub(tuple(c * q for c in x_q1), one, mod)
+            two_minus = vec_sub(vec_add(one, one, mod), mul(dfx, u, g, mod),
+                                mod)
+            u = mul(u, two_minus, g, mod)
+            x = vec_sub(x, mul(fx, u, g, mod), mod)
+        return self._base(x, self.precision)
 
     def coerce(self, x):
         if isinstance(x, PadicElement):
@@ -221,10 +234,49 @@ class PadicContext:
                 f" precision={self.precision})")
 
 
+@lru_cache(maxsize=64)
+def o_product(p, d, e):
+    """(mul, low): mul(x, y, low, mod) is the product of O mod p^s on the
+    d e coordinates of ``PadicContext.from_coords``, mod = p^s. It is one
+    ``tuple_product(d)`` call modulo g at e = 1 and one
+    ``tuple_product(e)`` call modulo r^e - p at d = 1; otherwise every
+    pair of layers is multiplied by ``tuple_product(d)`` and r^(e+i) is
+    folded onto p r^i."""
+    g = prime_power_field(p, d).modulus
+    if e == 1:
+        return tuple_product(d), g
+    if d == 1:
+        return tuple_product(e), (-p,) + (0,) * (e - 1)
+    wmul = tuple_product(d)
+
+    def mul(x, y, low, mod):
+        prod = [[0] * d for _ in range(2 * e - 1)]
+        for i in range(e):
+            a = x[i * d:(i + 1) * d]
+            if any(a):
+                for j in range(e):
+                    c = wmul(a, y[j * d:(j + 1) * d], low, mod)
+                    prod[i + j] = [u + v for u, v in zip(prod[i + j], c)]
+        # r^i = p r^(i-e), and i <= 2e - 2 puts r^(i-e) below r^e
+        for i in range(e, 2 * e - 1):
+            prod[i - e] = [u + p * v for u, v in zip(prod[i - e], prod[i])]
+        return tuple(c % mod for layer in prod[:e] for c in layer)
+    return mul, g
+
+
+@lru_cache(maxsize=64)
+def integers_mod(p, d, e, s):
+    """O/p^s for residue degree d and ramification e, one object per key
+    so that embed_map's cache on a map is hit by every call:
+    ``IntegersMod(p, p^s)`` when d e = 1, else an ``ExtensionMod``. Both
+    read and give the coordinate ints of ``PadicContext.from_coords`` by
+    ``from_coords`` (missing high coordinates zero) and ``coords``, and
+    take a point's local coordinates by ``to_local``."""
+    return IntegersMod(p, p ** s) if d * e == 1 else ExtensionMod(p, d, e, s)
+
+
 class IntegersMod(Record):
-    """Z/p^s on Python ints, the ring mod = p^s. At d = e = 1 it is O/p^s,
-    and reduction mod p^s is a ring homomorphism, so a map applied here
-    gives the digits of the PadicElement loop at tag s."""
+    """Z/p^s on Python ints, the ring mod = p^s: O/p^s at d = e = 1."""
 
     __slots__ = ("p", "mod")
 
@@ -245,6 +297,119 @@ class IntegersMod(Record):
             raise IndeterminacyError(
                 "denominator is not a unit along the orbit")
         return pow(x, -1, self.mod)
+
+    def from_coords(self, coords):
+        return coords[0] % self.mod
+
+    def coords(self, x):
+        return (x,)
+
+    def to_local(self, ctx, x, centers):
+        """The local coordinates (x - y) / p of the point x as elements of
+        ctx tagged m - 1, centers holding (y in this ring, m, p^m) per
+        coordinate with m <= s: the digits, tags and errors of
+        ``PadicNeighborhood.to_local``."""
+        p = self.p
+        out = []
+        for xi, (y, m, mod) in zip(x, centers):
+            c = (xi - y) % mod
+            if c % p:
+                raise ValueError("point is not in the neighborhood")
+            if m < 2:
+                raise PrecisionError("division by r exhausts precision")
+            out.append(ctx._make(((c // p,),), m - 1))
+        return tuple(out)
+
+
+class ExtensionMod:
+    """O/p^s when d e > 1, on ModElements holding the d e coordinate ints
+    mod p^s of ``PadicContext.from_coords``, layer by layer.
+
+    Products are ``o_product``'s, sums and differences the compiled
+    ``tuple_sum`` of degree d e. Every operation reduces mod p^s, so
+    ``reduce`` is the identity."""
+
+    def __init__(self, p, d, e, s):
+        self.p, self.d, self.e, self.s = p, d, e, s
+        self.mod = p ** s
+        self.n = d * e
+        self.add, self.sub = tuple_sum(self.n, "+"), tuple_sum(self.n, "-")
+        self.mul, self.low = o_product(p, d, e)
+
+    def one(self):
+        return self.from_coords([1])
+
+    def zero(self):
+        return self.from_coords([])
+
+    def from_rational(self, c):
+        return self.from_coords([rational_mod(c, self.p, self.mod)])
+
+    @staticmethod
+    def reduce(x):
+        return x
+
+    def unit_inverse(self, x):
+        """Newton's iteration y -> y (2 - x y) from the lift of the
+        residue-field inverse; the r-adic digits that are correct double
+        at each step."""
+        p, d = self.p, self.d
+        if not any(c % p for c in x.c[:d]):
+            raise IndeterminacyError(
+                "denominator is not a unit along the orbit")
+        residue = prime_power_field(p, d).from_coords(x.c[:d])
+        y, two = self.from_coords(residue.inverse().rep), self.from_coords([2])
+        for _ in range((self.e * self.s).bit_length()):
+            y = y * (two - x * y)
+        return y
+
+    def from_coords(self, coords):
+        c = [a % self.mod for a in coords]
+        return ModElement(self, tuple(c + [0] * (self.n - len(c))))
+
+    def coords(self, x):
+        return x.c
+
+    def to_local(self, ctx, x, centers):
+        """``IntegersMod.to_local`` on the coordinate tuples: since r^e = p,
+        dividing by r shifts the layers down, the lowest one divided by p
+        going to the top."""
+        p, d = self.p, self.d
+        out = []
+        for xi, (y, m, mod) in zip(x, centers):
+            c = [(a - b) % mod for a, b in zip(xi.c, y.c)]
+            if any([a % p for a in c[:d]]):
+                raise ValueError("point is not in the neighborhood")
+            if m < 2:
+                raise PrecisionError("division by r exhausts precision")
+            top = mod // p
+            c = [a % top for a in c[d:]] + [a // p for a in c[:d]]
+            out.append(ctx._make([tuple(c[i:i + d])
+                                  for i in range(0, self.n, d)], m - 1))
+        return tuple(out)
+
+
+class ModElement:
+    """An element of an ExtensionMod ``ring``, ``c`` its coordinate ints."""
+
+    __slots__ = ("ring", "c")
+
+    def __init__(self, ring, c):
+        self.ring = ring
+        self.c = c
+
+    def __add__(self, other):
+        ring = self.ring
+        return ModElement(ring, ring.add(self.c, other.c, ring.mod))
+
+    def __sub__(self, other):
+        ring = self.ring
+        return ModElement(ring, ring.sub(self.c, other.c, ring.mod))
+
+    def __mul__(self, other):
+        ring = self.ring
+        return ModElement(ring, ring.mul(self.c, other.c, ring.low,
+                                         ring.mod))
 
 
 class PadicElement:
@@ -315,24 +480,11 @@ class PadicElement:
         ctx = self.ctx
         a = self._tighten(prec, mod)
         b = o._tighten(prec, mod)
-        e, g, mul = ctx.e, ctx.unram_low, ctx._wmul
-        if e == 1:
-            return ctx._make([mul(a[0], b[0], g, mod)], prec)
-        zero = ctx._wzero()
-        prod = [zero] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = vec_add(prod[i + j], mul(x, y, g, mod), mod)
-        # r^i = p r^(i-e), and i <= 2e - 2 puts r^(i-e) below r^e
-        p = ctx.p
-        for i in range(e, 2 * e - 1):
-            c = prod[i]
-            if c != zero:
-                prod[i - e] = tuple((x + p * y) % mod
-                                    for x, y in zip(prod[i - e], c))
-        return ctx._make(prod[:e], prec)
+        mul, low = ctx._omul
+        if ctx.e == 1:
+            return ctx._make([mul(a[0], b[0], low, mod)], prec)
+        c, d = mul(sum(a, ()), sum(b, ()), low, mod), ctx.d
+        return ctx._make([c[j:j + d] for j in range(0, len(c), d)], prec)
 
     __rmul__ = __mul__
 
@@ -389,31 +541,15 @@ class PadicElement:
 
     def inverse(self):
         """Multiplicative inverse of a unit, exact to stored precision
-        (capped at the context's, as for every product)."""
+        (capped at the context's, as for every product): the ring's
+        ``unit_inverse`` in ``integers_mod`` at that precision."""
         if self.valuation() != 0:
             raise NonUnitError("division by non-unit")
         ctx = self.ctx
-        if ctx.d == 1 and ctx.e == 1:
-            prec = min(self.prec, ctx.precision)
-            return ctx._make(
-                [(pow(self.layers[0][0], -1, ctx.modulus(prec)),)], prec)
-        return self._newton_inverse()
-
-    def _newton_inverse(self):
-        """inverse() of a unit by Newton iteration from the residue-field
-        inverse; the only route when d > 1 or e > 1."""
-        ctx = self.ctx
-        res_inv = self.residue().inverse()
-        x = ctx.naive_lift(res_inv)
-        if x.prec > self.prec:
-            mod = ctx.p ** self.prec
-            x = ctx._make(x._tighten(self.prec, mod), self.prec)
-        two = ctx.from_int(2, self.prec)
-        # Newton: correct r-digits double every step
-        steps = max(1, (ctx.e * self.prec).bit_length() + 1)
-        for _ in range(steps):
-            x = x * (two - self * x)
-        return x
+        prec = min(self.prec, ctx.precision)
+        ring = integers_mod(ctx.p, ctx.d, ctx.e, prec)
+        inv = ring.unit_inverse(ring.from_coords(self.coords()))
+        return ctx.from_coords(ring.coords(inv), prec)
 
     def divide_exact_p(self, s):
         """Divide by p^s; every coordinate must carry the factor. Costs s

@@ -5,8 +5,9 @@ after local expansion (series module). The canonical text form used by map
 files and hashes looks like ``3*x1^2*x2 - 1/2`` with variables x1..xn.
 
 A rational map is applied in five rings: Q (``QQ``), F_q (a FiniteField),
-O (a PadicContext), O/p^s on ints (``padics.IntegersMod``) and the truncated
-series (``series.SeriesRing``). Each ring offers one(), zero(),
+O (a PadicContext), O/p^s (``padics.integers_mod``: ints at d = e = 1,
+tuples of d*e ints otherwise) and the truncated series
+(``series.SeriesRing``). Each ring offers one(), zero(),
 from_rational(c), reduce(x) and unit_inverse(x). ``embed_map`` carries the
 map's coefficients into a ring once, as an ``EmbeddedMap`` of that ring,
 kept on the map. Its ``run`` is the map compiled into one straight-line

@@ -9,8 +9,9 @@ import pytest
 from padicdyn import finitefields
 from padicdyn.certify import (NON_PREPERIODIC, OUTSIDE, PERIODIC, Certificate,
                               _digest, _replay_record, classify,
-                              find_witness, period_bound, run_pipeline,
-                              verify_certificate, witness_candidates)
+                              classify_mod, find_witness, period_bound,
+                              run_pipeline, verify_certificate,
+                              witness_candidates)
 from padicdyn.dynamics import reduce_map
 from padicdyn.errors import SearchBudgetError, UnsupportedExtensionError
 from padicdyn.finitefields import prime_power_field
@@ -39,6 +40,29 @@ def test_classify_cube_examples():
     assert res6.iterate[0] == Fraction(6) ** 3 ** pipe.bound.bound
     assert classify(pipe.nbhd, pipe.bound, [2]).kind == OUTSIDE
     assert classify(pipe.nbhd, pipe.bound, [Fraction(1, 5)]).kind == OUTSIDE
+
+
+@pytest.mark.parametrize("name", ["quad_p3", "square_p5", "cube_p5",
+                                  "cube_p7", "twodim_p5"])
+def test_classify_mod_agrees_with_the_exact_classify(name):
+    # a verdict mod p^64 on the first witness candidates of every suite
+    # map: non_preperiodic with the exact differing coordinate and
+    # valuation, undecided where the exact iterate returns, and the same
+    # outside points
+    pipe = build_pipeline(name)
+    undecided = f"periodic or undecided mod p^{pipe.ctx.precision}"
+    candidates = witness_candidates(pipe.nbhd)
+    omegas = [next(candidates) for _ in range(6)] + [[Fraction(1, 5)] * 2]
+    for omega in omegas:
+        omega = omega[:pipe.map.n]
+        want = classify(pipe.nbhd, pipe.bound, omega)
+        got = classify_mod(pipe.nbhd, pipe.bound, omega)
+        if want.kind == NON_PREPERIODIC:
+            assert (got.kind, got.differs_at, got.difference_valuation) == \
+                (want.kind, want.differs_at, want.difference_valuation)
+        else:
+            assert got.kind == (undecided if want.kind == PERIODIC
+                                else OUTSIDE)
 
 
 def test_classify_quadratic_growth(quad_p3_naive):

@@ -6,12 +6,13 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicdyn import cli
@@ -130,6 +131,19 @@ def test_interpolate_report(tmp_path):
     assert "classification: non_preperiodic" in text
     assert "certified analytic on p^1 Z_p: True" in text
     assert "v_r(b_k)" in text
+
+
+def test_henon_interpolate_exits_zero_within_five_seconds(tmp_path):
+    # f^44 of the point is decided mod 5^64, with no exact iterate
+    mp = Path(__file__).resolve().parents[1] / "perfbench" / "maps" / \
+        "henon_p5.json"
+    out = tmp_path / "r.txt"
+    start = time.perf_counter()
+    res = run_cli("interpolate", "--map", str(mp), "--point", "5,5",
+                  "--out", str(out), timeout=5)
+    assert time.perf_counter() - start < 5
+    assert res.returncode == 0, res.stderr
+    assert "classification: non_preperiodic" in out.read_text()
 
 
 def test_cli_overrides_take_precedence(tmp_path):
@@ -436,6 +450,8 @@ def bad_option_values():
 
 @settings(max_examples=150, deadline=None)
 @given(bad_option_values())
+@example(("--prime", "--"))      # argparse reads --opt=-- as []
+@example(("--point", "--"))
 def test_a_bad_option_value_exits_one(option_value):
     option, value = option_value
     # --opt=value, so that a value starting with '-' is not an option

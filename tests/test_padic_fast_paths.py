@@ -7,11 +7,13 @@ digits *and* the same precision tag as the plain computation: coefficients
 embedded at every term, powers built up from ``ctx.one()``, and the Newton
 inverse. Contexts cover Z_p and ramified and unramified extensions; points
 may carry more digits than the context, and the result is capped as before.
-``PadicNeighborhood.apply_fk`` iterates on integers mod p^s when d = e = 1
-and the point's tags agree, and must match the ``map_eval_padic`` loop it
-replaces there; ``IteratedMap.orbit`` then runs the whole orbit on those
-integers and must match ``to_local`` of ``apply_fk`` point by point. Over Q, the map embedded by ``embed_map`` must match a
-plain Fraction loop.
+``PadicNeighborhood.apply_fk`` iterates in O/p^s (``padics.integers_mod``:
+ints when d = e = 1, tuples of d e ints otherwise) when the point's tags
+agree, and must match the ``map_eval_padic`` loop it replaces there;
+``IteratedMap.orbit`` then runs the whole orbit in that ring and must match,
+point by point, the ``map_eval_padic`` loop followed by ``to_local``. Both
+are checked on a grid of p, d and e. Over Q, the map embedded by
+``embed_map`` must match a plain Fraction loop.
 """
 
 from fractions import Fraction
@@ -28,6 +30,10 @@ from padicdyn.neighborhood import (PadicNeighborhood, build_neighborhood,
 from padicdyn.padics import IntegersMod, PadicContext
 from padicdyn.polynomials import QQ, MultiPoly, RationalSelfMap, embed_map
 from padicdyn.series import poly_eval
+
+# p in {3, 5, 7}, d in {1, 2, 3}, e in {1, 2}
+GRID = [PadicContext(p, d=d, e=e, precision=6)
+        for p in (3, 5, 7) for d in (1, 2, 3) for e in (1, 2)]
 
 CONTEXTS = [
     PadicContext(3, precision=8),
@@ -59,6 +65,19 @@ def context_and_element(draw):
     return ctx, draw(elements(ctx))
 
 
+def newton_inverse(x):
+    """The inverse of a unit by Newton's iteration on PadicElements from
+    the residue-field inverse, tagged as inverse() tags it: the oracle of
+    inverse(), which runs in padics.integers_mod."""
+    ctx = x.ctx
+    prec = min(x.prec, ctx.precision)
+    y = ctx.from_coords(ctx.naive_lift(x.residue().inverse()).coords(), prec)
+    two = ctx.from_int(2, prec)
+    for _ in range((ctx.e * prec).bit_length() + 1):
+        y = y * (two - x * y)
+    return y
+
+
 @given(context_and_element())
 def test_inverse_is_exact_and_equals_the_newton_inverse(case):
     ctx, x = case
@@ -68,7 +87,7 @@ def test_inverse_is_exact_and_equals_the_newton_inverse(case):
         return
     inv = x.inverse()
     assert x * inv == ctx.one()
-    assert same(inv, x._newton_inverse())
+    assert same(inv, newton_inverse(x))
 
 
 def plain_poly_eval(poly, point, ctx):
@@ -91,7 +110,7 @@ def plain_map_eval(f, point, ctx):
         dval = plain_poly_eval(den, point, ctx)
         if dval.valuation() != 0:
             raise IndeterminacyError("denominator is not a unit")
-        out.append(plain_poly_eval(num, point, ctx) * dval._newton_inverse())
+        out.append(plain_poly_eval(num, point, ctx) * newton_inverse(dval))
     return tuple(out)
 
 
@@ -182,29 +201,45 @@ def neighborhood_of(f, ctx, point, k):
                              affine_order=1, cap=1)
 
 
+def tagged(draw, ctx, tag):
+    """An element of ctx tagged tag, its d e coordinates drawn."""
+    return ctx.from_coords([draw(st.integers(0, ctx.p ** tag - 1))
+                            for _ in range(ctx.d * ctx.e)], tag)
+
+
 @st.composite
-def int_kernel_cases(draw):
-    """A map of A^1 or A^2 over Z_p, p in {3, 5, 7}, a point whose
-    coordinates share a tag s <= precision (sometimes mixed tags), k and
-    times. Every component of the map has a variable, as in every map that
-    build_neighborhood accepts."""
-    ctx = draw(st.sampled_from(CONTEXTS[:3]))
+def int_kernel_cases(draw, contexts=CONTEXTS[:3]):
+    """A map of A^1 or A^2, a context from contexts (Z_p, p in {3, 5, 7},
+    by default), a point whose coordinates share a tag s <= precision + 2
+    (sometimes mixed tags), k and times. Every component of the map has a
+    variable, as in every map that build_neighborhood accepts."""
+    ctx = draw(st.sampled_from(contexts))
     n = draw(st.integers(1, 2))
     f = draw(rational_maps(n))
     assume(all(num.total_degree() or den.total_degree()
                for num, den in zip(f.numerators, f.denominators)))
-    s = draw(st.integers(1, ctx.precision))
+    # a tag above the precision runs the PadicElement loop, which caps it
+    s = draw(st.integers(1, ctx.precision + 2))
     tags = [s] * n
     if draw(st.booleans()):
         tags = [draw(st.integers(1, ctx.precision)) for _ in range(n)]
-    point = tuple(ctx.from_coords([draw(st.integers(0, ctx.p ** t - 1))], t)
-                  for t in tags)
+    point = tuple(tagged(draw, ctx, t) for t in tags)
     return f, ctx, point, draw(st.integers(1, 3)), draw(st.integers(1, 2))
 
 
 @settings(max_examples=150, deadline=None)
 @given(int_kernel_cases())
 def test_apply_fk_on_integers_equals_the_generic_loop(case):
+    check_apply_fk(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_kernel_cases(GRID))
+def test_apply_fk_in_the_ring_equals_the_padic_element_loop(case):
+    check_apply_fk(case)
+
+
+def check_apply_fk(case):
     f, ctx, point, k, times = case
     nbhd = neighborhood_of(f, ctx, point, k)
     try:
@@ -269,23 +304,25 @@ def test_apply_fk_scales_by_constant_denominators_on_integers(monkeypatch):
 
 
 def reference_orbit(nbhd, t0, count, times):
-    """The local orbit by one apply_fk and one to_local per point."""
+    """The local orbit by one map_eval_padic loop of f^k and one to_local
+    per point."""
     z = nbhd.from_local(t0)
     out = [nbhd.to_local(z)]
     for _ in range(count):
-        z = nbhd.apply_fk(z, times)
+        z = generic_fk(nbhd.map, z, nbhd.ctx, nbhd.period_k * times)
         out.append(nbhd.to_local(z))
     return out
 
 
 @st.composite
-def orbit_cases(draw):
-    """A p-integral map of A^1 or A^2 at p in {3, 5, 7}, a center and a
-    start whose tags are one s or mixed, k, the multiplier and the orbit
-    length. Half the maps are x + p g over 1 + p h, which keep the orbit
-    of every member in the neighborhood, so that its digits are compared;
-    the others mostly leave it."""
-    ctx = draw(st.sampled_from(CONTEXTS[:3]))
+def orbit_cases(draw, contexts=CONTEXTS[:3]):
+    """A p-integral map of A^1 or A^2, a context from contexts (Z_p, p in
+    {3, 5, 7}, by default), a center and a start whose tags are one s or
+    mixed, k, the multiplier and the orbit length. Half the maps are
+    x + p g over 1 + p h, which keep the orbit of every member in the
+    neighborhood, so that its digits are compared; the others mostly leave
+    it."""
+    ctx = draw(st.sampled_from(contexts))
     p, prec = ctx.p, ctx.precision
     n = draw(st.integers(1, 2))
     if draw(st.booleans()):
@@ -307,8 +344,7 @@ def orbit_cases(draw):
                for num, den in zip(f.numerators, f.denominators)))
 
     def point(tags):
-        return tuple(ctx.from_coords([draw(st.integers(0, p ** t - 1))], t)
-                     for t in tags)
+        return tuple(tagged(draw, ctx, t) for t in tags)
 
     def tags():
         s = draw(st.integers(1, prec))
@@ -324,12 +360,23 @@ def orbit_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(orbit_cases())
 def test_the_integer_orbit_equals_to_local_of_apply_fk(case):
+    check_orbit(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_cases(GRID))
+def test_the_ring_orbit_equals_the_padic_element_orbit(case):
+    check_orbit(case)
+
+
+def check_orbit(case):
     f, ctx, center, t0, k, times, count = case
     nbhd = neighborhood_of(f, ctx, center, k)
     phi = nbhd.iterated_local_map(times)
     try:
         expected = reference_orbit(nbhd, t0, count, times)
-    except (ValueError, PrecisionError, IndeterminacyError) as exc:
+    except (BadReductionError, ValueError, PrecisionError,
+            IndeterminacyError) as exc:
         with pytest.raises(type(exc)):
             phi.orbit(t0, count)
         return

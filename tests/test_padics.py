@@ -289,6 +289,41 @@ def inverted_derivative_teichmuller(ctx, res):
     raise AssertionError("Newton iteration did not stabilize")
 
 
+def padic_element_teichmuller(ctx, res):
+    """The Newton lift on PadicElements of the whole ring O, carrying the
+    derivative's inverse along, until x^q - x vanishes to precision: the
+    oracle of the lift that runs on W tuples."""
+    x = ctx.naive_lift(res)
+    if res.is_zero():
+        return x
+    u, two = ctx.from_int(-1), ctx.from_int(2)
+    for _ in range((ctx.e * ctx.precision).bit_length() + 2):
+        x_q1 = x ** (ctx.q - 1)
+        fx = x_q1 * x - x
+        if fx.valuation() is INFINITY:
+            return x
+        u = u * (two - (x_q1 * ctx.q - 1) * u)
+        x = x - fx * u
+    raise AssertionError("Newton iteration did not stabilize")
+
+
+# p in {3, 5, 7}, d in {1, 2, 3}, e in {1, 2}
+GRID = [(p, d, e) for p in (3, 5, 7) for d in (1, 2, 3) for e in (1, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GRID), st.integers(1, 40), st.integers(0, 10 ** 6))
+def test_teichmuller_on_w_tuples_equals_the_padic_element_newton(
+        pde, precision, index):
+    p, d, e = pde
+    ctx = PadicContext(p, d=d, e=e, precision=precision)
+    res = ctx.residue_field.element_from_index(index % ctx.q)
+    got = ctx.teichmuller_lift(res)
+    want = padic_element_teichmuller(ctx, res)
+    assert got.layers == want.layers and got.prec == want.prec
+    assert got.ctx is ctx
+
+
 # (d, e) -> p
 TOWERS = {(1, 1): 7, (2, 1): 5, (3, 1): 3, (2, 2): 3}
 
