@@ -131,7 +131,7 @@ def classify_mod(nbhd, bound, omega):
         raise InternalInconsistencyError(
             "the orbit of a member met a non-unit denominator: " + str(exc))
     for i, (a, b) in enumerate(zip(z, start)):
-        v = ctx.from_coords(ring.coords(a - b)).valuation()
+        v = ring.wrap(ctx, a - b, ctx.precision).valuation()
         if v is not INFINITY:
             return ClassifyResult(kind=NON_PREPERIODIC, differs_at=i + 1,
                                   difference_valuation=v)

@@ -10,8 +10,7 @@ irreducible-modulus search are reproducible, which downstream certificates
 rely on.
 
 The kernel works on such coefficient tuples in Z[x]/(x^m + low(x), mod):
-``vec_add``, ``vec_sub``, ``vec_neg``, ``poly_mulmod`` and ``poly_powmod``,
-with ``tuple_sum`` the compiled sum and difference of one degree.
+``vec_add``, ``vec_sub``, ``vec_neg``, ``poly_mulmod`` and ``poly_powmod``.
 A field calls it with mod = p; the unramified layer W = Z_p[b]/(g) of
 ``padics.PadicContext`` calls it with mod = p^s, and the Rabin test with
 mod = p. The product for degree m (``tuple_product``) is one int product
@@ -196,22 +195,6 @@ def _compiled_product(m):
     namespace = {}
     exec(compile(product_source(m), "<padicdyn product>", "exec"), namespace)
     return namespace["mul"]
-
-
-@lru_cache(maxsize=64)
-def tuple_sum(m, op):
-    """The sum (op "+") or difference (op "-") of two m-tuples mod mod, as
-    a function of (x, y, mod): straight-line code compiled once per degree
-    up to _COMPILED_MAX_DEGREE, vec_add or vec_sub above."""
-    if m > _COMPILED_MAX_DEGREE:
-        return vec_add if op == "+" else vec_sub
-    xs = "".join(f"x{i}, " for i in range(m))
-    terms = "".join(f"(x{i} {op} y{i}) % mod, " for i in range(m))
-    source = (f"def add(x, y, mod):\n    {xs}= x\n"
-              f"    {xs.replace('x', 'y')}= y\n    return ({terms})\n")
-    namespace = {}
-    exec(compile(source, "<padicdyn sum>", "exec"), namespace)
-    return namespace["add"]
 
 
 class FiniteField:

@@ -244,7 +244,7 @@ class PadicNeighborhood:
         if s is None or not 1 <= s <= ctx.precision:
             return None, None
         ring = integers_mod(ctx.p, ctx.d, ctx.e, s)
-        return ring, [ring.from_coords(z.coords()) for z in zvec]
+        return ring, [ring.unwrap(z) for z in zvec]
 
     def apply_fk(self, zvec, times=1):
         """Exact p-adic application of f^(k*times) to an ambient point.
@@ -264,7 +264,7 @@ class PadicNeighborhood:
             for _ in range(count):
                 x = run(x)
             s = zvec[0].prec
-            return tuple(ctx.from_coords(ring.coords(c), s) for c in x)
+            return tuple(ring.wrap(ctx, c, s) for c in x)
         for _ in range(count):
             zvec = map_eval_padic(f, zvec, ctx)
         return zvec
@@ -326,7 +326,7 @@ class IteratedMap:
         centers = []
         for y in nbhd.center:
             m = min(s, y.prec)
-            centers.append((ring.from_coords(y.coords()), m, ctx.modulus(m)))
+            centers.append((ring.unwrap(y), m, ctx.modulus(m)))
         out = [ring.to_local(ctx, x, centers)]
         for _ in range(count):
             for _ in range(steps):

@@ -41,8 +41,8 @@ from functools import lru_cache
 from .errors import (ContextMismatchError, IndeterminacyError, NonUnitError,
                      PrecisionError)
 from .finitefields import (is_prime, poly_powmod, prime_power_field,
-                           rational_mod, tuple_product, tuple_sum, vec_add,
-                           vec_neg, vec_sub)
+                           rational_mod, tuple_product, vec_add, vec_neg,
+                           vec_sub)
 from .records import Record
 
 INFINITY = float("inf")
@@ -238,15 +238,12 @@ class PadicContext:
 def o_product(p, d, e):
     """(mul, low): mul(x, y, low, mod) is the product of O mod p^s on the
     d e coordinates of ``PadicContext.from_coords``, mod = p^s. It is one
-    ``tuple_product(d)`` call modulo g at e = 1 and one
-    ``tuple_product(e)`` call modulo r^e - p at d = 1; otherwise every
-    pair of layers is multiplied by ``tuple_product(d)`` and r^(e+i) is
-    folded onto p r^i."""
+    ``tuple_product(d)`` call modulo g at e = 1; otherwise every pair of
+    layers is multiplied by ``tuple_product(d)`` and r^(e+i) is folded
+    onto p r^i."""
     g = prime_power_field(p, d).modulus
     if e == 1:
         return tuple_product(d), g
-    if d == 1:
-        return tuple_product(e), (-p,) + (0,) * (e - 1)
     wmul = tuple_product(d)
 
     def mul(x, y, low, mod):
@@ -269,9 +266,10 @@ def integers_mod(p, d, e, s):
     """O/p^s for residue degree d and ramification e, one object per key
     so that embed_map's cache on a map is hit by every call:
     ``IntegersMod(p, p^s)`` when d e = 1, else an ``ExtensionMod``. Both
-    read and give the coordinate ints of ``PadicContext.from_coords`` by
-    ``from_coords`` (missing high coordinates zero) and ``coords``, and
-    take a point's local coordinates by ``to_local``."""
+    take an element of a PadicContext tagged s in by ``unwrap`` and give
+    one back by ``wrap`` (its layers as they are, reduced mod p^s by the
+    ring's operations), and take a point's local coordinates by
+    ``to_local``."""
     return IntegersMod(p, p ** s) if d * e == 1 else ExtensionMod(p, d, e, s)
 
 
@@ -298,11 +296,13 @@ class IntegersMod(Record):
                 "denominator is not a unit along the orbit")
         return pow(x, -1, self.mod)
 
-    def from_coords(self, coords):
-        return coords[0] % self.mod
+    @staticmethod
+    def unwrap(z):
+        return z.layers[0][0]
 
-    def coords(self, x):
-        return (x,)
+    @staticmethod
+    def wrap(ctx, x, s):
+        return ctx._make(((x,),), s)
 
     def to_local(self, ctx, x, centers):
         """The local coordinates (x - y) / p of the point x as elements of
@@ -325,15 +325,14 @@ class ExtensionMod:
     """O/p^s when d e > 1, on ModElements holding the d e coordinate ints
     mod p^s of ``PadicContext.from_coords``, layer by layer.
 
-    Products are ``o_product``'s, sums and differences the compiled
-    ``tuple_sum`` of degree d e. Every operation reduces mod p^s, so
+    Products are ``o_product``'s, sums and differences the kernel's
+    ``vec_add`` and ``vec_sub``. Every operation reduces mod p^s, so
     ``reduce`` is the identity."""
 
     def __init__(self, p, d, e, s):
         self.p, self.d, self.e, self.s = p, d, e, s
         self.mod = p ** s
         self.n = d * e
-        self.add, self.sub = tuple_sum(self.n, "+"), tuple_sum(self.n, "-")
         self.mul, self.low = o_product(p, d, e)
 
     def one(self):
@@ -367,8 +366,12 @@ class ExtensionMod:
         c = [a % self.mod for a in coords]
         return ModElement(self, tuple(c + [0] * (self.n - len(c))))
 
-    def coords(self, x):
-        return x.c
+    def unwrap(self, z):
+        return ModElement(self, sum(z.layers, ()))
+
+    def wrap(self, ctx, x, s):
+        d = self.d
+        return ctx._make([x.c[i:i + d] for i in range(0, self.n, d)], s)
 
     def to_local(self, ctx, x, centers):
         """``IntegersMod.to_local`` on the coordinate tuples: since r^e = p,
@@ -400,11 +403,11 @@ class ModElement:
 
     def __add__(self, other):
         ring = self.ring
-        return ModElement(ring, ring.add(self.c, other.c, ring.mod))
+        return ModElement(ring, vec_add(self.c, other.c, ring.mod))
 
     def __sub__(self, other):
         ring = self.ring
-        return ModElement(ring, ring.sub(self.c, other.c, ring.mod))
+        return ModElement(ring, vec_sub(self.c, other.c, ring.mod))
 
     def __mul__(self, other):
         ring = self.ring
@@ -542,14 +545,17 @@ class PadicElement:
     def inverse(self):
         """Multiplicative inverse of a unit, exact to stored precision
         (capped at the context's, as for every product): the ring's
-        ``unit_inverse`` in ``integers_mod`` at that precision."""
+        ``unit_inverse`` in ``integers_mod`` at that precision, one pow at
+        d = e = 1."""
         if self.valuation() != 0:
             raise NonUnitError("division by non-unit")
         ctx = self.ctx
         prec = min(self.prec, ctx.precision)
+        if ctx.d * ctx.e == 1:
+            return ctx._make(
+                [(pow(self.layers[0][0], -1, ctx.modulus(prec)),)], prec)
         ring = integers_mod(ctx.p, ctx.d, ctx.e, prec)
-        inv = ring.unit_inverse(ring.from_coords(self.coords()))
-        return ctx.from_coords(ring.coords(inv), prec)
+        return ring.wrap(ctx, ring.unit_inverse(ring.unwrap(self)), prec)
 
     def divide_exact_p(self, s):
         """Divide by p^s; every coordinate must carry the factor. Costs s
