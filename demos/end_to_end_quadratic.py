@@ -28,16 +28,16 @@ print("\nperiodic point over F_3:",
 # Teichmuller lift would give -1 = ...222, the root of unity over residue 2.
 ctx = context_for_record(3, record, precision=64)
 y = hensel_lift(record, ctx, convention="naive")
-print("\nlifted center y =", y[0].layers[0][0])
+print("\nlifted center y =", y[0].coords()[0])
 
 # Step 3: expand f at y. With t the local coordinate, f(2+t) - 2 = t^2+4t+3,
 # and the rescaled series F(t) = H(3t)/3 = 3t^2 + 4t + 1 has the promised
 # divisibility: the degree-2 coefficient is divisible by 3^(2-1).
 nbhd = build_neighborhood(f, record.period, y, ctx, record=record,
                           lift_convention="naive")
-print("\nH coefficients:", {i: c.layers[0][0] % 3 ** 6
+print("\nH coefficients:", {i: c.coords()[0] % 3 ** 6
                             for i, c in nbhd.H[0].terms_sorted()})
-print("F coefficients:", {i: c.layers[0][0] % 3 ** 6
+print("F coefficients:", {i: c.coords()[0] % 3 ** 6
                           for i, c in nbhd.F[0].terms_sorted()})
 
 # Step 4: mod 3, F acts as the affine map z -> z + 1 of F_3, whose order is

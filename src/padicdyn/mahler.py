@@ -30,10 +30,10 @@ def orbit(phi, omega, count):
     ``phi`` is any callable on coordinate vectors; an IteratedMap is used
     through its ``orbit`` method, which applies f^(k*multiplier) in ambient
     coordinates and converts each point to local coordinates once, so the
-    whole run costs one digit of precision rather than one per step. When
-    the start's tags agree, for every (p, d, e), the whole orbit runs in
-    O/p^s (``padics.integers_mod``) and only its points are wrapped;
-    otherwise each point takes one ``PadicNeighborhood.apply_fk``.
+    whole run costs one digit of precision rather than one per step. For
+    every (p, d, e) the whole orbit runs in O/p^s (``padics.integers_mod``),
+    s the start's least tag capped at the precision, and only its points
+    are wrapped.
     """
     omega = tuple(omega)
     if hasattr(phi, "orbit"):

@@ -6,8 +6,8 @@ series at y, and that series is f applied k times to the generic point
 y + t of the ball, in the ring of series truncated at a total degree
 (``series.SeriesRing``). One map evaluator, the ``run`` of f embedded in a
 ring by ``polynomials.embed_map``, applies f to points of O^n, to series
-and, for a point whose coordinates share one tag s, to its coordinates in
-O/p^s (``padics.integers_mod``): ``apply_fk``, the orbit of
+and to a point's coordinates in O/p^s (``padics.integers_mod``), s the
+point's least tag capped at the precision: ``apply_fk``, the orbit of
 ``IteratedMap`` and the translation below. Subtracting y gives H, whose
 constant term is divisible by the uniformizer r, and the rescaling
 F(t) = H(r t)/r turns the ball into O^n with the iterate acting by
@@ -198,6 +198,8 @@ class PadicNeighborhood:
     # -- coordinates ---------------------------------------------------------
 
     def from_local(self, tvec):
+        if len(tvec) != self.n:
+            raise ValueError("point dimension mismatch")
         r = self.ctx.uniformizer()
         return tuple(y + r * t for y, t in zip(self.center, tvec))
 
@@ -231,43 +233,38 @@ class PadicNeighborhood:
         return True
 
     def _ring(self, zvec):
-        """O/p^s (``padics.integers_mod``) and zvec's coordinates in it
-        when its n coordinates are elements of the context with one tag s,
-        1 <= s <= precision; else (None, None). Every component of f has a
-        variable, so the ring loop keeps the tag s as the PadicElement loop
-        does: a constant component zeroes a row of the Jacobian, and
-        reduce_map rejects f before a neighborhood is built."""
+        """(ring, s, x): O/p^s (``padics.integers_mod``) at s = the least
+        tag of zvec's coordinates capped at the precision, and x the
+        coordinates cut to s in it. Coordinates are coerced into the
+        context, so those of an equal context object are taken as they
+        are; ValueError on a point of the wrong dimension. Every component
+        of f has a variable, so the ring loop keeps the tag s as the
+        PadicElement loop does on the point cut to s: a constant component
+        zeroes a row of the Jacobian, and reduce_map rejects f before a
+        neighborhood is built."""
         ctx = self.ctx
-        tags = {z.prec if isinstance(z, PadicElement) and z.ctx is ctx
-                else None for z in zvec}
-        s = tags.pop() if len(tags) == 1 and len(zvec) == self.n else None
-        if s is None or not 1 <= s <= ctx.precision:
-            return None, None
+        if len(zvec) != self.n:
+            raise ValueError("point dimension mismatch")
+        zvec = [ctx.coerce(z) for z in zvec]
+        s = min(ctx.precision, *[z.prec for z in zvec])
         ring = integers_mod(ctx.p, ctx.d, ctx.e, s)
-        return ring, [ring.unwrap(z) for z in zvec]
+        return ring, s, [ring.unwrap(z if z.prec == s
+                                     else ctx.from_coords(z.c, s))
+                         for z in zvec]
 
     def apply_fk(self, zvec, times=1):
         """Exact p-adic application of f^(k*times) to an ambient point.
 
-        When every coordinate carries the same tag s, the point is
-        unwrapped once into O/p^s (``padics.integers_mod``), f is applied
+        The point is unwrapped once into O/p^s (``_ring``), f is applied
         k*times times by the run of f embedded there, and the result is
-        wrapped back with tag s. A point with mixed tags goes through
-        ``map_eval_padic`` once per application of f. Both give the same
-        digits and tags.
+        wrapped back with tag s: the digits and tags of the
+        ``map_eval_padic`` loop on the point cut to s.
         """
-        f, ctx = self.map, self.ctx
-        count = self.period_k * times
-        ring, x = self._ring(zvec)
-        if ring is not None:
-            run = embed_map(f, ring).run
-            for _ in range(count):
-                x = run(x)
-            s = zvec[0].prec
-            return tuple(ring.wrap(ctx, c, s) for c in x)
-        for _ in range(count):
-            zvec = map_eval_padic(f, zvec, ctx)
-        return zvec
+        ring, s, x = self._ring(zvec)
+        run = embed_map(self.map, ring).run
+        for _ in range(self.period_k * times):
+            x = run(x)
+        return tuple(ring.wrap(self.ctx, c, s) for c in x)
 
     def iterated_local_map(self, multiplier=1):
         return IteratedMap(self, multiplier)
@@ -291,14 +288,12 @@ class IteratedMap:
 
     ``orbit`` iterates in ambient coordinates and converts each point to
     local coordinates once, so the whole orbit loses a single digit of
-    precision instead of one per step. When the ambient point's
-    coordinates share one tag s, it unwraps that point once into O/p^s
-    (``padics.integers_mod``), runs f^(k*multiplier) there for the whole
-    orbit, and takes each output point's local coordinates in the ring
-    (its ``to_local``), tagged m - 1 with m = min(s, tag of y).
-    Otherwise, and for ``__call__``, each step goes through
-    ``PadicNeighborhood.apply_fk`` and ``to_local``. Both give the same
-    digits, tags and errors.
+    precision instead of one per step. It unwraps the ambient start once
+    into O/p^s (``PadicNeighborhood._ring``), runs f^(k*multiplier) there
+    for the whole orbit, and takes each output point's local coordinates
+    in the ring (its ``to_local``), tagged m - 1 with m = min(s, tag of
+    y): the digits, tags and errors of ``PadicNeighborhood.to_local``
+    after the ``map_eval_padic`` loop on the start cut to s.
     """
 
     def __init__(self, nbhd, multiplier=1):
@@ -306,21 +301,12 @@ class IteratedMap:
         self.multiplier = multiplier
 
     def __call__(self, tvec):
-        nbhd = self.nbhd
-        return nbhd.to_local(nbhd.apply_fk(nbhd.from_local(tvec),
-                                           self.multiplier))
+        return self.orbit(tvec, 1)[1]
 
     def orbit(self, t0, count):
         nbhd = self.nbhd
-        z = nbhd.from_local(t0)
-        ring, x = nbhd._ring(z)
-        if ring is None:
-            out = [nbhd.to_local(z)]
-            for _ in range(count):
-                z = nbhd.apply_fk(z, self.multiplier)
-                out.append(nbhd.to_local(z))
-            return out
-        ctx, s = nbhd.ctx, z[0].prec
+        ring, s, x = nbhd._ring(nbhd.from_local(t0))
+        ctx = nbhd.ctx
         run = embed_map(nbhd.map, ring).run
         steps = nbhd.period_k * self.multiplier
         centers = []

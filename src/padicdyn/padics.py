@@ -3,9 +3,10 @@
 The ring is O = W[r]/(r^e - p) over the unramified layer W = Z_p[b]/(g),
 where g is the canonical modulus of F_{p^d} (``prime_power_field(p, d)``, x
 at d = 1): a context is named by (p, d, e) and its working precision.
-Elements store d*e integer coordinates modulo p^prec on the basis
-b^i * r^j, together with their own absolute precision tag ``prec`` (p-adic
-digits valid on every coordinate). Operations never silently lose
+Elements store one flat tuple ``c`` of d*e integer coordinates modulo
+p^prec, the b^i r^j coordinate at j d + i, together with their own absolute
+precision tag ``prec`` (p-adic digits valid on every coordinate); every
+O/p^s ring below holds the same tuple. Operations never silently lose
 precision: only uniformizer/factorial divisions reduce the tag, by exactly
 the amount divided out.
 
@@ -13,9 +14,9 @@ A W coordinate is a tuple of d ints, low to high in b, the representation
 of the residue field F_q = F_p[b]/(g) as well: W arithmetic is the kernel
 of ``finitefields`` (``vec_add``, the product ``tuple_product(d)``, compiled
 for d <= 12, and the rest) with mod = p^prec where the field uses mod = p.
-The residue map takes the r^0 layer's tuple mod p. Since r^e = p, a product
-folds its r^(e+i) terms onto r^i times p, and a division by r shifts the
-layers down, c_0 / p going to r^(e-1).
+The residue map takes the r^0 coordinates c[:d] mod p. Since r^e = p, a
+product folds its r^(e+i) terms onto r^i times p, and a division by r
+shifts the coordinates down by d, c[:d] / p going to r^(e-1).
 
 The uniformizer valuation v_r is first class: v_r(p) = e, v_r(r) = 1, and a
 query on an element whose retained digits all vanish returns INFINITY, the
@@ -89,30 +90,12 @@ class PadicContext:
         """p^prec, without the power at the working precision."""
         return self.pmod if prec == self.precision else self.p ** prec
 
-    # -- W-layer helpers: tuples of d ints mod p^prec ------------------------
-
-    def _wzero(self):
-        return (0,) * self.d
-
-    def _wval(self, a):
-        """min p-valuation over coordinates; INFINITY when all vanish."""
-        best = INFINITY
-        for x in a:
-            v = _vp(x, self.p)
-            if v < best:
-                best = v
-                if best == 0:
-                    break
-        return best
-
     # -- element constructors ------------------------------------------------
 
-    def _make(self, layers, prec):
-        return PadicElement(self, tuple(layers), prec)
-
     def _base(self, w, prec):
-        """The element with r^0 layer w and the others zero."""
-        return self._make((w,) + (self._wzero(),) * (self.e - 1), prec)
+        """The element with r^0 coordinates w (a tuple of d ints) and the
+        others zero."""
+        return PadicElement(self, w + (0,) * (self.d * (self.e - 1)), prec)
 
     def zero(self, prec=None):
         return self.from_int(0, prec)
@@ -122,7 +105,8 @@ class PadicContext:
 
     def from_int(self, k, prec=None):
         prec = self.precision if prec is None else prec
-        return self._base((k % self.modulus(prec),) + self._wzero()[1:], prec)
+        c = (k % self.modulus(prec),) + (0,) * (self.d * self.e - 1)
+        return PadicElement(self, c, prec)
 
     def from_rational(self, x, prec=None):
         """Embed a Fraction/int; the denominator must be a p-unit."""
@@ -143,22 +127,21 @@ class PadicContext:
         return x.inverse()
 
     def from_coords(self, coords, prec=None):
-        """Element from d*e integers, ordered layer by layer (r-degree major)."""
+        """Element from d*e integers, the b^i r^j coordinate at j d + i
+        (r-degree major)."""
         prec = self.precision if prec is None else prec
         mod = self.p ** prec
-        coords = list(coords)
-        if len(coords) != self.d * self.e:
+        c = tuple([x % mod for x in coords])
+        if len(c) != self.d * self.e:
             raise ValueError(f"expected {self.d * self.e} coordinates")
-        layers = [tuple(c % mod for c in coords[j * self.d:(j + 1) * self.d])
-                  for j in range(self.e)]
-        return self._make(layers, prec)
+        return PadicElement(self, c, prec)
 
     def uniformizer(self):
         if self.e == 1:
             return self.from_int(self.p)
-        layers = [self._wzero()] * self.e
-        layers[1] = tuple([1] + [0] * (self.d - 1))
-        return self._make(layers, self.precision)
+        c = [0] * (self.d * self.e)
+        c[self.d] = 1
+        return PadicElement(self, tuple(c), self.precision)
 
     def random_element(self, rng, prec=None):
         prec = self.precision if prec is None else prec
@@ -170,7 +153,7 @@ class PadicContext:
 
     def residue(self, a):
         """Image of a in F_q = O / (r); a ring homomorphism."""
-        return self.residue_field.from_coords(self.coerce(a).layers[0])
+        return self.residue_field.from_coords(self.coerce(a).c[:self.d])
 
     def naive_lift(self, res):
         """Coordinate lift of a residue element (digits copied verbatim)."""
@@ -195,7 +178,7 @@ class PadicContext:
         if res.is_zero() or res == self.residue_field.one():
             return lift
         g, mul, q = self.unram_low, tuple_product(self.d), self.q
-        x, one = lift.layers[0], (1,) + (0,) * (self.d - 1)
+        x, one = lift.c[:self.d], (1,) + (0,) * (self.d - 1)
         u, digits = vec_neg(one, self.p), 1
         while digits < self.precision:
             digits = min(2 * digits, self.precision)
@@ -239,7 +222,7 @@ def o_product(p, d, e):
     """(mul, low): mul(x, y, low, mod) is the product of O mod p^s on the
     d e coordinates of ``PadicContext.from_coords``, mod = p^s. It is one
     ``tuple_product(d)`` call modulo g at e = 1; otherwise every pair of
-    layers is multiplied by ``tuple_product(d)`` and r^(e+i) is folded
+    r-degrees is multiplied by ``tuple_product(d)`` and r^(e+i) is folded
     onto p r^i."""
     g = prime_power_field(p, d).modulus
     if e == 1:
@@ -267,9 +250,8 @@ def integers_mod(p, d, e, s):
     so that embed_map's cache on a map is hit by every call:
     ``IntegersMod(p, p^s)`` when d e = 1, else an ``ExtensionMod``. Both
     take an element of a PadicContext tagged s in by ``unwrap`` and give
-    one back by ``wrap`` (its layers as they are, reduced mod p^s by the
-    ring's operations), and take a point's local coordinates by
-    ``to_local``."""
+    one back by ``wrap``, its coordinate tuple ``c`` passed through as it
+    is, and take a point's local coordinates by ``to_local``."""
     return IntegersMod(p, p ** s) if d * e == 1 else ExtensionMod(p, d, e, s)
 
 
@@ -298,11 +280,11 @@ class IntegersMod(Record):
 
     @staticmethod
     def unwrap(z):
-        return z.layers[0][0]
+        return z.c[0]
 
     @staticmethod
     def wrap(ctx, x, s):
-        return ctx._make(((x,),), s)
+        return PadicElement(ctx, (x,), s)
 
     def to_local(self, ctx, x, centers):
         """The local coordinates (x - y) / p of the point x as elements of
@@ -317,13 +299,14 @@ class IntegersMod(Record):
                 raise ValueError("point is not in the neighborhood")
             if m < 2:
                 raise PrecisionError("division by r exhausts precision")
-            out.append(ctx._make(((c // p,),), m - 1))
+            out.append(PadicElement(ctx, (c // p,), m - 1))
         return tuple(out)
 
 
 class ExtensionMod:
     """O/p^s when d e > 1, on ModElements holding the d e coordinate ints
-    mod p^s of ``PadicContext.from_coords``, layer by layer.
+    mod p^s of ``PadicContext.from_coords``, the tuple ``c`` of a
+    PadicElement.
 
     Products are ``o_product``'s, sums and differences the kernel's
     ``vec_add`` and ``vec_sub``. Every operation reduces mod p^s, so
@@ -367,16 +350,16 @@ class ExtensionMod:
         return ModElement(self, tuple(c + [0] * (self.n - len(c))))
 
     def unwrap(self, z):
-        return ModElement(self, sum(z.layers, ()))
+        return ModElement(self, z.c)
 
-    def wrap(self, ctx, x, s):
-        d = self.d
-        return ctx._make([x.c[i:i + d] for i in range(0, self.n, d)], s)
+    @staticmethod
+    def wrap(ctx, x, s):
+        return PadicElement(ctx, x.c, s)
 
     def to_local(self, ctx, x, centers):
         """``IntegersMod.to_local`` on the coordinate tuples: since r^e = p,
-        dividing by r shifts the layers down, the lowest one divided by p
-        going to the top."""
+        dividing by r shifts the coordinates down by d, the r^0 ones
+        divided by p going to the top."""
         p, d = self.p, self.d
         out = []
         for xi, (y, m, mod) in zip(x, centers):
@@ -386,9 +369,8 @@ class ExtensionMod:
             if m < 2:
                 raise PrecisionError("division by r exhausts precision")
             top = mod // p
-            c = [a % top for a in c[d:]] + [a // p for a in c[:d]]
-            out.append(ctx._make([tuple(c[i:i + d])
-                                  for i in range(0, self.n, d)], m - 1))
+            out.append(PadicElement(ctx, tuple(
+                [a % top for a in c[d:]] + [a // p for a in c[:d]]), m - 1))
         return tuple(out)
 
 
@@ -416,14 +398,22 @@ class ModElement:
 
 
 class PadicElement:
-    """Immutable ring element; ``layers[j][i]`` is the b^i r^j coordinate."""
+    """Immutable ring element; ``c[j * d + i]`` is the b^i r^j coordinate,
+    the d*e ints of ``PadicContext.from_coords`` mod p^prec."""
 
-    __slots__ = ("ctx", "layers", "prec")
+    __slots__ = ("ctx", "c", "prec")
 
-    def __init__(self, ctx, layers, prec):
+    def __init__(self, ctx, c, prec):
         self.ctx = ctx
-        self.layers = layers
+        self.c = c
         self.prec = prec
+
+    @property
+    def layers(self):
+        """The coordinates r-degree by r-degree: ``layers[j][i]`` is the
+        b^i r^j coordinate."""
+        d = self.ctx.d
+        return tuple(self.c[j:j + d] for j in range(0, len(self.c), d))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -440,17 +430,15 @@ class PadicElement:
 
     def _tighten(self, prec, mod):
         if prec == self.prec:
-            return self.layers
-        return tuple(tuple(c % mod for c in layer) for layer in self.layers)
+            return self.c
+        return tuple([x % mod for x in self.c])
 
     def __add__(self, other):
         o, prec, mod = self._pair(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        a = self._tighten(prec, mod)
-        b = o._tighten(prec, mod)
-        return ctx._make([vec_add(x, y, mod) for x, y in zip(a, b)], prec)
+        a, b = self._tighten(prec, mod), o._tighten(prec, mod)
+        return PadicElement(self.ctx, vec_add(a, b, mod), prec)
 
     __radd__ = __add__
 
@@ -458,36 +446,29 @@ class PadicElement:
         o, prec, mod = self._pair(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        a = self._tighten(prec, mod)
-        b = o._tighten(prec, mod)
-        return ctx._make([vec_sub(x, y, mod) for x, y in zip(a, b)], prec)
+        a, b = self._tighten(prec, mod), o._tighten(prec, mod)
+        return PadicElement(self.ctx, vec_sub(a, b, mod), prec)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        ctx = self.ctx
-        mod = ctx.modulus(self.prec)
-        return ctx._make([vec_neg(x, mod) for x in self.layers], self.prec)
+        return PadicElement(self.ctx,
+                            vec_neg(self.c, self.ctx.modulus(self.prec)),
+                            self.prec)
 
     def __mul__(self, other):
+        ctx = self.ctx
         if isinstance(other, int):
-            ctx = self.ctx
             mod = ctx.modulus(self.prec)
-            return ctx._make([tuple(c * other % mod for c in x)
-                              for x in self.layers], self.prec)
+            return PadicElement(ctx, tuple([x * other % mod for x in self.c]),
+                                self.prec)
         o, prec, mod = self._pair(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        a = self._tighten(prec, mod)
-        b = o._tighten(prec, mod)
+        a, b = self._tighten(prec, mod), o._tighten(prec, mod)
         mul, low = ctx._omul
-        if ctx.e == 1:
-            return ctx._make([mul(a[0], b[0], low, mod)], prec)
-        c, d = mul(sum(a, ()), sum(b, ()), low, mod), ctx.d
-        return ctx._make([c[j:j + d] for j in range(0, len(c), d)], prec)
+        return PadicElement(ctx, mul(a, b, low, mod), prec)
 
     __rmul__ = __mul__
 
@@ -508,18 +489,17 @@ class PadicElement:
     def valuation(self):
         """v_r, or INFINITY when every retained digit vanishes.
 
-        v_r(sum_j c_j r^j) = min_j (e * v_p-layer(c_j) + j); exact because the
+        v_r(sum_j c_j r^j) = min_j (e * v_p(c_j) + j); exact because the
         candidate valuations are pairwise distinct mod e.
         """
         ctx = self.ctx
+        p, d, e = ctx.p, ctx.d, ctx.e
         best = INFINITY
-        for j, layer in enumerate(self.layers):
-            w = ctx._wval(layer)
-            if w is INFINITY:
-                continue
-            v = ctx.e * w + j
-            if v < best:
-                best = v
+        for i, x in enumerate(self.c):
+            if x:
+                v = e * _vp(x, p) + i // d
+                if v < best:
+                    best = v
         return best
 
     def is_unit(self):
@@ -527,18 +507,15 @@ class PadicElement:
 
     def in_base_subring(self):
         """True when the element lies in Z_p (to stored precision)."""
-        zero = self.ctx._wzero()
-        if any(layer != zero for layer in self.layers[1:]):
-            return False
-        return all(c == 0 for c in self.layers[0][1:])
+        return not any(self.c[1:])
 
     def residue(self):
         return self.ctx.residue(self)
 
     def coords(self):
-        """The d*e coordinate integers, layer by layer, as
-        ``PadicContext.from_coords`` reads them."""
-        return [c for layer in self.layers for c in layer]
+        """The d*e coordinate integers as ``PadicContext.from_coords``
+        reads them."""
+        return list(self.c)
 
     # -- division -----------------------------------------------------------
 
@@ -552,8 +529,8 @@ class PadicElement:
         ctx = self.ctx
         prec = min(self.prec, ctx.precision)
         if ctx.d * ctx.e == 1:
-            return ctx._make(
-                [(pow(self.layers[0][0], -1, ctx.modulus(prec)),)], prec)
+            return PadicElement(
+                ctx, (pow(self.c[0], -1, ctx.modulus(prec)),), prec)
         ring = integers_mod(ctx.p, ctx.d, ctx.e, prec)
         return ring.wrap(ctx, ring.unit_inverse(ring.unwrap(self)), prec)
 
@@ -565,15 +542,10 @@ class PadicElement:
         if s >= self.prec:
             raise PrecisionError("division by p^%d exhausts precision" % s)
         ps = self.ctx.p ** s
-        new_layers = []
-        for layer in self.layers:
-            row = []
-            for c in layer:
-                if c % ps:
-                    raise ValueError("element is not divisible by p^%d" % s)
-                row.append(c // ps)
-            new_layers.append(tuple(row))
-        return self.ctx._make(new_layers, self.prec - s)
+        if any(x % ps for x in self.c):
+            raise ValueError("element is not divisible by p^%d" % s)
+        return PadicElement(self.ctx, tuple([x // ps for x in self.c]),
+                            self.prec - s)
 
     def divide_uniformizer(self):
         """Divide by r (requires v_r >= 1). Costs one digit of precision
@@ -582,17 +554,16 @@ class PadicElement:
         sum_j c_j r^j / r = sum_{j >= 1} c_j r^(j-1) + (c_0 / p) r^(e-1),
         since r^e = p; v_r >= 1 is exactly p | c_0."""
         ctx = self.ctx
-        p = ctx.p
-        c0 = self.layers[0]
-        if any(c % p for c in c0):
+        p, d = ctx.p, ctx.d
+        if any(x % p for x in self.c[:d]):
             raise NonUnitError("element is a unit; cannot divide by r exactly")
         prec = min(self.prec, ctx.precision) - 1
         if prec < 1:
             raise PrecisionError("division by r exhausts precision")
         mod = ctx.modulus(prec)
-        layers = self.layers[1:] + (tuple(c // p for c in c0),)
-        return ctx._make(
-            tuple(tuple(c % mod for c in layer) for layer in layers), prec)
+        return PadicElement(ctx, tuple(
+            [x % mod for x in self.c[d:]]
+            + [x // p % mod for x in self.c[:d]]), prec)
 
     # -- misc -----------------------------------------------------------------
 
@@ -614,7 +585,6 @@ class PadicElement:
         digits = [c % self.ctx.p ** 4 for c in self.coords()]
         return (f"<O_p {digits}+O(p^4)... v_r={v} prec={self.prec}"
                 f" p={self.ctx.p}>")
-
 
 # -- integer-combinatorics helpers -------------------------------------------
 

@@ -8,12 +8,13 @@ embedded at every term, powers built up from ``ctx.one()``, and the Newton
 inverse. Contexts cover Z_p and ramified and unramified extensions; points
 may carry more digits than the context, and the result is capped as before.
 ``PadicNeighborhood.apply_fk`` iterates in O/p^s (``padics.integers_mod``:
-ints when d = e = 1, tuples of d e ints otherwise) when the point's tags
-agree, and must match the ``map_eval_padic`` loop it replaces there;
-``IteratedMap.orbit`` then runs the whole orbit in that ring and must match,
-point by point, the ``map_eval_padic`` loop followed by ``to_local``. Both
-are checked on a grid of p, d and e. Over Q, the map embedded by
-``embed_map`` must match a plain Fraction loop.
+ints when d = e = 1, tuples of d e ints otherwise), s the point's least tag
+capped at the precision, and must match the ``map_eval_padic`` loop on the
+point cut to s; ``IteratedMap.orbit`` runs the whole orbit in that ring and
+must match, point by point, that loop followed by ``to_local``. Both are
+checked on a grid of p, d and e, with tags that agree, differ or pass the
+precision. Over Q, the map embedded by ``embed_map`` must match a plain
+Fraction loop.
 """
 
 from fractions import Fraction
@@ -22,8 +23,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from padicdyn.errors import (BadReductionError, IndeterminacyError,
-                             InseparableError, NonUnitError, PrecisionError)
+from padicdyn.errors import (BadReductionError, ContextMismatchError,
+                             IndeterminacyError, InseparableError,
+                             NonUnitError, PrecisionError)
 from padicdyn import neighborhood
 from padicdyn.neighborhood import (PadicNeighborhood, build_neighborhood,
                                    map_eval_padic)
@@ -195,6 +197,13 @@ def generic_fk(f, point, ctx, count):
     return point
 
 
+def cut(point, ctx):
+    """The point cut to its least tag capped at the precision: the point
+    that apply_fk and IteratedMap.orbit run on."""
+    s = min(ctx.precision, *[z.prec for z in point])
+    return tuple(ctx.from_coords(z.coords(), s) for z in point)
+
+
 def neighborhood_of(f, ctx, point, k):
     """A neighborhood of f^k at point, carrying only what apply_fk reads."""
     return PadicNeighborhood(ctx, f, k, point, L=None, c=None,
@@ -218,7 +227,7 @@ def int_kernel_cases(draw, contexts=CONTEXTS[:3]):
     f = draw(rational_maps(n))
     assume(all(num.total_degree() or den.total_degree()
                for num, den in zip(f.numerators, f.denominators)))
-    # a tag above the precision runs the PadicElement loop, which caps it
+    # a tag above the precision is capped, as the PadicElement loop caps it
     s = draw(st.integers(1, ctx.precision + 2))
     tags = [s] * n
     if draw(st.booleans()):
@@ -243,7 +252,7 @@ def check_apply_fk(case):
     f, ctx, point, k, times = case
     nbhd = neighborhood_of(f, ctx, point, k)
     try:
-        expected = generic_fk(f, point, ctx, k * times)
+        expected = generic_fk(f, cut(point, ctx), ctx, k * times)
     except (BadReductionError, IndeterminacyError) as exc:
         with pytest.raises(type(exc)):
             nbhd.apply_fk(point, times)
@@ -261,22 +270,17 @@ def test_apply_fk_takes_the_integer_loop_only_on_uniform_tags(monkeypatch):
         calls.append(args)
         return generic_fk(args[0], args[1], ctx, 1)
 
-    cases = [
-        # Henon: the integer loop, no map_eval_padic call
-        (["x2", "x2^2 - x1 + 1"], (ctx.from_int(3, 6), ctx.from_int(40, 6)),
-         False),
-        # mixed tags
-        (["x2", "x2^2 - x1 + 1"], (ctx.from_int(3, 6), ctx.from_int(40, 7)),
-         True),
-    ]
-    for texts, point, generic in cases:
-        f = RationalSelfMap.from_texts(2, texts)
-        expected = generic_fk(f, point, ctx, 6)
+    # Henon: the integer loop, no map_eval_padic call, on one tag and on
+    # mixed tags, which run at the least one
+    f = RationalSelfMap.from_texts(2, ["x2", "x2^2 - x1 + 1"])
+    for point in ((ctx.from_int(3, 6), ctx.from_int(40, 6)),
+                  (ctx.from_int(3, 6), ctx.from_int(40, 7))):
+        expected = generic_fk(f, cut(point, ctx), ctx, 6)
         calls.clear()
         monkeypatch.setattr(neighborhood, "map_eval_padic", counted)
         got = neighborhood_of(f, ctx, point, 2).apply_fk(point, 3)
         monkeypatch.undo()
-        assert bool(calls) == generic, texts
+        assert not calls
         assert all(same(a, b) for a, b in zip(got, expected))
     # a constant component would evaluate to tag 10 in the generic loop, not
     # to the point's 6; no neighborhood has one, since it zeroes a row of
@@ -305,8 +309,8 @@ def test_apply_fk_scales_by_constant_denominators_on_integers(monkeypatch):
 
 def reference_orbit(nbhd, t0, count, times):
     """The local orbit by one map_eval_padic loop of f^k and one to_local
-    per point."""
-    z = nbhd.from_local(t0)
+    per point, from the start cut to its least tag."""
+    z = cut(nbhd.from_local(t0), nbhd.ctx)
     out = [nbhd.to_local(z)]
     for _ in range(count):
         z = generic_fk(nbhd.map, z, nbhd.ctx, nbhd.period_k * times)
@@ -387,9 +391,9 @@ def check_orbit(case):
 
 
 def test_the_orbit_runs_on_integers_when_the_tags_agree(monkeypatch):
-    # f is the swap mod 7, so f^2 fixes every center mod 7. One tag 6 on
-    # the start runs the whole orbit on ints, wrapping only its points;
-    # mixed tags apply f^k point by point
+    # f is the swap mod 7, so f^2 fixes every center mod 7. The start runs
+    # the whole orbit on ints, wrapping only its points, at its one tag 6
+    # or at the least of its mixed tags
     ctx = PadicContext(7, precision=10)
     f = RationalSelfMap.from_texts(2, ["x2 + 7*x1^2", "x1 - 14*x2 + 7"])
     center = (ctx.from_int(3), ctx.from_int(40))
@@ -404,13 +408,66 @@ def test_the_orbit_runs_on_integers_when_the_tags_agree(monkeypatch):
     assert not calls
     assert [[(c.layers, c.prec) for c in pt] for pt in got] == \
         [[(c.layers, c.prec) for c in pt] for pt in expected]
-    monkeypatch.undo()
     mixed = (ctx.from_int(0, 6), ctx.from_int(0, 7))
-    assert len(phi.orbit(mixed, 4)) == 5
-    monkeypatch.setattr(PadicNeighborhood, "apply_fk",
-                        lambda *args: calls.append(args) or args[1])
-    phi.orbit(mixed, 4)
-    assert len(calls) == 4
+    got = phi.orbit(mixed, 4)
+    assert not calls
+    monkeypatch.undo()
+    assert [[(c.layers, c.prec) for c in pt] for pt in got] == \
+        [[(c.layers, c.prec) for c in pt]
+         for pt in reference_orbit(nbhd, mixed, 4, 3)]
+
+
+HENON = ["x2", "x2^2 - x1 + 1"]
+# the swap mod 7: f^2 fixes every center mod 7
+SWAP_MOD_7 = ["x2 + 7*x1^2", "x1 - 14*x2 + 7"]
+
+
+def neighborhood_at_3_40(ctx, texts):
+    f = RationalSelfMap.from_texts(2, texts)
+    return neighborhood_of(f, ctx, (ctx.from_int(3), ctx.from_int(40)), 2)
+
+
+def test_a_point_of_an_equal_context_runs_in_the_ring(monkeypatch):
+    # an equal but distinct PadicContext object: the point is coerced, not
+    # sent through the PadicElement loop
+    ctx, other = PadicContext(7, precision=10), PadicContext(7, precision=10)
+    assert other == ctx and other is not ctx
+    henon, swap = (neighborhood_at_3_40(ctx, HENON),
+                   neighborhood_at_3_40(ctx, SWAP_MOD_7))
+    point = (other.from_int(3, 6), other.from_int(40, 6))
+    t0 = (other.from_int(1, 6), other.from_int(2, 6))
+    expected_fk = generic_fk(henon.map, cut(point, ctx), ctx, 2)
+    expected_orbit = reference_orbit(swap, t0, 3, 1)
+    calls = []
+    monkeypatch.setattr(neighborhood, "map_eval_padic",
+                        lambda *args: calls.append(args))
+    got_fk = henon.apply_fk(point)
+    got_orbit = swap.iterated_local_map().orbit(t0, 3)
+    assert not calls
+    assert all(z.ctx is ctx for pt in (got_fk, *got_orbit) for z in pt)
+    assert all(same(a, b) for a, b in zip(got_fk, expected_fk, strict=True))
+    for a, b in zip(got_orbit, expected_orbit, strict=True):
+        assert all(same(x, y) for x, y in zip(a, b, strict=True))
+
+
+def test_apply_fk_and_the_orbit_reject_a_foreign_point():
+    ctx = PadicContext(7, precision=10)
+    nbhd = neighborhood_at_3_40(ctx, HENON)
+    phi = nbhd.iterated_local_map()
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        nbhd.apply_fk((ctx.from_int(3),))
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        nbhd.apply_fk((ctx.from_int(3),) * 3)
+    for t0 in ((ctx.from_int(0),), (ctx.from_int(0),) * 3):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            phi.orbit(t0, 2)
+    for other in (PadicContext(7, precision=9), PadicContext(5, precision=10),
+                  PadicContext(7, e=2, precision=10)):
+        point = tuple(other.from_int(c) for c in (3, 40))
+        with pytest.raises(ContextMismatchError):
+            nbhd.apply_fk(point)
+        with pytest.raises(ContextMismatchError):
+            phi.orbit((other.from_int(0), other.from_int(0)), 2)
 
 
 def plain_fraction_eval(f, point):
