@@ -4,37 +4,36 @@ search over F_{q^m}.
 The search looks for *purely* periodic points whose whole orbit avoids the
 indeterminacy locus (a vanishing denominator) and the ramification locus
 (vanishing Jacobian determinant). Enumeration is index-driven and the first
-hit in canonical order wins, so results are deterministic and replayable.
-Within one field each point is walked once: the search records whether a
-walked point lies on a clear cycle, and a later walk stops at the first
-point already recorded. The records are keyed by each point's tuple of
-coefficient tuples, hashed once per point in C, and the starts come in
-index order from one list of the field's q elements (``search_order``),
-without making the q^n points up front; ``point_at_index`` numbers the
-same order for a replay.
+hit in canonical order wins, so results are deterministic and replayable;
+``point_at_index`` numbers the order. Within one field each point is walked
+once: the search records whether a walked point lies on a clear cycle, and
+a later walk stops at the first point already recorded. The search and its
+re-check (``verify_record`` and the verifier's replay) walk points of the
+field's ``SearchView``, made on first use: tuples of ints mod p on F_p, of
+discrete logs on a field with log tables (one table set per field, up to
+``finitefields._TABLE_MAX_ORDER``), of FFElements on a larger field. A
+point turns back into FFElements only for a record or for ``constraints``.
 
-A reduced map keeps the components ``polynomials.embed_map`` gives over
-its field, residues reduced once by ``FiniteField.from_rational``, and its
-Jacobian determinant as a tuple of (exponents, residue) terms; there is one
-per map and field object (``reduce_map``, ``ReducedMap.extend`` for
-F_{p^m}). The components form an EmbeddedMap of the field, and ``apply``
-calls its ``run``: the map compiled for those components and bound to the
-field on first use. The locus test is compiled the same way: a second
-EmbeddedMap of the field whose components are the non-constant
-denominators and then the determinant, each a numerator with no
-denominator and no scale, so ``locus_check`` evaluates them all at a point
-by one call and reads which vanish. A third, ``ReducedMap.jacobian``, is
-made on first use: the n^2 entries of the Jacobian matrix, which the
-neighborhood multiplies along a residue orbit.
+A reduced map (``reduce_map``, ``ReducedMap.extend`` for F_{p^m}; one per
+map and field object) keeps the ``polynomials.embed_map`` components over
+its field, with nonzero residues only, as an EmbeddedMap that ``apply``
+runs, and its Jacobian determinant as (exponents, residue) terms. Its
+locus is a second EmbeddedMap, of the non-constant denominators and then
+the determinant as bare numerators, so that one call evaluates them all
+at a point (``locus_check``); ``view_maps`` binds both to the view. A
+third, ``jacobian``, made on first use, holds the n^2 entries of the
+Jacobian matrix that the neighborhood multiplies along a residue orbit.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice, product
 
 from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
-from .polynomials import EmbeddedMap, embed_map, embed_terms
+from .padics import integers_mod
+from .polynomials import (EmbeddedMap, _compiled, embed_map, embed_terms,
+                          map_shape)
 from .records import Record
 
 CLEAR = "clear"
@@ -107,6 +106,12 @@ class ReducedMap:
     def apply(self, point):
         return self.components.run(point)
 
+    @cached_property
+    def view_maps(self):
+        """(view, apply, locus): the map and its locus on the SearchView."""
+        view = search_view(self.field)
+        return view, view.bind(self.components), view.bind(self.locus)
+
     def __repr__(self):
         return f"ReducedMap(n={self.n}, q={self.field.order})"
 
@@ -139,12 +144,9 @@ def locus_check(fbar, point):
     and is not in fbar.locus; a vanishing one is only a value here.
     """
     *dens, det = fbar.locus.run(point)
-    for value in dens:
-        if value.is_zero():
-            return INDETERMINATE
-    if det.is_zero():
-        return RAMIFIED
-    return CLEAR
+    zero = fbar.field.zero()
+    return (INDETERMINATE if zero in dens else RAMIFIED if det == zero
+            else CLEAR)
 
 
 class PeriodicPointRecord(Record):
@@ -169,34 +171,96 @@ class PeriodicPointRecord(Record):
         return self.field.modulus_indexes()
 
 
-def _key(point):
-    """The point's tuple of coefficient tuples: equal exactly when the
-    points of one field are, and hashed in C."""
-    return tuple([x.rep for x in point])
+class SearchView:
+    """A field as the search walks it: on F_p, ints in ``IntegersMod(p, p)``;
+    on a field with log tables, an element's log k in [0, q - 2] and Z =
+    2(q - 1) for zero, a product M[a + b] (M[s] is s mod q - 1 below Z and
+    Z from there, so zero absorbs) and a sum b if a is Z, a if b is Z, else
+    M[a + ZL[b - a]] (ZL the Zech table, Z where 1 + g^k = 0); on a larger
+    field, FFElements. ``value`` takes an FFElement in, ``element`` out."""
+
+    def __init__(self, fld):
+        self.field = fld
+        self.logs = fld._logs() is not None
+        if self.logs:
+            z = self.zero = 2 * (fld.order - 1)
+            self.M = list(range(fld.order - 1)) * 2 + [z] * (z + 1)
+            self.ZL = [z if k is None else k for k in fld._zech]
+            self._elements = fld._exp + [fld._zero]
+        else:
+            self.ring = fld if fld.degree > 1 else integers_mod(fld.p, 1, 1, 1)
+            self.zero = self.ring.zero()
+
+    def value(self, x):
+        if self.logs:
+            return self.field._log.get(x.rep, self.zero)
+        return x.rep[0] if self.field.degree == 1 else x
+
+    def element(self, v):
+        if self.logs:
+            return self._elements[v]
+        return self.field.from_int(v) if self.field.degree == 1 else v
+
+    def elements(self):
+        return map(self.value, self.field.elements())
+
+    def inverse(self, a):
+        if a == self.zero:
+            raise IndeterminacyError("denominator vanishes at the point")
+        return self.M[self.field.order - 1 - a]
+
+    def bind(self, embedded):
+        """An EmbeddedMap of the field, compiled in the view's spelling."""
+        shape, constants = map_shape(embedded.components)
+        c = [self.value(x) for x in constants]
+        if self.logs:
+            return _compiled(shape, True)(c, self.M, self.ZL, self.inverse,
+                                          0, self.zero)
+        ring = self.ring
+        return _compiled(shape)(c, ring.reduce, ring.unit_inverse,
+                                ring.one(), ring.zero())
+
+
+search_view = lru_cache(maxsize=64)(SearchView)
+
+
+def _walk(fm, cur, known, cap):
+    """Walk view points from cur, applying fm once per new point, until
+    the orbit closes ('periodic' on cur, else 'tail'), meets known ('tail')
+    or the locus (its label), or holds cap + 1 points ('unfinished'); put
+    each point walked in known, a member of a clear cycle as (cycle, its
+    position), any other as None. Return (status, path)."""
+    view, apply, locus = fm.view_maps
+    zero = view.zero
+    pos = {}
+    path = []
+    status = "unfinished"
+    while len(path) <= cap:
+        # a revisited point already passed the locus test as clear
+        if cur in pos or cur in known:
+            status = "periodic" if pos.get(cur) == 0 else "tail"
+            break
+        values = locus(cur)
+        if zero in values:
+            status = INDETERMINATE if zero in values[:-1] else RAMIFIED
+            known[cur] = None
+            break
+        pos[cur] = len(path)
+        path.append(cur)
+        cur = apply(cur)
+    # the cycle is the part of the path from the point the walk closed on
+    head = pos.get(cur, len(path))
+    cycle = tuple(path[head:])
+    for point, i in pos.items():
+        known[point] = (cycle, i - head) if i >= head else None
+    return status, path
 
 
 def _walk_orbit(fbar, start, cap):
-    """Return (status, orbit) where status is 'periodic' when start comes
-    back within cap steps, 'tail' when the walk enters a cycle that misses
-    start, 'unfinished' when neither happens within cap steps, or a locus
-    label that interrupted the walk."""
-    pos = {}
-    path = []
-    cur = start
-    while len(path) <= cap:
-        # a revisited point already passed locus_check as clear
-        key = _key(cur)
-        if key in pos:
-            if pos[key] == 0:
-                return "periodic", tuple(path)
-            return "tail", tuple(path)
-        status = locus_check(fbar, cur)
-        if status != CLEAR:
-            return status, tuple(path)
-        pos[key] = len(path)
-        path.append(cur)
-        cur = fbar.apply(cur)
-    return "unfinished", tuple(path)
+    """_walk's (status, path) from FFElements, in FFElements."""
+    view = fbar.view_maps[0]
+    status, path = _walk(fbar, tuple(map(view.value, start)), {}, cap)
+    return status, tuple(tuple(map(view.element, x)) for x in path)
 
 
 def point_at_index(fld, n, index):
@@ -210,14 +274,13 @@ def point_at_index(fld, n, index):
     return tuple(digits)
 
 
-def search_order(fld, n):
-    """The points of F_q^n in index order, as point_at_index numbers them:
-    the first coordinate runs fastest. The q elements are made once, as
-    far as the first run of the first coordinate is read, and then reused;
-    the points are made one at a time."""
+def search_order(view, n):
+    """The view's points of F_q^n in index order, the first coordinate
+    fastest. The q elements are made once, as far as the first run of the
+    first coordinate is read; the points are made one at a time."""
     elements = []
-    zeros = (fld.zero(),) * (n - 1)
-    for x in fld.elements():
+    zeros = (view.zero,) * (n - 1)
+    for x in view.elements():
         elements.append(x)
         yield (x,) + zeros
     for high in islice(product(elements, repeat=n - 1), 1, None):
@@ -226,58 +289,37 @@ def search_order(fld, n):
             yield (x,) + high
 
 
-def _mark_walk(fbar, start, key, known):
-    """Walk from a start whose key is not in known until the orbit closes,
-    meets the locus or reaches a known point, applying fbar once per new
-    point. Record each point walked in known, by its key: a member of a
-    clear cycle maps to (cycle, its position), any other point to None."""
-    pos = {}
-    path = []
-    cur = start
-    while key not in known and key not in pos:
-        if locus_check(fbar, cur) != CLEAR:
-            known[key] = None
-            break
-        pos[key] = len(path)
-        path.append(cur)
-        cur = fbar.apply(cur)
-        key = _key(cur)
-    # the cycle is the part of the path from the point the walk closed on
-    head = pos.get(key, len(path))
-    cycle = tuple(path[head:])
-    for k, i in pos.items():
-        known[k] = (cycle, i - head) if i >= head else None
-
-
 def find_periodic_point(fbar, m_max=6, constraints=None):
     """Exhaustively search F_{q^m}^n, m = 1..m_max, in canonical index order.
 
     Returns the first purely periodic point whose entire orbit is clear of
     the indeterminacy and ramification loci. Deterministic given the
     enumeration order; ``visited`` counts examined starting points per m.
-    Each point is walked once per m: a start already known from an earlier
-    walk is decided by what that walk found.
+    Each point is walked once per m, in the field's SearchView: a start
+    already known from an earlier walk is decided by what that walk found.
     """
     visited = {}
     for m in range(1, m_max + 1):
         fld = fbar.field.extension(m)
         fm = fbar if m == 1 else fbar.extend(fld)
+        view = fm.view_maps[0]
         visited[m] = 0
         known = {}
-        for index, point in enumerate(search_order(fld, fm.n)):
-            if constraints is not None and not constraints(point):
+        for index, point in enumerate(search_order(view, fm.n)):
+            if constraints is not None and not constraints(
+                    tuple(map(view.element, point))):
                 continue
             visited[m] += 1
-            key = _key(point)
-            if key not in known:
-                _mark_walk(fm, point, key, known)
-            if known[key] is None:
+            if point not in known:
+                _walk(fm, point, known, fld.order ** fm.n)
+            if known[point] is None:
                 continue
-            cycle, i = known[key]
+            cycle, i = known[point]
+            orbit = tuple(tuple(map(view.element, x))
+                          for x in cycle[i:] + cycle[:i])
             return PeriodicPointRecord(
-                m=m, field=fld, point=point, period=len(cycle),
-                orbit=cycle[i:] + cycle[:i], enumeration_index=index,
-                visited=dict(visited))
+                m=m, field=fld, point=orbit[0], period=len(cycle),
+                orbit=orbit, enumeration_index=index, visited=dict(visited))
     raise NoPeriodicPointError(
         f"no clear periodic point found up to extension degree {m_max};"
         " raise m_max or change the prime")
@@ -285,8 +327,9 @@ def find_periodic_point(fbar, m_max=6, constraints=None):
 
 def verify_record(fbar, record):
     """Re-check a PeriodicPointRecord against a reduced map: pure
-    periodicity, the stated period and orbit, and a fully clear orbit. The
-    walk stops after record.period steps."""
+    periodicity, the stated period and orbit, and a fully clear orbit, by
+    the search's walk on the field's SearchView. The walk stops after
+    record.period steps."""
     fld = record.field
     fm = fbar if fld == fbar.field else fbar.extend(fld)
     status, orbit = _walk_orbit(fm, record.point, record.period)

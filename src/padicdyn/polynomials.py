@@ -27,7 +27,7 @@ import hashlib
 import operator
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import IndeterminacyError, NotDominantError
 
@@ -526,7 +526,7 @@ def _power_steps(a):
     return steps
 
 
-def map_source(shape):
+def map_source(shape, logs=False):
     """The Python source of ``bind(c, reduce, inv, one, zero)`` for a
     map_shape shape: bind returns the map as one function of a point, with
     the constants c named c0, c1, ... and the ring's reduce, unit_inverse,
@@ -539,16 +539,24 @@ def map_source(shape):
     numerator and scales it: what evaluate_terms and unit_inverse do, term
     for term. Exponents are ints, so the text holds generated names and
     coordinate indices only.
+
+    With ``logs``, bind takes (c, M, ZL, inv, one, zero) and the values are
+    discrete logs, each product M[a + b] and each sum a Zech lookup, as in
+    ``dynamics.SearchView``.
     """
     count = 0
     loads = []
     prelude = []
     names = {}
+    body = []
 
     def const():
         nonlocal count
         count += 1
         return f"c{count - 1}"
+
+    def product(a, b):
+        return f"M[{a} + {b}]" if logs else f"reduce({a} * {b})"
 
     def power(i, a):
         if (i, 1) not in names:
@@ -557,8 +565,8 @@ def map_source(shape):
         for b, c in _power_steps(a):
             if (i, b + c) not in names:
                 names[i, b + c] = f"x{i}_{b + c}"
-                prelude.append(f"x{i}_{b + c} = reduce({names[i, b]} *"
-                               f" {names[i, c]})")
+                prelude.append(f"x{i}_{b + c} = "
+                               + product(names[i, b], names[i, c]))
         return names[i, a]
 
     def poly(terms):
@@ -566,10 +574,18 @@ def map_source(shape):
         for idx, is_one in terms:
             factors = [] if is_one else [const()]
             factors += [power(i, a) for i, a in enumerate(idx) if a]
-            parts.append(" * ".join(factors) or "one")
-        return f"reduce({' + '.join(parts) or 'zero'})"
+            parts.append(reduce(product, factors) if logs and factors
+                         else " * ".join(factors) or "one")
+        if not logs:
+            return f"reduce({' + '.join(parts) or 'zero'})"
+        if len(parts) < 2:
+            return parts[0] if parts else "zero"
+        body.append(f"s = {parts[0]}")
+        for part in parts[1:]:
+            body.extend([f"t = {part}", "s = t if s == zero else s if t =="
+                         " zero else M[s + ZL[t - s]]"])
+        return "s"
 
-    body = []
     outputs = ""
     for k, (num, den, scaled) in enumerate(shape):
         if den is not None:
@@ -579,9 +595,9 @@ def map_source(shape):
             factor = const() if scaled else None
         value = poly(num)
         body.append(f"v{k} = " + (value if factor is None
-                                  else f"reduce({value} * {factor})"))
+                                  else product(value, factor)))
         outputs += f"v{k}, "
-    lines = ["def bind(c, reduce, inv, one, zero):"]
+    lines = [f"def bind(c, {'M, ZL' if logs else 'reduce'}, inv, one, zero):"]
     if count:
         unpack = "".join(f"c{j}, " for j in range(count))
         lines.append(f"    {unpack}= c")
@@ -592,11 +608,12 @@ def map_source(shape):
 
 
 @lru_cache(maxsize=256)
-def _compiled(shape):
-    """The bind function of map_source's text for shape, compiled once per
-    shape (which determines the text)."""
+def _compiled(shape, logs=False):
+    """The bind function of map_source's text for shape and spelling,
+    compiled once per pair (which determines the text)."""
     namespace = {}
-    exec(compile(map_source(shape), "<padicdyn map>", "exec"), namespace)
+    exec(compile(map_source(shape, logs), "<padicdyn map>", "exec"),
+         namespace)
     return namespace["bind"]
 
 

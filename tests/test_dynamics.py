@@ -1,25 +1,27 @@
 """Reduction mod p, locus checks and the periodic-point search."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import dynamics
 from padicdyn.certify import run_pipeline
 from padicdyn.dynamics import (CLEAR, INDETERMINATE, RAMIFIED, ReducedMap,
                                _walk_orbit, find_periodic_point, locus_check,
                                point_at_index, reduce_map, search_order,
-                               verify_record)
-from padicdyn.errors import (BadReductionError, InseparableError,
-                             NoPeriodicPointError, PadicDynError,
-                             UnsupportedExtensionError)
-from padicdyn.finitefields import FiniteField, prime_power_field
+                               search_view, verify_record)
+from padicdyn.errors import (BadReductionError, IndeterminacyError,
+                             InseparableError, NoPeriodicPointError,
+                             PadicDynError, UnsupportedExtensionError)
+from padicdyn.finitefields import (FFElement, FiniteField,
+                                   prime_power_field)
 from padicdyn.mapfile import load_map_file
 from padicdyn.padics import PadicContext
-from padicdyn.polynomials import MultiPoly, RationalSelfMap, evaluate_terms
+from padicdyn.polynomials import (MultiPoly, RationalSelfMap, embed_map,
+                                  evaluate_terms)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -189,25 +191,87 @@ def test_walk_stops_at_the_cap():
     assert _walk_orbit(fbar, start, 3)[0] == "periodic"
 
 
+def count_view_calls(monkeypatch, applied, checked, by_field=True):
+    """Record each call the walk makes on the view: the map in applied and
+    the locus in checked, each point in FFElements, paired with the order
+    of its field when by_field."""
+    view_maps = ReducedMap.view_maps.func
+
+    def counting_view_maps(fm):
+        view, apply, locus = view_maps(fm)
+
+        def note(calls, point):
+            point = tuple(map(view.element, point))
+            calls.append((fm.field.order, point) if by_field else point)
+
+        def counting_apply(point):
+            note(applied, point)
+            return apply(point)
+
+        def counting_locus(point):
+            note(checked, point)
+            return locus(point)
+
+        return view, counting_apply, counting_locus
+
+    monkeypatch.setattr(ReducedMap, "view_maps", property(counting_view_maps))
+
+
 def test_walk_checks_each_orbit_point_once(monkeypatch):
     # the walk over the 3-cycle of x + 1 over F_3 closes on its start point,
     # which passed the locus check when it was first visited
     fbar = reduce_map(RationalSelfMap.from_texts(1, ["x1 + 1"]),
                       PadicContext(3))
     checked = []
-
-    def counting_check(fm, point):
-        checked.append(point)
-        return locus_check(fm, point)
-
-    monkeypatch.setattr(dynamics, "locus_check", counting_check)
+    count_view_calls(monkeypatch, [], checked, by_field=False)
     status, orbit = _walk_orbit(fbar, (fbar.field.zero(),), 3)
     assert status == "periodic" and len(orbit) == 3
     assert checked == list(orbit)
 
 
+def ffelement_walk(fbar, start, cap):
+    """The walk of _walk_orbit on FFElements, with locus_check and
+    ReducedMap.apply: the oracle for the walk on the view. Returns (status,
+    orbit) where status is 'periodic' when start comes back within cap
+    steps, 'tail' when the walk enters a cycle that misses start,
+    'unfinished' when neither happens within cap steps, or a locus label
+    that interrupted the walk."""
+    pos = {}
+    path = []
+    cur = start
+    while len(path) <= cap:
+        key = tuple([x.rep for x in cur])
+        if key in pos:
+            if pos[key] == 0:
+                return "periodic", tuple(path)
+            return "tail", tuple(path)
+        status = locus_check(fbar, cur)
+        if status != CLEAR:
+            return status, tuple(path)
+        pos[key] = len(path)
+        path.append(cur)
+        cur = fbar.apply(cur)
+    return "unfinished", tuple(path)
+
+
+@pytest.mark.parametrize("text, p, m", [("x1^2 + 2", 7, 1),
+                                        ("x1^2 + 1", 5, 2),
+                                        ("x1^3 + x1 + 1", 3, 3)])
+def test_walk_orbit_matches_the_ffelement_walk(text, p, m):
+    # statuses (tails and locus labels included), orbits and caps of the
+    # walk on the view, from every start, on ints and on logs
+    fbar = reduce_map(RationalSelfMap.from_texts(1, [text]),
+                      PadicContext(p, precision=1))
+    fm = fbar.extend(fbar.field.extension(m))
+    for start in fm.field.elements():
+        for cap in (1, 3, fm.field.order):
+            assert (_walk_orbit(fm, (start,), cap)
+                    == ffelement_walk(fm, (start,), cap))
+
+
 def walk_every_start(fbar, m_max, constraints):
-    """Oracle: the search as one full walk per start, with _walk_orbit."""
+    """Oracle: the search as one full walk per start, with ffelement_walk,
+    which shares no code with the search's walk on the view."""
     visited = {}
     for m in range(1, m_max + 1):
         fld = fbar.field.extension(m)
@@ -219,7 +283,7 @@ def walk_every_start(fbar, m_max, constraints):
             if constraints is not None and not constraints(point):
                 continue
             visited[m] += 1
-            status, orbit = _walk_orbit(fm, point, space)
+            status, orbit = ffelement_walk(fm, point, space)
             if status == "periodic":
                 return point, len(orbit), orbit, index, visited
     return None
@@ -278,17 +342,96 @@ def test_search_matches_a_walk_from_every_start(case):
     assert verify_record(fbar, rec)
 
 
+def test_the_search_climbs_past_the_table_cap():
+    # every F_67 start is skipped, so the search climbs to F_{67^2}, whose
+    # 4,489 elements have no log tables: the view keeps FFElements there
+    fbar = reduce_map(RationalSelfMap.from_texts(1, ["x1 + 1"]),
+                      PadicContext(67, precision=1))
+    seen = set()
+
+    def constraints(point):
+        seen.update(type(x) for x in point)
+        return point[0].field.degree > 1
+
+    expected = walk_every_start(fbar, 2, constraints)
+    rec = find_periodic_point(fbar, 2, constraints)
+    assert seen == {FFElement}
+    assert rec.field.order == 4489 and rec.field._log is None
+    point, period, orbit, index, visited = expected
+    assert (rec.point, rec.period, rec.orbit, rec.enumeration_index,
+            rec.visited) == (point, period, orbit, index, visited)
+    assert verify_record(fbar, rec)
+
+
 @pytest.mark.parametrize("p, m, n", [(2, 2, 2), (3, 2, 2), (11, 3, 1),
-                                     (2, 2, 3)])
+                                     (2, 2, 3), (5, 1, 2)])
 def test_the_search_enumerates_points_in_index_order(p, m, n):
-    # F_4^2, F_9^2, F_1331 and F_4^3, where two coordinates above the first
-    # must run in index order too
+    # F_4^2, F_9^2, F_1331, F_4^3, where two coordinates above the first
+    # must run in index order too, and F_5^2 on ints
     fld = prime_power_field(p, m)
-    points = list(search_order(fld, n))
+    view = search_view(fld)
+    points = list(search_order(view, n))
     assert len(points) == fld.order ** n
     for index, point in enumerate(points):
         expected = point_at_index(fld, n, index)
-        assert [x.rep for x in point] == [x.rep for x in expected], index
+        assert ([view.element(x).rep for x in point]
+                == [x.rep for x in expected]), index
+
+
+VIEW_MAPS = [
+    RationalSelfMap.from_texts(2, ["x1*x2", "x1 + x2"]),
+    RationalSelfMap.from_texts(2, ["-x1", "x1 - x2"]),
+    RationalSelfMap.from_texts(2, ["1", "x2^3 + 2*x1*x2 + 2"],
+                               ["x1", "1"]),
+]
+
+
+def view_agrees(fld, pairs):
+    """Products, sums, negation, differences (sums through the Zech table
+    on logs), powers and inverses of the pairs run on fld's view agree
+    with FFElement arithmetic; a vanishing denominator raises in both."""
+    view = search_view(fld)
+    runs = [(embed_map(f, fld).run, view.bind(embed_map(f, fld)))
+            for f in VIEW_MAPS]
+    for a, b in pairs:
+        point = (fld.element_from_index(a), fld.element_from_index(b))
+        for run, view_run in runs:
+            try:
+                expected = run(point)
+            except IndeterminacyError:
+                with pytest.raises(IndeterminacyError):
+                    view_run(tuple(map(view.value, point)))
+                continue
+            got = view_run(tuple(map(view.value, point)))
+            assert tuple(map(view.element, got)) == expected, (a, b)
+    return view
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3),
+                                  (3, 2), (5, 2), (7, 2)])
+def test_view_arithmetic_on_every_pair(p, m):
+    fld = prime_power_field(p, m)
+    pairs = [(a, b) for a in range(fld.order) for b in range(fld.order)]
+    view = view_agrees(fld, pairs)
+    assert view.logs == (m > 1)
+    if view.logs:
+        # zero is the sentinel, the one value with no log
+        assert view.value(fld.zero()) == 2 * (fld.order - 1)
+        assert view.element(view.zero) == fld.zero()
+
+
+@pytest.mark.parametrize("p, m", [(11, 3), (2, 12), (67, 2)])
+def test_view_arithmetic_on_random_pairs(p, m):
+    # F_1331, F_4096 at the table cap, and F_4489 above it, which builds no
+    # table and computes on FFElements
+    fld = prime_power_field(p, m)
+    rng = random.Random(p * m)
+    pairs = [(0, 0), (0, 1), (1, 0)] + [
+        (rng.randrange(fld.order), rng.randrange(fld.order))
+        for _ in range(300)]
+    view = view_agrees(fld, pairs)
+    assert view.logs == (fld.order <= 4096)
+    assert (fld._log is None) == (fld.order > 4096)
 
 
 def search_inputs(name):
@@ -303,18 +446,7 @@ def test_search_applies_the_map_once_per_point(monkeypatch, name):
     f, p, m_max = search_inputs(name)
     applied = []
     checked = []
-    apply = ReducedMap.apply
-
-    def counting_apply(fm, point):
-        applied.append((fm.field.order, point))
-        return apply(fm, point)
-
-    def counting_check(fm, point):
-        checked.append((fm.field.order, point))
-        return locus_check(fm, point)
-
-    monkeypatch.setattr(ReducedMap, "apply", counting_apply)
-    monkeypatch.setattr(dynamics, "locus_check", counting_check)
+    count_view_calls(monkeypatch, applied, checked)
     rec = find_periodic_point(reduce_map(f, PadicContext(p)), m_max)
     assert rec.m > 1
     # every point of every field is applied and checked at most once
