@@ -122,11 +122,9 @@ def classify_mod(nbhd, bound, omega):
         return ClassifyResult(kind=OUTSIDE)
     ctx = nbhd.ctx
     ring = integers_mod(ctx.p, ctx.d, ctx.e, ctx.precision)
-    run = embed_map(nbhd.map, ring).run
-    start = z = tuple(ring.from_rational(w) for w in omega)
+    start = tuple(ring.from_rational(w) for w in omega)
     try:
-        for _ in range(bound.bound):
-            z = run(z)
+        z = embed_map(nbhd.map, ring).iterate(start, bound.bound)
     except IndeterminacyError as exc:
         raise InternalInconsistencyError(
             "the orbit of a member met a non-unit denominator: " + str(exc))

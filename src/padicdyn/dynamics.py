@@ -9,10 +9,11 @@ hit in canonical order wins, so results are deterministic and replayable;
 once: the search records whether a walked point lies on a clear cycle, and
 a later walk stops at the first point already recorded. The search and its
 re-check (``verify_record`` and the verifier's replay) walk points of the
-field's ``SearchView``, made on first use: tuples of ints mod p on F_p, of
-discrete logs on a field with log tables (one table set per field, up to
-``finitefields._TABLE_MAX_ORDER``), of FFElements on a larger field. A
-point turns back into FFElements only for a record or for ``constraints``.
+field's ``SearchView``, made on first use: tuples of ints mod p on F_p
+(``map_source``'s ints spelling), of discrete logs on a field with log
+tables (one set per field, up to ``finitefields._TABLE_MAX_ORDER``), of
+FFElements on a larger field. A point turns back into FFElements only
+for a record or for ``constraints``.
 
 A reduced map (``reduce_map``, ``ReducedMap.extend`` for F_{p^m}; one per
 map and field object) keeps the ``polynomials.embed_map`` components over
@@ -32,8 +33,8 @@ from itertools import islice, product
 
 from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
 from .padics import integers_mod
-from .polynomials import (EmbeddedMap, _compiled, embed_map, embed_terms,
-                          map_shape)
+from .polynomials import (EmbeddedMap, _compiled, bind_map, embed_map,
+                          embed_terms, map_shape)
 from .records import Record
 
 CLEAR = "clear"
@@ -210,15 +211,14 @@ class SearchView:
         return self.M[self.field.order - 1 - a]
 
     def bind(self, embedded):
-        """An EmbeddedMap of the field, compiled in the view's spelling."""
+        """An EmbeddedMap of the field as a function of view points:
+        ``bind_map``'s run on the view's ring, or in the logs spelling."""
+        if not self.logs:
+            return bind_map(embedded.components, self.ring, self.value)[0]
         shape, constants = map_shape(embedded.components)
         c = [self.value(x) for x in constants]
-        if self.logs:
-            return _compiled(shape, True)(c, self.M, self.ZL, self.inverse,
-                                          0, self.zero)
-        ring = self.ring
-        return _compiled(shape)(c, ring.reduce, ring.unit_inverse,
-                                ring.one(), ring.zero())
+        return _compiled(shape, "logs")(c, self.M, self.ZL, self.inverse, 0,
+                                        self.zero)[0]
 
 
 search_view = lru_cache(maxsize=64)(SearchView)

@@ -53,6 +53,14 @@ def orbit(phi, omega, count):
     return pts
 
 
+def _too_few_digits(ctx, kept, k_max):
+    return PrecisionError(
+        f"the orbit keeps {kept} of the {ctx.precision} digits of working"
+        f" precision, too few to resolve v_r up to {(k_max + 2) // 2} at"
+        f" k_max {k_max}; raise the precision (--precision) or lower k_max"
+        " (--kmax)")
+
+
 class MahlerInterpolation(Record):
     """Center, truncation order, per-coordinate coefficients b_ik and their
     valuation profile: coeffs[i][k-1] = b_ik for 1 <= k <= k_max, and
@@ -96,8 +104,12 @@ def mahler_coefficients(phi, omega, k_max, orbit_points=None):
     pipeline -- and PrecisionError when the working precision cannot
     resolve valuations that large.
     """
-    pts = orbit_points if orbit_points is not None else orbit(phi, omega,
-                                                              k_max)
+    pts = orbit_points
+    if pts is None:
+        try:
+            pts = orbit(phi, omega, k_max)
+        except PrecisionError:  # a local coordinate keeps no digit
+            raise _too_few_digits(omega[0].ctx, 0, k_max) from None
     if len(pts) < k_max + 1:
         raise ValueError("need k_max + 1 orbit points")
     omega = tuple(pts[0])
@@ -105,13 +117,8 @@ def mahler_coefficients(phi, omega, k_max, orbit_points=None):
     n = len(omega)
 
     min_prec = min(c.prec for pt in pts for c in pt)
-    needed = (k_max + 2) // 2
-    if ctx.e * min_prec <= needed:
-        raise PrecisionError(
-            f"the orbit keeps {min_prec} of the {ctx.precision} digits of"
-            f" working precision, too few to resolve v_r up to {needed} at"
-            f" k_max {k_max}; raise the precision (--precision) or lower"
-            " k_max (--kmax)")
+    if ctx.e * min_prec <= (k_max + 2) // 2:
+        raise _too_few_digits(ctx, min_prec, k_max)
 
     coeffs = []
     valuations = []

@@ -29,8 +29,9 @@ from functools import cached_property
 
 from .dynamics import CLEAR, locus_check, reduce_map
 from .errors import (BadReductionError, DivisibilityError, NoGoodPrimeError,
-                     OrbitNotClearError, PadicDynError, RamificationLeakError,
-                     ResidueMismatchError, UnsupportedExtensionError)
+                     OrbitNotClearError, PadicDynError, PrecisionError,
+                     RamificationLeakError, ResidueMismatchError,
+                     UnsupportedExtensionError)
 from .finitefields import affine_order, is_prime, mat_identity, mat_mul
 from .padics import PadicContext, PadicElement, integers_mod
 from .polynomials import embed_map, matrix_det
@@ -256,14 +257,12 @@ class PadicNeighborhood:
         """Exact p-adic application of f^(k*times) to an ambient point.
 
         The point is unwrapped once into O/p^s (``_ring``), f is applied
-        k*times times by the run of f embedded there, and the result is
-        wrapped back with tag s: the digits and tags of the
+        k*times times by one ``iterate`` call of f embedded there, and the
+        result is wrapped back with tag s: the digits and tags of the
         ``map_eval_padic`` loop on the point cut to s.
         """
         ring, s, x = self._ring(zvec)
-        run = embed_map(self.map, ring).run
-        for _ in range(self.period_k * times):
-            x = run(x)
+        x = embed_map(self.map, ring).iterate(x, self.period_k * times)
         return tuple(ring.wrap(self.ctx, c, s) for c in x)
 
     def iterated_local_map(self, multiplier=1):
@@ -290,10 +289,11 @@ class IteratedMap:
     local coordinates once, so the whole orbit loses a single digit of
     precision instead of one per step. It unwraps the ambient start once
     into O/p^s (``PadicNeighborhood._ring``), runs f^(k*multiplier) there
-    for the whole orbit, and takes each output point's local coordinates
-    in the ring (its ``to_local``), tagged m - 1 with m = min(s, tag of
-    y): the digits, tags and errors of ``PadicNeighborhood.to_local``
-    after the ``map_eval_padic`` loop on the start cut to s.
+    by one ``iterate`` call per orbit point, and takes each point's local
+    coordinates in the ring (its ``to_local``), tagged m - 1 with m =
+    min(s, tag of y), PrecisionError before any step if m < 2: the digits,
+    tags and errors of ``PadicNeighborhood.to_local`` after the
+    ``map_eval_padic`` loop on the start cut to s.
     """
 
     def __init__(self, nbhd, multiplier=1):
@@ -307,16 +307,17 @@ class IteratedMap:
         nbhd = self.nbhd
         ring, s, x = nbhd._ring(nbhd.from_local(t0))
         ctx = nbhd.ctx
-        run = embed_map(nbhd.map, ring).run
+        iterate = embed_map(nbhd.map, ring).iterate
         steps = nbhd.period_k * self.multiplier
         centers = []
         for y in nbhd.center:
             m = min(s, y.prec)
+            if m < 2:
+                raise PrecisionError("division by r exhausts precision")
             centers.append((ring.unwrap(y), m, ctx.modulus(m)))
         out = [ring.to_local(ctx, x, centers)]
         for _ in range(count):
-            for _ in range(steps):
-                x = run(x)
+            x = iterate(x, steps)
             out.append(ring.to_local(ctx, x, centers))
         return out
 
@@ -390,7 +391,13 @@ def _reduced_translation(nbhd):
         if v < 1:
             raise OrbitNotClearError(
                 f"f^k does not fix the center mod r (constant valuation {v})")
-        c.append(ctx.residue(h.divide_uniformizer()))
+        try:
+            c.append(ctx.residue(h.divide_uniformizer()))
+        except PrecisionError:
+            raise PrecisionError(
+                "the neighborhood's translation (f^k(y) - y)/r exhausts"
+                f" precision {ctx.precision}; raise the precision"
+                " (--precision)") from None
     return c
 
 

@@ -289,7 +289,7 @@ class IntegersMod(Record):
     def to_local(self, ctx, x, centers):
         """The local coordinates (x - y) / p of the point x as elements of
         ctx tagged m - 1, centers holding (y in this ring, m, p^m) per
-        coordinate with m <= s: the digits, tags and errors of
+        coordinate with 2 <= m <= s: the digits, tags and errors of
         ``PadicNeighborhood.to_local``."""
         p = self.p
         out = []
@@ -297,8 +297,6 @@ class IntegersMod(Record):
             c = (xi - y) % mod
             if c % p:
                 raise ValueError("point is not in the neighborhood")
-            if m < 2:
-                raise PrecisionError("division by r exhausts precision")
             out.append(PadicElement(ctx, (c // p,), m - 1))
         return tuple(out)
 
@@ -366,8 +364,6 @@ class ExtensionMod:
             c = [(a - b) % mod for a, b in zip(xi.c, y.c)]
             if any([a % p for a in c[:d]]):
                 raise ValueError("point is not in the neighborhood")
-            if m < 2:
-                raise PrecisionError("division by r exhausts precision")
             top = mod // p
             out.append(PadicElement(ctx, tuple(
                 [a % top for a in c[d:]] + [a // p for a in c[:d]]), m - 1))

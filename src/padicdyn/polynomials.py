@@ -11,14 +11,17 @@ tuples of d*e ints otherwise) and the truncated series
 from_rational(c), reduce(x) and unit_inverse(x). ``embed_map`` carries the
 map's coefficients into a ring once, as an ``EmbeddedMap`` of that ring,
 kept on the map. Its ``run`` is the map compiled into one straight-line
-Python function of the point, generated from the map's shape alone: its
+Python function of the point, and ``iterate(x, times)`` loops over it in
+the same function, both generated from the map's shape alone: its
 exponent tuples, the coefficients that are exactly 1 and the components
-whose denominator is a constant. The source holds generated names only,
-never a coefficient; it is compiled once per shape and bound to the
-embedding's coefficients and ring on first use, so the binding lives as
-long as the map. ``run`` evaluates, checks, inverts and applies the
-denominators. ``evaluate_terms`` evaluates one polynomial, for the series
-and ``MultiPoly.eval_fraction``.
+whose denominator is a constant. The source is spelled in ring calls, on
+ints with ``% mod`` inline (IntegersMod) or on discrete logs (a search
+view). It holds generated names only, never a coefficient; it is compiled
+once per shape and spelling and bound to the embedding's coefficients and
+ring on first use, so the binding lives as long as the map. ``run``
+evaluates, checks, inverts and applies the denominators.
+``evaluate_terms`` evaluates one polynomial, for the series and
+``MultiPoly.eval_fraction``.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ import hashlib
 import operator
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 from .errors import IndeterminacyError, NotDominantError
+from .padics import IntegersMod
 
 
 class MultiPoly:
@@ -464,7 +468,8 @@ def embed_map(f, ring):
 class EmbeddedMap:
     """A map embedded in one ring: per component (numerator terms,
     denominator terms, scale) as embed_map describes them, which iteration
-    yields. ``run`` is the map as one function of a point of the ring."""
+    yields. ``run`` and ``iterate`` are bind_map's, bound on first use and
+    kept as instance attributes."""
 
     def __init__(self, ring, components):
         self.ring = ring
@@ -473,16 +478,11 @@ class EmbeddedMap:
     def __iter__(self):
         return iter(self.components)
 
-    @cached_property
-    def run(self):
-        """The function compiled for the components' shape, bound to their
-        coefficients and to the ring on first use: it evaluates each
-        denominator, requires a unit (IndeterminacyError otherwise),
-        inverts it and scales the numerator."""
-        shape, constants = map_shape(self.components)
-        ring = self.ring
-        return _compiled(shape)(constants, ring.reduce, ring.unit_inverse,
-                                ring.one(), ring.zero())
+    def __getattr__(self, name):
+        if name not in ("run", "iterate"):
+            raise AttributeError(name)
+        self.run, self.iterate = bind_map(self.components, self.ring)
+        return self.__dict__[name]
 
 
 def map_shape(components):
@@ -526,21 +526,29 @@ def _power_steps(a):
     return steps
 
 
-def map_source(shape, logs=False):
+# map_source's spellings: bind's ring parameters, a product, a reduced sum
+_SPELLINGS = {"ring": ("reduce", "reduce({} * {})", "reduce({})"),
+              "ints": ("mod", "{} * {} % mod", "({}) % mod"),
+              "logs": ("M, ZL", "M[{} + {}]", None)}
+
+
+def map_source(shape, spelling="ring"):
     """The Python source of ``bind(c, reduce, inv, one, zero)`` for a
-    map_shape shape: bind returns the map as one function of a point, with
-    the constants c named c0, c1, ... and the ring's reduce, unit_inverse,
-    one() and zero().
+    map_shape shape, with the constants c named c0, c1, ... and the ring's
+    reduce, unit_inverse, one() and zero(). bind returns (run, iterate).
 
-    The function reads each coordinate it uses, makes each power x_i^a it
-    needs once by _power_steps over earlier powers (reduce after each
-    product), then per component evaluates the denominator (unless it is
-    constant), requires a unit and inverts it with inv, evaluates the
-    numerator and scales it: what evaluate_terms and unit_inverse do, term
-    for term. Exponents are ints, so the text holds generated names and
-    coordinate indices only.
+    run(x) reads each coordinate it uses, makes each power x_i^a it needs
+    once by _power_steps over earlier powers (reduce after each product),
+    then per component evaluates the denominator (unless it is constant),
+    requires a unit and inverts it with inv, evaluates the numerator and
+    scales it: what evaluate_terms and unit_inverse do, term for term.
+    iterate(x, times) loops over those steps, x itself at times = 0; it is
+    None unless the map is a self-map (as many components as coordinates).
+    Exponents are ints, so the text holds generated names and coordinate
+    indices only.
 
-    With ``logs``, bind takes (c, M, ZL, inv, one, zero) and the values are
+    The ``"ints"`` spelling binds (c, mod, inv, one, zero) and reduces by
+    ``% mod``; the ``"logs"`` one binds (c, M, ZL, inv, one, zero) on
     discrete logs, each product M[a + b] and each sum a Zech lookup, as in
     ``dynamics.SearchView``.
     """
@@ -549,14 +557,13 @@ def map_source(shape, logs=False):
     prelude = []
     names = {}
     body = []
+    ring_args, mul, reduced_sum = _SPELLINGS[spelling]
+    product = mul.format
 
     def const():
         nonlocal count
         count += 1
         return f"c{count - 1}"
-
-    def product(a, b):
-        return f"M[{a} + {b}]" if logs else f"reduce({a} * {b})"
 
     def power(i, a):
         if (i, 1) not in names:
@@ -574,10 +581,10 @@ def map_source(shape, logs=False):
         for idx, is_one in terms:
             factors = [] if is_one else [const()]
             factors += [power(i, a) for i, a in enumerate(idx) if a]
-            parts.append(reduce(product, factors) if logs and factors
-                         else " * ".join(factors) or "one")
-        if not logs:
-            return f"reduce({' + '.join(parts) or 'zero'})"
+            parts.append(reduce(product, factors) if reduced_sum is None
+                         and factors else " * ".join(factors) or "one")
+        if reduced_sum is not None:
+            return reduced_sum.format(" + ".join(parts) or "zero")
         if len(parts) < 2:
             return parts[0] if parts else "zero"
         body.append(f"s = {parts[0]}")
@@ -597,24 +604,49 @@ def map_source(shape, logs=False):
         body.append(f"v{k} = " + (value if factor is None
                                   else product(value, factor)))
         outputs += f"v{k}, "
-    lines = [f"def bind(c, {'M, ZL' if logs else 'reduce'}, inv, one, zero):"]
+    lines = [f"def bind(c, {ring_args}, inv, one, zero):"]
     if count:
         unpack = "".join(f"c{j}, " for j in range(count))
         lines.append(f"    {unpack}= c")
     lines.append("    def run(x):")
     lines += [f"        {line}" for line in loads + prelude + body]
-    lines += [f"        return ({outputs})", "    return run", ""]
-    return "\n".join(lines)
+    lines.append(f"        return ({outputs})")
+    if all(len(idx) == len(shape) for num, den, _ in shape
+           for idx, _ in num + (den or ())):
+        point = "".join(f"x{i}, " for i in range(len(shape)))
+        lines += ["    def iterate(x, times):", f"        {point}= x",
+                  "        for _ in range(times):"]
+        lines += [f"            {line}" for line in prelude + body]
+        lines += [f"            {point}= {outputs.rstrip()}",
+                  f"        return ({point})", "    return run, iterate"]
+    else:
+        lines.append("    return run, None")
+    return "\n".join(lines + [""])
 
 
 @lru_cache(maxsize=256)
-def _compiled(shape, logs=False):
+def _compiled(shape, spelling="ring"):
     """The bind function of map_source's text for shape and spelling,
     compiled once per pair (which determines the text)."""
     namespace = {}
-    exec(compile(map_source(shape, logs), "<padicdyn map>", "exec"),
+    exec(compile(map_source(shape, spelling), "<padicdyn map>", "exec"),
          namespace)
     return namespace["bind"]
+
+
+def bind_map(components, ring, value=None):
+    """map_source's (run, iterate) for embed_map components, bound to ring
+    and their constants (mapped by value if given): on an IntegersMod in
+    the ints spelling, each constant v as its balanced residue (v - mod if
+    2 v > mod: a -1 costs a small product), else in the ring spelling."""
+    shape, constants = map_shape(components)
+    if value is not None:
+        constants = map(value, constants)
+    if isinstance(ring, IntegersMod):
+        c = [v - ring.mod if 2 * v > ring.mod else v for v in constants]
+        return _compiled(shape, "ints")(c, ring.mod, ring.unit_inverse, 1, 0)
+    return _compiled(shape)(tuple(constants), ring.reduce, ring.unit_inverse,
+                            ring.one(), ring.zero())
 
 
 def evaluate_terms(ring, terms, point):

@@ -240,6 +240,35 @@ def test_too_little_precision_for_the_profile_names_the_options(tmp_path):
     assert not out.exists()
 
 
+CUBE = {"n": 1, "numerators": ["x1^3"], "prime": 5, "kmax": 16,
+        "search_budget": 50}
+
+
+@pytest.mark.parametrize("precision, stage", [
+    ("1", "the neighborhood's translation (f^k(y) - y)/r exhausts"
+          " precision 1"),
+    ("2", "the orbit keeps 0 of the 2 digits of working precision")])
+@pytest.mark.parametrize("command", [["certify"],
+                                     ["interpolate", "--point", "1"]])
+def test_a_precision_of_one_or_two_names_the_stage_and_the_option(
+        tmp_path, command, precision, stage):
+    # x1^3 at p = 5: precision 1 cannot carry the neighborhood's
+    # translation, and precision 2 leaves the Mahler orbit's local
+    # coordinates no digit, so both fail before a profile is made
+    mp = write_map(tmp_path / "m.json", CUBE)
+    out = tmp_path / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = cli.main([*command, "--map", mp, "--precision", precision,
+                         "--out", str(out)])
+    assert code == 1
+    assert stage in stderr.getvalue()
+    assert "raise the precision (--precision)" in stderr.getvalue()
+    assert precision == "1" or "--kmax" in stderr.getvalue()
+    assert not out.exists()
+
+
 def test_a_zero_denominator_in_a_map_file_exits_one_naming_the_term(
         tmp_path):
     mp = write_map(tmp_path / "m.json", dict(QUAD, numerators=["x1^2 + 1/0"]))

@@ -4,7 +4,9 @@ The ``run`` of a map embedded in a ring is one straight-line function per
 map, generated from the map's shape and bound once to its embedded
 coefficients and to that ring. It must give the values and precision tags
 of the per-term loop, and raise where that loop raises, in every ring: Q,
-F_q, O/p^s on ints, O with e = 1 and e = 2 and the truncated series. Its
+F_q, O/p^s on ints, O with e = 1 and e = 2 and the truncated series; its
+``iterate(x, t)`` must be t calls of run. On ints mod m (O/p^s and the
+F_p search view) the ints spelling must equal the ring spelling. The
 source names coefficients but never spells them, and its bindings live
 exactly as long as the map.
 """
@@ -12,6 +14,7 @@ exactly as long as the map.
 import gc
 import hashlib
 import io
+import itertools
 import re
 import tokenize
 import weakref
@@ -25,9 +28,10 @@ from padicdyn.errors import IndeterminacyError
 from padicdyn.finitefields import FiniteField, prime_power_field
 from padicdyn.padics import IntegersMod, PadicContext, PadicElement
 from padicdyn.certify import run_pipeline
-from padicdyn.polynomials import (QQ, EmbeddedMap, RationalSelfMap, embed_map,
-                                  embed_terms, evaluate_terms, map_shape,
-                                  map_source)
+from padicdyn.dynamics import search_view
+from padicdyn.polynomials import (QQ, EmbeddedMap, MultiPoly, RationalSelfMap,
+                                  _compiled, bind_map, embed_map, embed_terms,
+                                  evaluate_terms, map_shape, map_source)
 from padicdyn.series import SeriesRing, TruncatedSeries
 from tests.test_padic_fast_paths import rational_maps
 
@@ -132,9 +136,96 @@ def test_the_compiled_map_equals_the_per_term_loop(case):
         assert all(same(a, b) for a, b in zip(got, expected))
 
 
+@settings(max_examples=300, deadline=None)
+@given(rings_maps_points(), st.integers(0, 5))
+def test_iterate_equals_that_many_runs(case, times):
+    ring, f, point = case
+    emb = embed_map(f, ring)
+    expected = point
+    try:
+        for _ in range(times):
+            expected = emb.run(expected)
+    except IndeterminacyError:
+        with pytest.raises(IndeterminacyError):
+            emb.iterate(point, times)
+        return
+    got = emb.iterate(point, times)
+    assert len(got) == len(expected)
+    assert all(same(a, b) for a, b in zip(got, expected))
+
+
+# O/p^s on ints, and prime fields, whose search views walk ints mod p
+INTS_RINGS = [IntegersMod(5, 5 ** 6), IntegersMod(11, 11 ** 3),
+              prime_power_field(5, 1), prime_power_field(11, 1)]
+
+
+def balancing_coefficients(mod):
+    """-1, the residues on either side of mod / 2 (the first kept, the
+    second balanced to -(mod - 1)/2), 1/2, which is (mod + 1)/2 mod mod,
+    and a coefficient far wider than mod."""
+    return [Fraction(-1), Fraction(mod - 1, 2), Fraction(mod + 1, 2),
+            Fraction(1, 2), Fraction(10 ** 40, 7)]
+
+
+@st.composite
+def ints_maps_points(draw):
+    """A ring of INTS_RINGS, a map of rational_maps with each balancing
+    coefficient added as a term of a drawn numerator, and a point of ints
+    mod the ring's modulus."""
+    where = draw(st.sampled_from(INTS_RINGS))
+    mod = where.mod if isinstance(where, IntegersMod) else where.p
+    n = draw(st.integers(1, 2))
+    f = draw(rational_maps(n))
+    nums = list(f.numerators)
+    for c in balancing_coefficients(mod):
+        idx = draw(st.tuples(*[st.integers(0, 2)] * n))
+        i = draw(st.integers(0, n - 1))
+        nums[i] = nums[i] + MultiPoly(n, {idx: c})
+    coordinate = st.one_of(st.sampled_from([0, 1, mod - 1]),
+                           st.integers(0, mod - 1))
+    point = tuple(draw(coordinate) for _ in range(n))
+    return where, RationalSelfMap(nums, f.denominators), point
+
+
+def outcome(fn, *args):
+    try:
+        return tuple(fn(*args))
+    except IndeterminacyError:
+        return IndeterminacyError
+
+
+@settings(max_examples=300, deadline=None)
+@given(ints_maps_points(), st.integers(0, 5))
+def test_the_ints_spelling_equals_the_ring_spelling(case, times):
+    where, f, point = case
+    emb = embed_map(f, where)
+    if isinstance(where, IntegersMod):
+        ring, value, run, iterate = where, None, emb.run, emb.iterate
+    else:
+        view = search_view(where)
+        ring, value = view.ring, view.value
+        run, iterate = bind_map(emb.components, ring, value)
+        assert outcome(view.bind(emb), point) == outcome(run, point)
+    shape, constants = map_shape(emb.components)
+    if value is not None:
+        constants = [value(c) for c in constants]
+    ring_run, ring_iterate = _compiled(shape, "ring")(
+        tuple(constants), ring.reduce, ring.unit_inverse, ring.one(),
+        ring.zero())
+    for got, want in ((outcome(run, point), outcome(ring_run, point)),
+                      (outcome(iterate, point, times),
+                       outcome(ring_iterate, point, times))):
+        assert got == want
+        if got is not IndeterminacyError:
+            assert all(type(v) is int and 0 <= v < ring.mod for v in got)
+
+
 GENERATED_NAME = re.compile(r"(?:[cdv]\d+|x\d+(?:_\d+)?)\Z")
 SOURCE_WORDS = {"def", "return", "bind", "run", "c", "x", "reduce", "inv",
-                "one", "zero"}
+                "one", "zero", "iterate", "times", "mod", "for", "in",
+                "range", "_",
+                # the log spelling's tables, sums and Zech branches
+                "M", "ZL", "s", "t", "if", "else"}
 
 
 def test_the_source_holds_generated_names_and_never_a_coefficient():
@@ -142,10 +233,11 @@ def test_the_source_holds_generated_names_and_never_a_coefficient():
     f = RationalSelfMap.from_texts(
         2, [f"{big}/7*x1^3*x2 + 123456789*x2^2 - 1", "x1 + 98765/11"],
         ["x2 - 4321/13", "271828"])
-    for ring in (QQ, IntegersMod(5, 5 ** 8), prime_power_field(17, 2),
-                 PadicContext(3, precision=10)):
+    for ring, spelling in itertools.product(
+            (QQ, IntegersMod(5, 5 ** 8), prime_power_field(17, 2),
+             PadicContext(3, precision=10)), ("ring", "ints", "logs")):
         shape, constants = map_shape(embed_map(f, ring))
-        source = map_source(shape)
+        source = map_source(shape, spelling)
         for digits in (str(big), "123456789", "98765", "4321", "271828"):
             assert digits not in source
         assert len(constants) == 6
