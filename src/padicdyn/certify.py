@@ -16,6 +16,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import stat
 from fractions import Fraction
 
 from . import __version__
@@ -310,6 +312,29 @@ def _mahler_profile(nbhd, bound, omega, kmax):
     return {"k_max": kmax, "valuations": table}, interp
 
 
+def write_text(path, text):
+    """Write ``text`` to ``path`` as UTF-8, in place.
+
+    The file is opened without O_TRUNC and, when it is a regular file, cut
+    to the written length afterwards: the same bytes, inode, mode and
+    symlink target as ``open(path, "w")``, and as little atomicity. On ext4
+    a truncate to zero makes the kernel flush the file when it is closed,
+    and the next truncating open of it waits for that write-back; an
+    in-place write does not. Devices, FIFOs and ttys (``/dev/null``) are
+    written but not truncated.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 class Certificate:
     """Replayable proof object; ``data`` is the JSON-serializable payload."""
 
@@ -333,8 +358,7 @@ class Certificate:
         return cls(data)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.json_text())
+        write_text(path, self.json_text())
 
     @classmethod
     def load(cls, path):
@@ -538,8 +562,8 @@ def _replay(data):
         nbhd = build_neighborhood(f, record.period, center, ctx, cap=cap,
                                   record=record, lift_convention=lift)
     except PrecisionError as exc:
-        raise _Stop("context", f"precision {precision} cannot carry the"
-                    f" neighborhood: {exc}")
+        raise _Stop("context", f"context.precision {precision} cannot carry"
+                    f" the neighborhood: {exc.reason}")
     bound = period_bound(nbhd)
 
     try:
@@ -558,8 +582,9 @@ def _replay(data):
     try:
         return _certificate_data(nbhd, bound, omega, result, kmax)
     except PrecisionError as exc:  # the one step here that divides by r
-        raise _Stop("mahler_profile", f"precision {precision} cannot carry"
-                    f" the profile to k_max {kmax}: {exc}")
+        raise _Stop("mahler_profile", f"context.precision {precision} cannot"
+                    f" carry the profile to mahler_profile.k_max {kmax}:"
+                    f" {exc.reason}")
 
 
 def verify_certificate(cert):

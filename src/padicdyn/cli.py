@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .certify import (OUTSIDE, Certificate, classify_mod, find_witness,
-                      run_pipeline, verify_certificate)
+                      run_pipeline, verify_certificate, write_text)
 from .errors import (PadicDynError, SearchBudgetError,
                      UnsupportedExtensionError)
 from .mahler import analyticity_margins, mahler_coefficients
@@ -209,8 +209,7 @@ def cmd_interpolate(args):
     lines.append(f"slope: {report.slope}  certified analytic on"
                  f" p^{l_an} Z_p: {report.certified}")
     text = "\n".join(lines) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(args.out, text)
     print(text, end="")
     print(f"report written to {args.out}")
     return EXIT_OK

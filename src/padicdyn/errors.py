@@ -20,7 +20,15 @@ class NonUnitError(PadicDynError):
 
 
 class PrecisionError(PadicDynError):
-    """Working precision cannot resolve the requested quantity."""
+    """Working precision cannot resolve the requested quantity.
+
+    ``reason`` says what ran short; ``advice``, when given, names the
+    command-line options that would help and follows it in the message.
+    """
+
+    def __init__(self, reason, advice=""):
+        super().__init__(f"{reason}; {advice}" if advice else reason)
+        self.reason = reason
 
 
 class BadReductionError(PadicDynError):

@@ -57,8 +57,8 @@ def _too_few_digits(ctx, kept, k_max):
     return PrecisionError(
         f"the orbit keeps {kept} of the {ctx.precision} digits of working"
         f" precision, too few to resolve v_r up to {(k_max + 2) // 2} at"
-        f" k_max {k_max}; raise the precision (--precision) or lower k_max"
-        " (--kmax)")
+        f" k_max {k_max}",
+        "raise the precision (--precision) or lower k_max (--kmax)")
 
 
 class MahlerInterpolation(Record):

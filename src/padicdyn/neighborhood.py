@@ -396,8 +396,8 @@ def _reduced_translation(nbhd):
         except PrecisionError:
             raise PrecisionError(
                 "the neighborhood's translation (f^k(y) - y)/r exhausts"
-                f" precision {ctx.precision}; raise the precision"
-                " (--precision)") from None
+                f" precision {ctx.precision}",
+                "raise the precision (--precision)") from None
     return c
 
 

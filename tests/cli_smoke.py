@@ -2,7 +2,9 @@
 
 Runs ``padicdyn certify`` and then ``padicdyn verify`` on each map of
 ``demos/maps`` in a fresh interpreter, and checks the exit codes, the
-verifier's verdict and the sha256 of every certificate written. It needs
+verifier's verdict and the sha256 of every certificate written. Each
+``--out`` path is first filled with a longer file, so the certificate is
+written over it in place and must leave no stale tail. It needs
 no test framework, so it runs on every supported Python:
 
     python tests/cli_smoke.py
@@ -31,6 +33,10 @@ SHA256 = {
         "9202e0652de6f21d84ce423fa452cb3024c3376ba2ea4baee9cfcc37e766573a",
 }
 
+# what each --out path holds before certify runs: longer than every
+# certificate above (the ramified one is about 632 kB)
+STALE = b"stale certificate bytes\n" * 50_000
+
 
 def padicdyn(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -42,12 +48,16 @@ def padicdyn(*args):
 def check(name, workdir):
     """The problems found with one demo map, an empty list if none."""
     cert = Path(workdir) / f"{name}.cert.json"
+    cert.write_bytes(STALE)
     res = padicdyn("certify", "--map", str(ROOT / "demos" / "maps"
                                            / f"{name}.json"),
                    "--out", str(cert))
     if res.returncode != 0:
         return [f"certify exited {res.returncode}: {res.stderr.strip()}"]
     problems = []
+    if cert.stat().st_size >= len(STALE):
+        problems.append(f"the certificate is not shorter than the"
+                        f" {len(STALE)} bytes it was written over")
     digest = hashlib.sha256(cert.read_bytes()).hexdigest()
     if digest != SHA256[name]:
         problems.append(f"certificate sha256 {digest}, expected"

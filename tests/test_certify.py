@@ -375,6 +375,27 @@ def test_precision_shortfall_is_named_by_its_stage(quad_p3_naive, section,
     assert "precision" in failures[0][1]
 
 
+@pytest.mark.parametrize("precision, stage, detail", [
+    (1, "context", "context.precision 1 cannot carry the neighborhood: the"
+                   " neighborhood's translation (f^k(y) - y)/r exhausts"
+                   " precision 1"),
+    (2, "mahler_profile", "context.precision 2 cannot carry the profile to"
+                          " mahler_profile.k_max 4: the orbit keeps 0 of"
+                          " the 2 digits of working precision")])
+def test_a_precision_shortfall_names_the_certificate_field_not_an_option(
+        quad_p3_naive, precision, stage, detail):
+    # verify reads a certificate, not options: its detail names the field
+    # and gives none of certify's --precision/--kmax advice
+    cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
+    bad = copy.deepcopy(cert.data)
+    bad["context"]["precision"] = precision
+    bad["digest"] = _digest(bad)
+    failures = verify_certificate(Certificate(bad)).failures()
+    assert [name for name, _ in failures] == [stage], failures
+    assert failures[0][1].startswith(detail), failures
+    assert "--" not in failures[0][1] and "raise" not in failures[0][1]
+
+
 def test_a_large_reduction_degree_is_rejected_without_field_tables(
         quad_p3_naive, monkeypatch):
     # F_{3^24} is far above the discrete-log table cap: replaying a
