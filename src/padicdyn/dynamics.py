@@ -17,21 +17,24 @@ for a record or for ``constraints``.
 
 A reduced map (``reduce_map``, ``ReducedMap.extend`` for F_{p^m}; one per
 map and field object) keeps the ``polynomials.embed_map`` components over
-its field, with nonzero residues only, as an EmbeddedMap that ``apply``
-runs, and its Jacobian determinant as (exponents, residue) terms. Its
-locus is a second EmbeddedMap, of the non-constant denominators and then
-the determinant as bare numerators, so that one call evaluates them all
-at a point (``locus_check``); ``view_maps`` binds both to the view. A
-third, ``jacobian``, made on first use, holds the n^2 entries of the
-Jacobian matrix that the neighborhood multiplies along a residue orbit.
+its field, with nonzero residues only, as an EmbeddedMap, and its Jacobian
+determinant as (exponents, residue) terms. Its locus is a second
+EmbeddedMap, of the non-constant denominators and then the determinant as
+bare numerators, so that one call evaluates them all at a point;
+``view_maps`` binds both to the view. Made on first use, ``tangent`` is
+the map (x, M) -> (f(x), J(x) M), whose k-th iterate from (y, I) carries
+the Jacobian L of f^k at y. ``affine_order`` runs on view values too.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 
-from .errors import IndeterminacyError, InseparableError, NoPeriodicPointError
+from .errors import (IndeterminacyError, InseparableError,
+                     NoPeriodicPointError, OrderCapError)
+from .finitefields import _prime_factors
 from .padics import integers_mod
 from .polynomials import (EmbeddedMap, _compiled, bind_map, embed_map,
                           embed_terms, map_shape)
@@ -81,23 +84,31 @@ class ReducedMap:
             if den is not None] + [(self.jacobian_det, None, None)])
 
     @cached_property
-    def jacobian(self):
-        """The Jacobian matrix of the map as an EmbeddedMap of its n^2
-        entries, row by row: entry (i, j) is
-        RationalSelfMap.jacobian_numerators()[i][j] / den_i^2, reduced term
-        by term. A constant denominator stays a scale, squared."""
-        f, fld = self.map, self.field
-        comps = []
+    def tangent(self):
+        """The tangent map T(x, M) = (f(x), J(x) M) as an EmbeddedMap of
+        n + n^2 coordinates, M row by row after x: f's components with the
+        exponents padded, then for entry (i, j) the sum over t of J_it
+        M_tj, J_it = RationalSelfMap.jacobian_numerators()[i][t] / den_i^2
+        reduced term by term (a constant denominator stays a scale,
+        squared)."""
+        f, fld, n = self.map, self.field, self.n
+
+        def padded(terms, var=None):
+            # x's exponents, then M's: M_var to the first power
+            return tuple((idx + tuple(int(v == var) for v in range(n * n)),
+                          c) for idx, c in terms)
+
+        comps = [(padded(num), den and padded(den), scale)
+                 for num, den, scale in self.components]
         for row, den, (_, den_terms, scale) in zip(
                 f.jacobian_numerators(), f.denominators, self.components):
-            if den_terms is None:
-                den_sq = None
-                scale_sq = None if scale is None else scale * scale
-            else:
-                den_sq = _nonzero(embed_terms(den * den, fld))
-                scale_sq = None
-            comps += [(_nonzero(embed_terms(entry, fld)), den_sq, scale_sq)
-                      for entry in row]
+            if den_terms is not None:
+                den_terms = padded(_nonzero(embed_terms(den * den, fld)))
+            elif scale is not None:
+                scale = scale * scale
+            entries = [_nonzero(embed_terms(entry, fld)) for entry in row]
+            comps += [(sum((padded(entries[t], t * n + j) for t in range(n)),
+                           ()), den_terms, scale) for j in range(n)]
         return EmbeddedMap(fld, comps)
 
     def extend(self, new_field):
@@ -105,13 +116,15 @@ class ReducedMap:
         return _reduced(self.map, new_field)
 
     def apply(self, point):
+        """f at a point of FFElements: off the search's path, kept for
+        perfbench/spans.py, which counts its calls."""
         return self.components.run(point)
 
     @cached_property
     def view_maps(self):
         """(view, apply, locus): the map and its locus on the SearchView."""
         view = search_view(self.field)
-        return view, view.bind(self.components), view.bind(self.locus)
+        return view, view.bind(self.components)[0], view.bind(self.locus)[0]
 
     def __repr__(self):
         return f"ReducedMap(n={self.n}, q={self.field.order})"
@@ -138,7 +151,8 @@ def _reduced(f, fld):
 
 
 def locus_check(fbar, point):
-    """clear / indeterminate / ramified status of a point.
+    """clear / indeterminate / ramified status of a point of FFElements:
+    off the search's path, kept for perfbench/spans.py, which counts it.
 
     Indeterminacy (a vanishing denominator) is checked first since the
     Jacobian data is meaningless there. A constant denominator is a unit
@@ -191,6 +205,8 @@ class SearchView:
         else:
             self.ring = fld if fld.degree > 1 else integers_mod(fld.p, 1, 1, 1)
             self.zero = self.ring.zero()
+        self.one = self.value(fld.one())
+        self._compositions = {}
 
     def value(self, x):
         if self.logs:
@@ -210,18 +226,89 @@ class SearchView:
             raise IndeterminacyError("denominator vanishes at the point")
         return self.M[self.field.order - 1 - a]
 
-    def bind(self, embedded):
-        """An EmbeddedMap of the field as a function of view points:
-        ``bind_map``'s run on the view's ring, or in the logs spelling."""
+    def identity(self, n):
+        """The n x n identity matrix, row by row."""
+        return tuple(self.one if i == j else self.zero for i in range(n)
+                     for j in range(n))
+
+    def bind(self, components):
+        """embed_map components over the field (an EmbeddedMap or a list)
+        as functions of view points: ``bind_map``'s (run, iterate) on the
+        view's ring, or in the logs spelling."""
         if not self.logs:
-            return bind_map(embedded.components, self.ring, self.value)[0]
-        shape, constants = map_shape(embedded.components)
+            return bind_map(components, self.ring, self.value)
+        shape, constants = map_shape(components)
         c = [self.value(x) for x in constants]
         return _compiled(shape, "logs")(c, self.M, self.ZL, self.inverse, 0,
-                                        self.zero)[0]
+                                        self.zero)
+
+    def composition(self, n):
+        """The product (A, a)(B, b) = (AB, Ab + a) of affine maps of F^n,
+        matrices row by row, as the run of a map of the point (A, a, B, b)
+        whose coefficients are all 1, bound on first use."""
+        if n not in self._compositions:
+            a, B, b = n * n, n * n + n, 2 * n * n + n
+
+            def term(*at):      # the product of the coordinates at
+                return tuple(int(v in at) for v in range(b + n)), None
+
+            nums = [[term(i * n + t, B + t * n + j) for t in range(n)]
+                    for i in range(n) for j in range(n)]
+            nums += [[term(i * n + t, b + t) for t in range(n)]
+                     + [term(a + i)] for i in range(n)]
+            self._compositions[n] = self.bind(
+                [(tuple(num), None, None) for num in nums])[0]
+        return self._compositions[n]
 
 
 search_view = lru_cache(maxsize=64)(SearchView)
+
+
+def affine_order(field, L, c):
+    """Order of the affine map g: x -> L x + c of field^n, L invertible.
+
+    Every element of GL(n, q) has order dividing u * lcm(q - 1, ...,
+    q^n - 1), u the least power of p with u >= n: its semisimple part has
+    eigenvalues in F_{q^i} for i <= n, and its unipotent part 1 + N has
+    N^n = 0, so (1 + N)^u = 1. Raised to the order of L, g is a
+    translation, of order 1 or p. So the order of g divides M = p u
+    lcm(q^i - 1), and it is the least divisor d of M with g^d = 1. The
+    divisors are tested in increasing order, each power made from the last
+    by the powers g^(2^i), made by repeated squaring: one ``composition``
+    call per product of (L, c) as view values.
+    """
+    n = len(L)
+    p, q = field.p, field.order
+    u = 1
+    while u < n:
+        u *= p
+    bound = p * u
+    for i in range(1, n + 1):
+        bound = math.lcm(bound, q ** i - 1)
+    divisors = [1]
+    for ell in _prime_factors(bound):
+        e, rest = 0, bound
+        while rest % ell == 0:
+            e, rest = e + 1, rest // ell
+        divisors = [d * ell ** j for d in divisors for j in range(e + 1)]
+    view = search_view(field)
+    compose = view.composition(n)
+    ident = view.identity(n) + (view.zero,) * n
+    squares = [tuple(map(view.value, chain(*L, c)))]    # g^(2^i)
+    k, gk = 0, None             # gk = g^k, None for the identity
+    for d in sorted(divisors):
+        gap, i = d - k, 0
+        while gap:
+            if i == len(squares):
+                squares.append(compose(squares[-1] + squares[-1]))
+            if gap & 1:
+                gk = squares[i] if gk is None else compose(gk + squares[i])
+            gap, i = gap >> 1, i + 1
+        k = d
+        if gk == ident:
+            return d
+    raise OrderCapError("the affine map raised to the group exponent is not"
+                        " the identity")
 
 
 def _walk(fm, cur, known, cap):

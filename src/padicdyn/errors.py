@@ -52,10 +52,6 @@ class DivisibilityError(PadicDynError):
     invariant; signals a bug or a bad prime."""
 
 
-class RamificationLeakError(PadicDynError):
-    """The linear part of the reduced local map is singular."""
-
-
 class OrbitNotClearError(PadicDynError):
     """An orbit member hits the indeterminacy or ramification locus."""
 

@@ -42,13 +42,11 @@ terms of such residues, and there is no finite-field polynomial class.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (BadReductionError, FieldMismatchError,
-                     IndeterminacyError, OrderCapError,
-                     UnsupportedExtensionError)
+                     IndeterminacyError, UnsupportedExtensionError)
 
 
 # the largest field order that gets discrete-log tables: q - 1 kernel
@@ -544,85 +542,3 @@ def find_irreducible(p, m):
         if is_irreducible(p, digits + [1]):
             return tuple(digits)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-# -- small dense matrices of field elements ---------------------------------
-
-def mat_identity(field, n):
-    return [[field.one() if i == j else field.zero() for j in range(n)]
-            for i in range(n)]
-
-
-def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [[_dot(A[i], [B[t][j] for t in range(k)]) for j in range(m)]
-            for i in range(n)]
-
-
-def mat_vec(A, v):
-    return [_dot(row, v) for row in A]
-
-
-def _dot(xs, ys):
-    acc = None
-    for x, y in zip(xs, ys):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def affine_order(field, L, c):
-    """Order of the affine map g: x -> L x + c of field^n, L invertible.
-
-    Every element of GL(n, q) has order dividing u * lcm(q - 1, ...,
-    q^n - 1), u the least power of p with u >= n: its semisimple part has
-    eigenvalues in F_{q^i} for i <= n, and its unipotent part 1 + N has
-    N^n = 0, so (1 + N)^u = 1. Raised to the order of L, g is a
-    translation, of order 1 or p. So the order of g divides M = p u
-    lcm(q^i - 1), a divisor of the affine group order, and it is the least
-    divisor d of M with g^d = 1. The divisors are tested in increasing
-    order, each power made from the last by the powers g^(2^i) of the pair
-    (L, c), made by repeated squaring: a small order costs a few products,
-    a large one a few per divisor below it.
-    """
-    n = len(L)
-    p, q = field.p, field.order
-    u = 1
-    while u < n:
-        u *= p
-    bound = p * u
-    for i in range(1, n + 1):
-        bound = math.lcm(bound, q ** i - 1)
-    divisors = [1]
-    for ell in _prime_factors(bound):
-        e, rest = 0, bound
-        while rest % ell == 0:
-            e, rest = e + 1, rest // ell
-        divisors = [d * ell ** j for d in divisors for j in range(e + 1)]
-    ident = mat_identity(field, n)
-    zero = [field.zero()] * n
-
-    def compose(g, h):
-        # (A, a)(B, b) = (AB, Ab + a)
-        (A, a), (B, b) = g, h
-        return mat_mul(A, B), [x + y for x, y in zip(mat_vec(A, b), a)]
-
-    squares = [(L, c)]          # g^(2^i)
-    k, gk = 0, None             # gk = g^k, None for the identity
-    for d in sorted(divisors):
-        gap, i = d - k, 0
-        while gap:
-            if i == len(squares):
-                squares.append(compose(squares[-1], squares[-1]))
-            if gap & 1:
-                gk = squares[i] if gk is None else compose(gk, squares[i])
-            gap, i = gap >> 1, i + 1
-        k = d
-        if mat_eq(gk[0], ident) and gk[1] == zero:
-            return d
-    raise OrderCapError("the affine map raised to the group exponent is not"
-                        " the identity")

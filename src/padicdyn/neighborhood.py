@@ -15,24 +15,26 @@ integral power series.
 
 The reduction of F mod r is an invertible affine map t -> L t + c; its
 order is the second factor of the period bound. It reads no series: L is
-the Jacobian of the reduced map's k-th iterate at the residue of y, the
-product of the reduced Jacobians along the residue orbit (differentiation
-commutes with reduction mod p), and c is the residue of (f^k(y) - y)/r,
-which reads only f^k(y) mod r^2, so f^k is applied to y in O/p^2 (r^2
-divides p^2, and reduction mod p^2 is a ring homomorphism). The series H
-and F truncated at degree ``cap`` are built at working precision when
-first read."""
+the Jacobian of the reduced map's k-th iterate at the residue of y
+(differentiation commutes with reduction mod p): the M part of the k-th
+iterate of the tangent map (x, M) -> (f(x), J(x) M) from (y mod r, I), one
+compiled call on the field's search view. The orbit is clear of the loci
+iff no inverse raises there and det L != 0. c is the residue of
+(f^k(y) - y)/r, which reads only f^k(y) mod r^2, so f^k is applied to y
+in O/p^2 (r^2 divides p^2, and reduction mod p^2 is a ring homomorphism).
+The series H and F truncated at degree ``cap`` are built at working
+precision when first read."""
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .dynamics import CLEAR, locus_check, reduce_map
-from .errors import (BadReductionError, DivisibilityError, NoGoodPrimeError,
-                     OrbitNotClearError, PadicDynError, PrecisionError,
-                     RamificationLeakError, ResidueMismatchError,
+from .dynamics import affine_order, reduce_map, search_view
+from .errors import (BadReductionError, DivisibilityError,
+                     IndeterminacyError, NoGoodPrimeError, OrbitNotClearError,
+                     PadicDynError, PrecisionError, ResidueMismatchError,
                      UnsupportedExtensionError)
-from .finitefields import affine_order, is_prime, mat_identity, mat_mul
+from .finitefields import is_prime
 from .padics import PadicContext, PadicElement, integers_mod
 from .polynomials import embed_map, matrix_det
 from .records import Record
@@ -360,21 +362,23 @@ def _local_series(f, k, y, ring):
 
 
 def _reduced_linear_part(fbar, k, point):
-    """The Jacobian of fbar^k at point, J(x_(k-1)) ... J(x_0) along the
-    orbit x_0 = point, x_(i+1) = fbar(x_i); OrbitNotClearError if the
-    orbit meets the indeterminacy or ramification locus."""
-    n, fld = fbar.n, fbar.field
-    jacobian = fbar.jacobian.run
-    L = mat_identity(fld, n)
-    for _ in range(k):
-        if locus_check(fbar, point) != CLEAR:
-            raise OrbitNotClearError(
-                "orbit of the center hits the indeterminacy or ramification"
-                " locus mod r")
-        entries = jacobian(point)
-        L = mat_mul([entries[i * n:(i + 1) * n] for i in range(n)], L)
-        point = fbar.apply(point)
-    return L
+    """The Jacobian L of fbar^k at point, J(x_(k-1)) ... J(x_0) along the
+    orbit x_0 = point, x_(i+1) = fbar(x_i): by the chain rule, the M part
+    of the k-th iterate of ``fbar.tangent`` from (point, I) on the field's
+    SearchView. OrbitNotClearError if the orbit meets the indeterminacy
+    locus (an inverse raises) or the ramification locus (det L = 0)."""
+    n, view = fbar.n, search_view(fbar.field)
+    try:
+        x = view.bind(fbar.tangent)[1](
+            tuple(map(view.value, point)) + view.identity(n), k)
+        L = [[view.element(v) for v in x[n * i:n * i + n]]
+             for i in range(1, n + 1)]
+        if not matrix_det(L).is_zero():
+            return L
+    except IndeterminacyError:
+        pass
+    raise OrbitNotClearError("orbit of the center hits the indeterminacy or"
+                             " ramification locus mod r")
 
 
 def _reduced_translation(nbhd):
@@ -407,8 +411,8 @@ def build_neighborhood(f, k, center, ctx, cap=8, record=None,
     t -> L t + c of F mod r and its order.
 
     L is the reduced Jacobian of f^k along the residue orbit of the center,
-    which must stay clear of the loci; c needs f^k(y) mod r^2 only, and r
-    must divide f^k(y) - y. L must be invertible. ``cap`` is the degree of
+    which must stay clear of the loci, so L is invertible; c needs f^k(y)
+    mod r^2 only, and r must divide f^k(y) - y. ``cap`` is the degree of
     the series ``H`` and ``F`` that the neighborhood builds when first read.
     """
     if cap < 1:
@@ -425,9 +429,5 @@ def build_neighborhood(f, k, center, ctx, cap=8, record=None,
 
 def reduced_affine_order(nbhd):
     """Order of the reduction of F mod r as an affine map of F_q^n
-    (finitefields.affine_order)."""
-    L, c = nbhd.affine_parts()
-    if matrix_det(L).is_zero():
-        raise RamificationLeakError(
-            "linear part of the reduced map is singular")
-    return affine_order(nbhd.ctx.residue_field, L, c)
+    (dynamics.affine_order)."""
+    return affine_order(nbhd.ctx.residue_field, *nbhd.affine_parts())

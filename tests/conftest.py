@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from padicdyn import RationalSelfMap, run_pipeline
-from padicdyn.finitefields import mat_vec
 
 SUITE_SPECS = {
     "quad_p3": (1, ["x1^2 + 1"], 3),
@@ -42,6 +41,35 @@ def suite_pipelines():
 @pytest.fixture(scope="session")
 def quad_p3_naive():
     return build_pipeline("quad_p3", lift="naive")
+
+
+# small dense matrices of FFElements, for the oracles
+
+def mat_identity(field, n):
+    return [[field.one() if i == j else field.zero() for j in range(n)]
+            for i in range(n)]
+
+
+def mat_mul(A, B):
+    n, m, k = len(A), len(B[0]), len(B)
+    return [[_dot(A[i], [B[t][j] for t in range(k)]) for j in range(m)]
+            for i in range(n)]
+
+
+def mat_vec(A, v):
+    return [_dot(row, v) for row in A]
+
+
+def _dot(xs, ys):
+    acc = None
+    for x, y in zip(xs, ys):
+        term = x * y
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def mat_eq(A, B):
+    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def brute_force_affine_order(nbhd):

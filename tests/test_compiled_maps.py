@@ -8,7 +8,12 @@ F_q, O/p^s on ints, O with e = 1 and e = 2 and the truncated series; its
 ``iterate(x, t)`` must be t calls of run. On ints mod m (O/p^s and the
 F_p search view) the ints spelling must equal the ring spelling. The
 source names coefficients but never spells them, and its bindings live
-exactly as long as the map.
+exactly as long as the map. Two maps are generated from a reduced map or
+from n alone and run on search-view points: the tangent map, whose k-th
+iterate gives the neighborhood's L, must equal the product of FFElement
+Jacobians along the orbit, and the composition of affine maps, which
+``dynamics.affine_order`` runs, must equal the FFElement product and be
+compiled once per n and spelling.
 """
 
 import gc
@@ -21,18 +26,22 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from padicdyn.errors import IndeterminacyError
+from padicdyn.errors import (IndeterminacyError, OrbitNotClearError,
+                             PadicDynError)
 from padicdyn.finitefields import FiniteField, prime_power_field
 from padicdyn.padics import IntegersMod, PadicContext, PadicElement
 from padicdyn.certify import run_pipeline
-from padicdyn.dynamics import search_view
+from padicdyn.dynamics import (CLEAR, SearchView, locus_check, reduce_map,
+                               search_view)
+from padicdyn.neighborhood import _reduced_linear_part
 from padicdyn.polynomials import (QQ, EmbeddedMap, MultiPoly, RationalSelfMap,
                                   _compiled, bind_map, embed_map, embed_terms,
                                   evaluate_terms, map_shape, map_source)
 from padicdyn.series import SeriesRing, TruncatedSeries
+from tests.conftest import mat_identity, mat_mul, mat_vec
 from tests.test_padic_fast_paths import rational_maps
 
 SERIES = "series over Z_7 at cap 2"
@@ -205,7 +214,7 @@ def test_the_ints_spelling_equals_the_ring_spelling(case, times):
         view = search_view(where)
         ring, value = view.ring, view.value
         run, iterate = bind_map(emb.components, ring, value)
-        assert outcome(view.bind(emb), point) == outcome(run, point)
+        assert outcome(view.bind(emb)[0], point) == outcome(run, point)
     shape, constants = map_shape(emb.components)
     if value is not None:
         constants = [value(c) for c in constants]
@@ -338,3 +347,114 @@ def test_exponent_1200_in_every_ring():
     assert same(embed_map(f, series).run(point)[0], expected)
     assert same(evaluate_terms(series, embed_terms(poly, ctx), point),
                 expected)
+
+
+# one field per view spelling: ints on F_7, logs on F_49, FFElements on
+# F_{5^6}, whose order is above the log tables' cap
+VIEW_FIELDS = [prime_power_field(7, 1), prime_power_field(7, 2),
+               prime_power_field(5, 6)]
+
+
+def stepped_linear_part(fbar, k, point):
+    """J(x_(k-1)) ... J(x_0) along the orbit of point, one FFElement
+    Jacobian per step, each entry jacobian_numerators()[i][j] / den_i^2
+    evaluated term by term; OrbitNotClearError where locus_check is not
+    clear."""
+    f, fld = fbar.map, fbar.field
+    L = mat_identity(fld, fbar.n)
+    for _ in range(k):
+        if locus_check(fbar, point) != CLEAR:
+            raise OrbitNotClearError("orbit meets the locus")
+        J = []
+        for row, den in zip(f.jacobian_numerators(), f.denominators):
+            scale = evaluate_terms(fld, embed_terms(den * den, fld),
+                                   point).inverse()
+            J.append([evaluate_terms(fld, embed_terms(entry, fld), point)
+                      * scale for entry in row])
+        L = mat_mul(J, L)
+        point = fbar.apply(point)
+    return L
+
+
+def linear_part_outcome(fn, fbar, k, point):
+    try:
+        return [[x.coords() for x in row] for row in fn(fbar, k, point)]
+    except OrbitNotClearError as exc:
+        assert "locus" in str(exc)
+        return OrbitNotClearError
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VIEW_FIELDS), st.integers(1, 2).flatmap(rational_maps),
+       st.integers(1, 4), st.data())
+def test_the_tangent_iterate_equals_the_product_of_jacobians(fld, f, k, data):
+    try:
+        fbar = reduce_map(f, PadicContext(fld.p, precision=1)).extend(fld)
+    except PadicDynError:
+        assume(False)
+    index = st.integers(0, fld.order - 1).map(fld.element_from_index)
+    point = tuple(data.draw(index) for _ in range(f.n))
+    assert linear_part_outcome(_reduced_linear_part, fbar, k, point) == \
+        linear_part_outcome(stepped_linear_part, fbar, k, point)
+
+
+# (x1 + 1, x2/x1) meets the indeterminacy locus, and (x1 + 1, x1*x2) the
+# ramification locus (det J = x1), where x1 = 0: at step s from (5 - s, 1)
+LOCUS_MAPS = [RationalSelfMap.from_texts(2, ["x1 + 1", "x2"], ["1", "x1"]),
+              RationalSelfMap.from_texts(2, ["x1 + 1", "x1*x2"])]
+
+
+@pytest.mark.parametrize("f", LOCUS_MAPS, ids=["indeterminacy",
+                                               "ramification"])
+@pytest.mark.parametrize("m", [1, 2, 6])
+@pytest.mark.parametrize("step", [1, 2])
+def test_an_orbit_meeting_a_locus_after_its_start_is_rejected(f, m, step):
+    fld = prime_power_field(5, m)
+    fbar = reduce_map(f, PadicContext(5, precision=1)).extend(fld)
+    point = (fld.from_int(5 - step), fld.one())
+    # clear up to the step before the locus, which the oracle agrees on
+    L = _reduced_linear_part(fbar, step, point)
+    assert L == stepped_linear_part(fbar, step, point)
+    for fn in (_reduced_linear_part, stepped_linear_part):
+        with pytest.raises(OrbitNotClearError, match="locus"):
+            fn(fbar, step + 1, point)
+
+
+@st.composite
+def affine_pairs(draw):
+    """A field of VIEW_FIELDS and two pairs (A, a), (B, b) over it."""
+    fld = draw(st.sampled_from(VIEW_FIELDS))
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, fld.order - 1).map(fld.element_from_index)
+    return fld, [([[draw(index) for _ in range(n)] for _ in range(n)],
+                  [draw(index) for _ in range(n)]) for _ in range(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_pairs())
+def test_the_composition_map_composes_affine_maps(case):
+    fld, ((A, a), (B, b)) = case
+    view, n = search_view(fld), len(A)
+    point = tuple(map(view.value, itertools.chain(*A, a, *B, b)))
+    got = [view.element(v) for v in view.composition(n)(point)]
+    AB = mat_mul(A, B)
+    assert got[:n * n] == [x for row in AB for x in row]
+    assert got[n * n:] == [x + y for x, y in zip(mat_vec(A, b), a)]
+
+
+def test_the_composition_map_is_compiled_once_per_n_and_spelling():
+    def compose_all(fields):
+        # new views, so that each binds its compositions here
+        for fld in fields:
+            view = SearchView(fld)
+            for n in (1, 2, 3):
+                assert view.composition(n) is view.composition(n)
+
+    before = _compiled.cache_info().misses
+    compose_all(VIEW_FIELDS)
+    # at most one compile per n in each of the three spellings
+    assert _compiled.cache_info().misses - before <= 9
+    before = _compiled.cache_info().misses
+    compose_all([prime_power_field(11, 1), prime_power_field(3, 3),
+                 prime_power_field(3, 9)])
+    assert _compiled.cache_info().misses == before

@@ -391,7 +391,7 @@ def view_agrees(fld, pairs):
     on logs), powers and inverses of the pairs run on fld's view agree
     with FFElement arithmetic; a vanishing denominator raises in both."""
     view = search_view(fld)
-    runs = [(embed_map(f, fld).run, view.bind(embed_map(f, fld)))
+    runs = [(embed_map(f, fld).run, view.bind(embed_map(f, fld))[0])
             for f in VIEW_MAPS]
     for a, b in pairs:
         point = (fld.element_from_index(a), fld.element_from_index(b))

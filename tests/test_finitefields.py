@@ -19,18 +19,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from padicdyn.dynamics import CLEAR, RAMIFIED, locus_check, reduce_map
+from padicdyn.dynamics import (CLEAR, RAMIFIED, affine_order, locus_check,
+                               reduce_map)
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              InseparableError, PadicDynError)
 from padicdyn.finitefields import (_COMPILED_MAX_DEGREE, _TABLE_MAX_ORDER,
-                                   FiniteField, affine_order,
-                                   is_irreducible, mat_eq, mat_identity,
-                                   mat_mul, mat_vec, poly_mulmod,
+                                   FiniteField, is_irreducible, poly_mulmod,
                                    poly_powmod, prime_power_field,
                                    product_source, tuple_product, vec_add,
                                    vec_neg, vec_sub)
 from padicdyn.padics import PadicContext
 from padicdyn.polynomials import MultiPoly, RationalSelfMap, matrix_det
+from tests.conftest import mat_eq, mat_identity, mat_mul, mat_vec
 
 FIELDS = [FiniteField(p).extension(m) for p in (3, 5, 7) for m in (1, 2, 3)]
 
@@ -513,12 +513,23 @@ def jordan_block(p, n, translation):
     return fld, L, [fld.from_int(t) for t in translation]
 
 
+def unipotent_above_the_tables():
+    """x -> [[1, a], [0, 1]] x + (b, 1) over F_{5^6}, a field without log
+    tables, with a and b outside F_5: of order 5."""
+    fld = prime_power_field(5, 6)
+    assert fld.order > _TABLE_MAX_ORDER
+    a = fld.from_coords([1, 2, 3, 4, 0, 1])
+    b = fld.from_coords([4, 0, 2, 0, 0, 0])
+    return fld, [[fld.one(), a], [fld.zero(), fld.one()]], [b, fld.one()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(affine_maps())
 @example(jordan_block(2, 3, [0, 0, 0]))
 @example(jordan_block(2, 3, [0, 0, 1]))
 @example(jordan_block(3, 3, [0, 0, 1]))
 @example(jordan_block(3, 2, [1, 0]))
+@example(unipotent_above_the_tables())
 def test_affine_order_equals_the_stepped_order(case):
     fld, L, c = case
     assert affine_order(fld, L, c) == stepped_affine_order(fld, L, c)
