@@ -10,10 +10,10 @@ once: the search records whether a walked point lies on a clear cycle, and
 a later walk stops at the first point already recorded. The search and its
 re-check (``verify_record`` and the verifier's replay) walk points of the
 field's ``SearchView``, made on first use: tuples of ints mod p on F_p
-(``map_source``'s ints spelling), of discrete logs on a field with log
-tables (one set per field, up to ``finitefields._TABLE_MAX_ORDER``), of
-FFElements on a larger field. A point turns back into FFElements only
-for a record or for ``constraints``.
+(``map_source``'s ints spelling), of discrete logs on a field of degree
+>= 2 and order up to ``finitefields._TABLE_MAX_ORDER``, whose log and Zech
+tables the view makes, of FFElements on a larger field. A point turns back
+into FFElements only for a record or for ``constraints``.
 
 A reduced map (``reduce_map``, ``ReducedMap.extend`` for F_{p^m}; one per
 map and field object) keeps the ``polynomials.embed_map`` components over
@@ -34,7 +34,7 @@ from itertools import chain, islice, product
 
 from .errors import (IndeterminacyError, InseparableError,
                      NoPeriodicPointError, OrderCapError)
-from .finitefields import _prime_factors
+from .finitefields import _TABLE_MAX_ORDER, _prime_factors
 from .padics import integers_mod
 from .polynomials import (EmbeddedMap, _compiled, bind_map, embed_map,
                           embed_terms, map_shape)
@@ -188,20 +188,37 @@ class PeriodicPointRecord(Record):
 
 class SearchView:
     """A field as the search walks it: on F_p, ints in ``IntegersMod(p, p)``;
-    on a field with log tables, an element's log k in [0, q - 2] and Z =
-    2(q - 1) for zero, a product M[a + b] (M[s] is s mod q - 1 below Z and
-    Z from there, so zero absorbs) and a sum b if a is Z, a if b is Z, else
-    M[a + ZL[b - a]] (ZL the Zech table, Z where 1 + g^k = 0); on a larger
-    field, FFElements. ``value`` takes an FFElement in, ``element`` out."""
+    on a field of degree >= 2 and order q <= _TABLE_MAX_ORDER, an element's
+    log k in [0, q - 2] and Z = 2(q - 1) for zero, a product M[a + b] (M[s]
+    is s mod q - 1 below Z and Z from there, so zero absorbs) and a sum b if
+    a is Z, a if b is Z, else M[a + ZL[b - a]] (ZL the Zech table, Z where
+    1 + g^k = 0); on a larger field, FFElements. ``value`` takes an
+    FFElement in, ``element`` out.
+
+    The view makes its tables once per field, by FFElement arithmetic (the
+    kernel's): the powers of g, the smallest-index element of order q - 1,
+    by q - 2 products, then ZL[k] = log(1 + g^k) by q - 1 sums. They only
+    cache the kernel's results, so FFElement arithmetic is the law that the
+    view's arithmetic obeys."""
 
     def __init__(self, fld):
         self.field = fld
-        self.logs = fld._logs() is not None
+        q = fld.order
+        self.logs = fld.degree > 1 and q <= _TABLE_MAX_ORDER
         if self.logs:
-            z = self.zero = 2 * (fld.order - 1)
-            self.M = list(range(fld.order - 1)) * 2 + [z] * (z + 1)
-            self.ZL = [z if k is None else k for k in fld._zech]
-            self._elements = fld._exp + [fld._zero]
+            one, factors = fld.one(), _prime_factors(q - 1)
+            g = next(g for g in map(fld.element_from_index, range(1, q))
+                     if all(g ** ((q - 1) // ell) != one for ell in factors))
+            exp = [one]                 # g^k for k < q - 1
+            for _ in range(q - 2):
+                exp.append(exp[-1] * g)
+            z = self.zero = 2 * (q - 1)
+            self._log = {x.rep: k for k, x in enumerate(exp)}
+            self.M = list(range(q - 1)) * 2 + [z] * (z + 1)
+            # doubled, as exp is below, so that ZL[b - a] needs no reduction
+            zech = [self._log.get((one + x).rep, z) for x in exp]
+            self.ZL = zech + zech
+            self._elements = exp + exp + [fld.zero()]
         else:
             self.ring = fld if fld.degree > 1 else integers_mod(fld.p, 1, 1, 1)
             self.zero = self.ring.zero()
@@ -210,7 +227,7 @@ class SearchView:
 
     def value(self, x):
         if self.logs:
-            return self.field._log.get(x.rep, self.zero)
+            return self._log.get(x.rep, self.zero)
         return x.rep[0] if self.field.degree == 1 else x
 
     def element(self, v):

@@ -15,24 +15,14 @@ A field calls it with mod = p; the unramified layer W = Z_p[b]/(g) of
 ``padics.PadicContext`` calls it with mod = p^s, and the Rabin test with
 mod = p. The product for degree m (``tuple_product``) is one int product
 at m = 1 (and a power one ``pow``); for 2 <= m <= ``_COMPILED_MAX_DEGREE``,
-every degree a tabled field can have, it is straight-line code generated
-from m alone (``product_source``), with low and mod passed as arguments,
-compiled once per degree; above that bound, which a degree read from a
-certificate may pass, it is the schoolbook loop. Fields and contexts keep
-the product of their degree.
-
-A field of degree >= 2 and order at most ``_TABLE_MAX_ORDER`` multiplies and
-adds by discrete logarithms: on its first operation it walks the powers of
-its smallest-index generator g through the kernel product once, into
-``_log`` (each nonzero rep to its k) and ``_exp`` (g^k for k < 2(q - 1),
-doubled so that a sum of two logs needs no reduction), then makes the Zech
-table ``_zech`` (k to log(1 + g^k), None where that is zero, doubled) by
-q - 1 kernel sums and ``_neg_log``, the log of -1. A product, an inverse and
-a power are then lookups, and so are a sum, g^i + g^j = g^(i + zech[j - i]),
-a negative, g^(i + neg_log), and a difference; zero is the element with no
-log. The tables only cache the kernel's results: F_p and larger fields
-compute through the kernel, and the cap bounds the work a field named by
-untrusted input can cause.
+every degree a field with log tables can have, it is straight-line code
+generated from m alone (``product_source``), with low and mod passed as
+arguments, compiled once per degree; above that bound, which a degree read
+from a certificate may pass, it is the schoolbook loop. Fields and contexts
+keep the product of their degree, and an element's every operation runs
+through the kernel: discrete-log tables exist only in
+``dynamics.SearchView``, which makes them for a field of degree >= 2 and
+order at most ``_TABLE_MAX_ORDER``.
 
 ``FiniteField.from_rational`` reduces a rational mod p by ``rational_mod``. A
 field is a ring in which ``polynomials.embed_map`` embeds a map and runs
@@ -49,12 +39,13 @@ from .errors import (BadReductionError, FieldMismatchError,
                      IndeterminacyError, UnsupportedExtensionError)
 
 
-# the largest field order that gets discrete-log tables: q - 1 kernel
-# products to build, two entries of each of log and exp per nonzero element
+# the largest field order whose search view makes discrete-log tables: q - 2
+# products and q - 1 sums to build, a few entries per nonzero element, so the
+# cap bounds the work that a field named by untrusted input can cause
 _TABLE_MAX_ORDER = 4096
-# the largest degree whose tuple product is compiled: every degree a tabled
-# field can have. The degree may come from a certificate, and the source
-# grows as its square, so larger degrees run the schoolbook loop
+# the largest degree whose tuple product is compiled: every degree a field
+# with log tables can have. The degree may come from a certificate, and the
+# source grows as its square, so larger degrees run the schoolbook loop
 _COMPILED_MAX_DEGREE = _TABLE_MAX_ORDER.bit_length() - 1
 
 
@@ -222,40 +213,6 @@ class FiniteField:
         self._zero = self.from_int(0)
         self._one = self.from_int(1)
         self._mul = tuple_product(self.degree)
-        # discrete-log and Zech tables, made on first use by _logs
-        self._tabled = self.degree > 1 and self.order <= _TABLE_MAX_ORDER
-        self._log = self._exp = self._zech = self._neg_log = None
-
-    def _logs(self):
-        """_log, None for a field without tables. The first call makes
-        _log and _exp from the smallest-index element of order q - 1, by
-        q - 2 kernel products, then _zech and _neg_log from q - 1 kernel
-        sums."""
-        if self._log is not None or not self._tabled:
-            return self._log
-        p, low, q, mul = self.p, self.modulus, self.order, self._mul
-        one = self._one.rep
-        factors = _prime_factors(q - 1)
-        for idx in range(1, q):
-            g = self.element_from_index(idx).rep
-            if all(poly_powmod(g, (q - 1) // ell, low, p) != one
-                   for ell in factors):
-                break
-        log = {one: 0}
-        exp = [self._one]
-        cur = one
-        for k in range(1, q - 1):
-            cur = mul(cur, g, low, p)
-            log[cur] = k
-            exp.append(FFElement(self, cur))
-        # zech[k] = log(1 + g^k), None where 1 + g^k = 0; doubled, so that
-        # a difference of two logs (plus _neg_log) indexes it unreduced
-        zech = [log.get(vec_add(one, x.rep, p)) for x in exp]
-        self._zech = zech + zech
-        self._neg_log = log[self.from_int(-1).rep]
-        self._exp = exp + exp
-        self._log = log
-        return log
 
     def zero(self):
         return self._zero
@@ -370,21 +327,7 @@ class FFElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        fld = self.field
-        log = fld._log
-        if log is None:
-            if not fld._tabled:
-                return FFElement(fld, vec_add(self.rep, o.rep, fld.p))
-            log = fld._logs()
-        # g^i + g^j = g^(i + zech[j - i])
-        i = log.get(self.rep)
-        j = log.get(o.rep)
-        if i is None:
-            return fld._zero if j is None else fld._exp[j]
-        if j is None:
-            return self
-        k = fld._zech[j - i]
-        return fld._zero if k is None else fld._exp[i + k]
+        return FFElement(self.field, vec_add(self.rep, o.rep, self.field.p))
 
     __radd__ = __add__
 
@@ -392,10 +335,7 @@ class FFElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        fld = self.field
-        if not fld._tabled:
-            return FFElement(fld, vec_sub(self.rep, o.rep, fld.p))
-        return self + -o
+        return FFElement(self.field, vec_sub(self.rep, o.rep, self.field.p))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -404,28 +344,14 @@ class FFElement:
         return o - self
 
     def __neg__(self):
-        fld = self.field
-        if not fld._tabled:
-            return FFElement(fld, vec_neg(self.rep, fld.p))
-        i = fld._logs().get(self.rep)
-        return fld._zero if i is None else fld._exp[i + fld._neg_log]
+        return FFElement(self.field, vec_neg(self.rep, self.field.p))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         fld = self.field
-        log = fld._log
-        if log is None:
-            if not fld._tabled:
-                return FFElement(fld, fld._mul(self.rep, o.rep, fld.modulus,
-                                               fld.p))
-            log = fld._logs()
-        i = log.get(self.rep)
-        j = log.get(o.rep)
-        if i is None or j is None:
-            return fld._zero
-        return fld._exp[i + j]
+        return FFElement(fld, fld._mul(self.rep, o.rep, fld.modulus, fld.p))
 
     __rmul__ = __mul__
 
@@ -433,24 +359,14 @@ class FFElement:
         if k < 0:
             return self.inverse() ** (-k)
         fld = self.field
-        log = fld._logs()
-        if log is None:
-            return FFElement(fld, poly_powmod(self.rep, k, fld.modulus,
-                                              fld.p))
-        i = log.get(self.rep)
-        if i is None:
-            return fld._zero if k else fld._one
-        return fld._exp[i * k % (fld.order - 1)]
+        return FFElement(fld, poly_powmod(self.rep, k, fld.modulus, fld.p))
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a finite field")
         fld = self.field
-        log = fld._logs()
-        if log is None:
-            return FFElement(fld, poly_powmod(self.rep, fld.order - 2,
-                                              fld.modulus, fld.p))
-        return fld._exp[fld.order - 1 - log[self.rep]]
+        return FFElement(fld, poly_powmod(self.rep, fld.order - 2,
+                                          fld.modulus, fld.p))
 
     def is_zero(self):
         return not any(self.rep)

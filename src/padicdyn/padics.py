@@ -524,9 +524,6 @@ class PadicElement:
             raise NonUnitError("division by non-unit")
         ctx = self.ctx
         prec = min(self.prec, ctx.precision)
-        if ctx.d * ctx.e == 1:
-            return PadicElement(
-                ctx, (pow(self.c[0], -1, ctx.modulus(prec)),), prec)
         ring = integers_mod(ctx.p, ctx.d, ctx.e, prec)
         return ring.wrap(ctx, ring.unit_inverse(ring.unwrap(self)), prec)
 

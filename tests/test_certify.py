@@ -12,7 +12,7 @@ from padicdyn.certify import (NON_PREPERIODIC, OUTSIDE, PERIODIC, Certificate,
                               classify_mod, find_witness, period_bound,
                               run_pipeline, verify_certificate,
                               witness_candidates)
-from padicdyn.dynamics import reduce_map
+from padicdyn.dynamics import SearchView, reduce_map, search_view
 from padicdyn.errors import SearchBudgetError, UnsupportedExtensionError
 from padicdyn.finitefields import prime_power_field
 from padicdyn.mahler import INFINITY, mahler_coefficients
@@ -411,6 +411,16 @@ def test_a_large_reduction_degree_is_rejected_without_field_tables(
     monkeypatch.setattr(finitefields, "product_source", recording_source)
     # every product compiled from here on passes through the recorder
     finitefields._compiled_product.cache_clear()
+    # and every search view made from here on, where tables are made
+    views = []
+    init = SearchView.__init__
+
+    def recording_init(view, fld):
+        init(view, fld)
+        views.append(view)
+
+    monkeypatch.setattr(SearchView, "__init__", recording_init)
+    search_view.cache_clear()
     cert = find_witness(quad_p3_naive.nbhd, quad_p3_naive.bound, 50, kmax=4)
     bad = copy.deepcopy(cert.data)
     bad["reduction"]["m"] = 24
@@ -420,8 +430,10 @@ def test_a_large_reduction_degree_is_rejected_without_field_tables(
                 verify_certificate(Certificate(bad)).failures()]
     assert time.perf_counter() - start < 1.0
     assert failures[:2] == ["context", "reduction"], failures
+    # the replay walks F_{3^24} on FFElements: its view makes no tables
     fld = prime_power_field(3, 24)
-    assert fld._log is None and fld._exp is None and fld._zech is None
+    assert fld in [view.field for view in views]
+    assert not any(view.logs or hasattr(view, "_log") for view in views)
     assert all(m <= finitefields._COMPILED_MAX_DEGREE for m in compiled)
     assert fld._mul.__code__.co_filename != "<padicdyn product>"
 

@@ -1,8 +1,8 @@
 """The flat finite fields F_p and F_p[x]/(m), and maps reduced mod p.
 
 Field laws are checked on random elements of every F_{p^m}, p in {3, 5, 7}
-and m in 1..3, and the discrete-log and Zech tables against the
-coefficient-tuple kernel whose products and sums they cache. The kernel's
+and m in 1..3, and the search view's discrete-log and Zech tables against
+the coefficient-tuple kernel whose products and sums they cache. The kernel's
 compiled products are checked against the interpreted schoolbook loop they
 unroll. The reduced Jacobian determinant is checked against the exact
 rational determinant of the map over Q at integer lifts, and the reduced map
@@ -19,8 +19,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from padicdyn.dynamics import (CLEAR, RAMIFIED, affine_order, locus_check,
-                               reduce_map)
+from padicdyn.dynamics import (CLEAR, RAMIFIED, SearchView, affine_order,
+                               locus_check, reduce_map, search_view)
 from padicdyn.errors import (BadReductionError, IndeterminacyError,
                              InseparableError, PadicDynError)
 from padicdyn.finitefields import (_COMPILED_MAX_DEGREE, _TABLE_MAX_ORDER,
@@ -95,8 +95,8 @@ TABLE_FIELDS = [prime_power_field(p, m) for p, m in
 
 @st.composite
 def table_cases(draw):
-    """A field with tables, two of its elements (often zero) and an
-    exponent from 0 to 2q."""
+    """A field whose view has tables, two of its elements (often zero) and
+    an exponent from 0 to 2q."""
     fld = draw(st.sampled_from(TABLE_FIELDS))
     index = st.one_of(st.just(0), st.integers(0, fld.order - 1))
     x = fld.element_from_index(draw(index))
@@ -126,22 +126,34 @@ def test_table_arithmetic_equals_the_kernel(case):
     if not x.is_zero():
         assert x.inverse().rep == poly_powmod(x.rep, fld.order - 2, low, p)
         assert (x ** -k).rep == poly_powmod(x.inverse().rep, k, low, p)
-    # sums, differences and negatives by Zech logarithms
     assert (x + y).rep == vec_add(x.rep, y.rep, p)
     assert (x - y).rep == vec_sub(x.rep, y.rep, p)
     assert (-x).rep == vec_neg(x.rep, p)
     assert (x + (-x)).rep == fld.zero().rep
     assert (1 - x).rep == vec_sub(fld.one().rep, x.rep, p)
-    assert len(fld._log) == fld.order - 1
-    assert len(fld._exp) == 2 * (fld.order - 1)
-    assert len(fld._zech) == 2 * (fld.order - 1)
+    # the view's products, inverses and sums (by Zech logarithms) on logs
+    view = search_view(fld)
+    a, b, z = view.value(x), view.value(y), view.zero
+    assert view.element(view.M[a + b]).rep == poly_mulmod(x.rep, y.rep,
+                                                          low, p)
+    if not x.is_zero():
+        assert view.element(view.inverse(a)).rep == poly_powmod(
+            x.rep, fld.order - 2, low, p)
+    total = b if a == z else a if b == z else view.M[a + view.ZL[b - a]]
+    assert view.element(total).rep == vec_add(x.rep, y.rep, p)
+    assert len(view._log) == fld.order - 1
+    # g^k for k < 2(q - 1), then zero at Z
+    assert len(view._elements) == 2 * (fld.order - 1) + 1
+    assert len(view.ZL) == 2 * (fld.order - 1)
 
 
-def test_tables_are_made_on_the_first_product_from_the_first_generator():
+def test_the_view_makes_its_tables_from_the_first_generator():
     fld = FiniteField(5, modulus=(2, 0))           # a fresh F_25
-    assert fld._log is None and fld._exp is None
     x = fld.element_from_index(7)
     assert (x * x).rep == poly_mulmod(x.rep, x.rep, fld.modulus, 5)
+    # the field keeps no tables: a product is the kernel's
+    assert not hasattr(fld, "_log") and not hasattr(fld, "_exp")
+    view = SearchView(fld)
     q = fld.order
 
     def order(rep):
@@ -152,8 +164,8 @@ def test_tables_are_made_on_the_first_product_from_the_first_generator():
 
     first = next(i for i in range(1, q)
                  if order(fld.element_from_index(i).rep) == q - 1)
-    assert fld.index_of(fld._exp[1]) == first
-    assert fld._exp[q - 1] == fld.one() and fld._log[fld.one().rep] == 0
+    assert fld.index_of(view.element(1)) == first
+    assert view.element(q - 1) == fld.one() and view.value(fld.one()) == 0
 
 
 def test_prime_fields_and_large_fields_multiply_through_the_kernel():
@@ -170,7 +182,9 @@ def test_prime_fields_and_large_fields_multiply_through_the_kernel():
         assert (x + y).rep == vec_add(x.rep, y.rep, fld.p)
         assert (x - y).rep == vec_sub(x.rep, y.rep, fld.p)
         assert (-x).rep == vec_neg(x.rep, fld.p)
-        assert fld._log is None and fld._exp is None and fld._zech is None
+        view = search_view(fld)
+        assert not view.logs and not hasattr(view, "_log")
+        assert not hasattr(view, "ZL") and not hasattr(view, "_elements")
 
 
 def schoolbook_mulmod(x, y, low, mod):
