@@ -254,8 +254,7 @@ class SearchView:
         view's ring, or in the logs spelling."""
         if not self.logs:
             return bind_map(components, self.ring, self.value)
-        shape, constants = map_shape(components)
-        c = [self.value(x) for x in constants]
+        shape, c = map_shape(components, self.value)
         return _compiled(shape, "logs")(c, self.M, self.ZL, self.inverse, 0,
                                         self.zero)
 

@@ -177,21 +177,21 @@ def evaluate(interp, z):
     vanishes for k > z.
     """
     if isinstance(z, int):
-        # the binomial row by C(z, k) = C(z, k-1) (z - k + 1) / k, exact
-        weights = []
+        # the binomial row by C(z, k) = C(z, k-1) (z - k + 1) / k, exact,
+        # up to the first zero, after which every weight is zero
+        ws = []
         w = 1
-        for k in range(1, interp.k_max + 1):
-            w = w * (z - k + 1) // k
-            if w:
-                weights.append((k, w))
+        for k in range(interp.k_max):
+            w = w * (z - k) // (k + 1)
+            if not w:
+                break
+            ws.append(w)
         values = []
-        for i in range(interp.n):
-            acc = interp.omega[i].coords()
-            prec = interp.omega[i].prec
-            for k, w in weights:
-                b = interp.coeffs[i][k - 1]
-                prec = min(prec, b.prec)
-                acc = [a + w * c for a, c in zip(acc, b.coords())]
+        for start, row in zip(interp.omega, interp.coeffs):
+            row = row[:len(ws)]
+            prec = min([start.prec] + [b.prec for b in row])
+            acc = [a + sum([w * b.c[j] for w, b in zip(ws, row)])
+                   for j, a in enumerate(start.c)]
             values.append(interp.ctx.from_coords(acc, prec))
         return MahlerValue(tuple(values), interp.tail_valuation())
     if not z.in_base_subring():
@@ -234,23 +234,26 @@ def analyticity_margins(interp, l):
 
     slope margin:  v_r(b_k) + e*(k(p^l - 1)/((p-1) p^l) - v_p(k!))
     C_k margin:    v_r(b_k) + e*(l + nested-floor sum - v_p(k!))
-    computed with exact rational arithmetic from the valuation profile.
+    computed exactly from the valuation profile: the slope margins as
+    integer numerators over their common denominator (p-1) p^l, compared
+    as such, and each margin made a Fraction once.
     """
     ctx = interp.ctx
     p, e = ctx.p, ctx.e
-    slope = Fraction(1, 2 * e) - Fraction(1, (p - 1) * p ** l)
-    exponent = Fraction(p ** l - 1, (p - 1) * p ** l)
+    den = (p - 1) * p ** l
+    slope = Fraction(den - 2 * e, 2 * e * den)
+    step = e * (p ** l - 1)
     rows = []
     finite = []
-    for k in range(1, interp.k_max + 1):
-        v = min(interp.valuations[i][k - 1] for i in range(interp.n))
+    for k, column in enumerate(zip(*interp.valuations), 1):
+        v = min(column)
         if v is INFINITY:
             rows.append((k, INFINITY, INFINITY))
             continue
         vfact = factorial_valuation(k, p)
-        main = Fraction(v) + e * (k * exponent - vfact)
-        ck = Fraction(v) + e * (l + _nested_floor_sum(k, p, l) - vfact)
-        rows.append((k, main, ck))
+        main = (v - e * vfact) * den + k * step
+        ck = v + e * (l + _nested_floor_sum(k, p, l) - vfact)
+        rows.append((k, Fraction(main, den), Fraction(ck)))
         finite.append(main)
     nonneg = all(m >= 0 for m in finite)
     if len(finite) < 4:

@@ -371,7 +371,8 @@ class ExtensionMod:
 
 
 class ModElement:
-    """An element of an ExtensionMod ``ring``, ``c`` its coordinate ints."""
+    """An element of an ExtensionMod ``ring``, ``c`` its coordinate ints;
+    two are equal when their ring and ints are."""
 
     __slots__ = ("ring", "c")
 
@@ -391,6 +392,12 @@ class ModElement:
         ring = self.ring
         return ModElement(ring, ring.mul(self.c, other.c, ring.low,
                                          ring.mod))
+
+    def __eq__(self, other):
+        return (isinstance(other, ModElement) and self.ring is other.ring
+                and self.c == other.c)
+
+    __hash__ = None
 
 
 class PadicElement:

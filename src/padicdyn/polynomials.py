@@ -13,8 +13,9 @@ map's coefficients into a ring once, as an ``EmbeddedMap`` of that ring,
 kept on the map. Its ``run`` is the map compiled into one straight-line
 Python function of the point, and ``iterate(x, times)`` loops over it in
 the same function, both generated from the map's shape alone: its
-exponent tuples, the coefficients that are exactly 1 and the components
-whose denominator is a constant. The source is spelled in ring calls, on
+exponent tuples, the coefficients that are exactly 1 or equal to the
+ring's -1 (a subtraction) and the components whose denominator is a
+constant. The source is spelled in ring calls, on
 ints with ``% mod`` inline (IntegersMod) or on discrete logs (a search
 view). It holds generated names only, never a coefficient; it is compiled
 once per shape and spelling and bound to the embedding's coefficients and
@@ -485,31 +486,41 @@ class EmbeddedMap:
         return self.__dict__[name]
 
 
-def map_shape(components):
+def map_shape(components, value=None, minus_one=None):
     """(shape, constants) of embed_map components. The shape is all that
-    map_source reads: per component the numerator's (exponents, is the
-    coefficient exactly 1) pairs, the denominator's or None for a constant
-    one, and whether a scale applies. The constants are the embedded
-    coefficients and scales, in the order map_source names them c0, c1,
-    ...: per component the denominator's, else the scale, then the
-    numerator's."""
+    map_source reads: per component the numerator's (exponents, unit)
+    pairs, the denominator's or None for a constant one, and whether a
+    scale applies; unit is 1 for a coefficient exactly 1, -1 for one equal
+    to minus_one (the ring's -1, if given) and 0 for any other. The
+    constants are the embedded coefficients and scales, mapped by value if
+    given, in the order map_source names them c0, c1, ...: per component
+    the denominator's, else the scale, then the numerator's. A -1 stays
+    among them, so that a spelling that multiplies by it finds it."""
     shape = []
     constants = []
+
+    def constant(c):
+        constants.append(c if value is None else value(c))
+        return constants[-1]
+
+    def terms_shape(terms):
+        out = []
+        for idx, c in terms:
+            unit = 1
+            if c is not None:
+                c = constant(c)
+                unit = -1 if minus_one is not None and c == minus_one else 0
+            out.append((tuple(map(operator.index, idx)), unit))
+        return tuple(out)
+
     for num_terms, den_terms, scale in components:
+        den_shape = None
         if den_terms is not None:
-            constants += [c for _, c in den_terms if c is not None]
+            den_shape = terms_shape(den_terms)
         elif scale is not None:
-            constants.append(scale)
-        constants += [c for _, c in num_terms if c is not None]
-        shape.append((_terms_shape(num_terms),
-                       None if den_terms is None else _terms_shape(den_terms),
-                       scale is not None))
+            constant(scale)
+        shape.append((terms_shape(num_terms), den_shape, scale is not None))
     return tuple(shape), tuple(constants)
-
-
-def _terms_shape(terms):
-    return tuple((tuple(map(operator.index, idx)), c is None)
-                 for idx, c in terms)
 
 
 def _power_steps(a):
@@ -526,10 +537,12 @@ def _power_steps(a):
     return steps
 
 
-# map_source's spellings: bind's ring parameters, a product, a reduced sum
-_SPELLINGS = {"ring": ("reduce", "reduce({} * {})", "reduce({})"),
-              "ints": ("mod", "{} * {} % mod", "({}) % mod"),
-              "logs": ("M, ZL", "M[{} + {}]", None)}
+# map_source's spellings: bind's ring parameters, a product, a product
+# that only a reduced sum reads, a reduced sum
+_SPELLINGS = {"ring": ("reduce", "reduce({} * {})", "reduce({} * {})",
+                       "reduce({})"),
+              "ints": ("mod", "{} * {} % mod", "{} * {}", "({}) % mod"),
+              "logs": ("M, ZL", "M[{} + {}]", "M[{} + {}]", None)}
 
 
 def map_source(shape, spelling="ring"):
@@ -538,26 +551,30 @@ def map_source(shape, spelling="ring"):
     reduce, unit_inverse, one() and zero(). bind returns (run, iterate).
 
     run(x) reads each coordinate it uses, makes each power x_i^a it needs
-    once by _power_steps over earlier powers (reduce after each product),
-    then per component evaluates the denominator (unless it is constant),
-    requires a unit and inverts it with inv, evaluates the numerator and
-    scales it: what evaluate_terms and unit_inverse do, term for term.
+    once by _power_steps over earlier powers, then per component evaluates
+    the denominator (unless it is constant), requires a unit and inverts
+    it with inv, evaluates the numerator and scales it: what
+    evaluate_terms and unit_inverse do, term for term. A term whose
+    coefficient is -1 is subtracted, without a product by its constant.
     iterate(x, times) loops over those steps, x itself at times = 0; it is
     None unless the map is a self-map (as many components as coordinates).
     Exponents are ints, so the text holds generated names and coordinate
     indices only.
 
     The ``"ints"`` spelling binds (c, mod, inv, one, zero) and reduces by
-    ``% mod``; the ``"logs"`` one binds (c, M, ZL, inv, one, zero) on
-    discrete logs, each product M[a + b] and each sum a Zech lookup, as in
-    ``dynamics.SearchView``.
+    ``% mod``: a power is reduced only when a later power's product reads
+    it, since a power that only terms read goes into a sum that is
+    reduced, so every value run returns lies in [0, mod). The ``"logs"``
+    one binds (c, M, ZL, inv, one, zero) on discrete logs, each product
+    M[a + b] and each sum a Zech lookup, as in ``dynamics.SearchView``; it
+    multiplies by a -1 as by any constant.
     """
     count = 0
     loads = []
-    prelude = []
+    steps = []
     names = {}
     body = []
-    ring_args, mul, reduced_sum = _SPELLINGS[spelling]
+    ring_args, mul, lazy_mul, reduced_sum = _SPELLINGS[spelling]
     product = mul.format
 
     def const():
@@ -572,19 +589,26 @@ def map_source(shape, spelling="ring"):
         for b, c in _power_steps(a):
             if (i, b + c) not in names:
                 names[i, b + c] = f"x{i}_{b + c}"
-                prelude.append(f"x{i}_{b + c} = "
-                               + product(names[i, b], names[i, c]))
+                steps.append((i, b, c))
         return names[i, a]
 
     def poly(terms):
         parts = []
-        for idx, is_one in terms:
-            factors = [] if is_one else [const()]
+        for idx, unit in terms:
+            c = None if unit == 1 else const()
+            subtract = unit == -1 and reduced_sum is not None
+            factors = [] if c is None or subtract else [c]
             factors += [power(i, a) for i, a in enumerate(idx) if a]
-            parts.append(reduce(product, factors) if reduced_sum is None
-                         and factors else " * ".join(factors) or "one")
+            if reduced_sum is None:
+                parts.append(reduce(product, factors) if factors else "one")
+            else:
+                text = " * ".join(factors) or "one"
+                parts.append(f" - {text}" if subtract else f" + {text}")
         if reduced_sum is not None:
-            return reduced_sum.format(" + ".join(parts) or "zero")
+            # a leading subtraction, or none at all, starts from zero
+            text = "".join(parts)
+            text = text[3:] if text.startswith(" + ") else "zero" + text
+            return reduced_sum.format(text)
         if len(parts) < 2:
             return parts[0] if parts else "zero"
         body.append(f"s = {parts[0]}")
@@ -604,6 +628,11 @@ def map_source(shape, spelling="ring"):
         body.append(f"v{k} = " + (value if factor is None
                                   else product(value, factor)))
         outputs += f"v{k}, "
+    # a power that a later product reads is reduced
+    read = {(i, a) for i, b, c in steps for a in (b, c)}
+    prelude = [f"{names[i, b + c]} = "
+               + (mul if (i, b + c) in read else lazy_mul).format(
+                   names[i, b], names[i, c]) for i, b, c in steps]
     lines = [f"def bind(c, {ring_args}, inv, one, zero):"]
     if count:
         unpack = "".join(f"c{j}, " for j in range(count))
@@ -636,16 +665,15 @@ def _compiled(shape, spelling="ring"):
 
 def bind_map(components, ring, value=None):
     """map_source's (run, iterate) for embed_map components, bound to ring
-    and their constants (mapped by value if given): on an IntegersMod in
-    the ints spelling, each constant v as its balanced residue (v - mod if
-    2 v > mod: a -1 costs a small product), else in the ring spelling."""
-    shape, constants = map_shape(components)
-    if value is not None:
-        constants = map(value, constants)
+    and their constants (mapped by value if given), a coefficient equal to
+    the ring's -1 spelled as a subtraction: on an IntegersMod in the ints
+    spelling, each constant v as its balanced residue (v - mod if 2 v >
+    mod: a small product), else in the ring spelling."""
+    shape, constants = map_shape(components, value, ring.from_rational(-1))
     if isinstance(ring, IntegersMod):
         c = [v - ring.mod if 2 * v > ring.mod else v for v in constants]
         return _compiled(shape, "ints")(c, ring.mod, ring.unit_inverse, 1, 0)
-    return _compiled(shape)(tuple(constants), ring.reduce, ring.unit_inverse,
+    return _compiled(shape)(constants, ring.reduce, ring.unit_inverse,
                             ring.one(), ring.zero())
 
 

@@ -7,7 +7,8 @@ term is invertible in it, so ``SeriesRing`` is one more ring in which
 to the generic point y + t gives its expansion at y, exact through the
 cap. Its ``from_rational`` gives scalars of the context, so the embedded
 coefficients and constant denominators are scalars, not series, and its
-``reduce`` makes a scalar sum a constant series. The neighborhood uses the
+``reduce`` makes a scalar sum a constant series and caps every
+coefficient at the context's precision. The neighborhood uses the
 ring at its configured cap for the series it builds on first read; a
 product visits only the pairs of terms whose degrees sum to at most the
 cap.
@@ -101,6 +102,9 @@ class TruncatedSeries:
     def __sub__(self, other):
         return self + -other
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __neg__(self):
         return self._like({i: -c for i, c in self.coeffs.items()})
 
@@ -175,7 +179,15 @@ class SeriesRing(Record):
         return self.ctx.from_rational(c)
 
     def reduce(self, x):
-        return x if isinstance(x, TruncatedSeries) else self.zero() + x
+        """x as a series, each coefficient capped at the context's
+        precision in digits and tag as ``PadicContext.reduce`` caps a
+        scalar: what a product by an embedded coefficient gives."""
+        if not isinstance(x, TruncatedSeries):
+            x = self.zero() + x
+        ctx = self.ctx
+        if any(c.prec > ctx.precision for c in x.coeffs.values()):
+            x = x._like({i: ctx.reduce(c) for i, c in x.coeffs.items()})
+        return x
 
     def unit_inverse(self, x):
         if not x.is_unit():

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -29,6 +30,8 @@ def write_map(path, body):
     path.write_text(json.dumps(body))
     return str(path)
 
+
+MAPS = Path(__file__).resolve().parents[1] / "perfbench" / "maps"
 
 QUAD = {"n": 1, "numerators": ["x1^2 + 1"], "prime": 3, "lift": "naive",
         "kmax": 8, "search_budget": 20}
@@ -135,8 +138,7 @@ def test_interpolate_report(tmp_path):
 
 def test_henon_interpolate_exits_zero_within_five_seconds(tmp_path):
     # f^44 of the point is decided mod 5^64, with no exact iterate
-    mp = Path(__file__).resolve().parents[1] / "perfbench" / "maps" / \
-        "henon_p5.json"
+    mp = MAPS / "henon_p5.json"
     out = tmp_path / "r.txt"
     start = time.perf_counter()
     res = run_cli("interpolate", "--map", str(mp), "--point", "5,5",
@@ -144,6 +146,32 @@ def test_henon_interpolate_exits_zero_within_five_seconds(tmp_path):
     assert time.perf_counter() - start < 5
     assert res.returncode == 0, res.stderr
     assert "classification: non_preperiodic" in out.read_text()
+
+
+# sha256 of the interpolate report, as written when the slope margins were
+# sums of Fractions row by row and the Mahler orbit reduced every power
+INTERPOLATE_REPORTS = [
+    ("henon_p5.json", "5,5",
+     "3a66269086ac960455ca9369836c6e1bcac5864211ee80488910bd30667308f0"),
+    ("henon_p5.json", "0,0",
+     "1dcb3cc7e216181adac634bd16280f65bf009ef64cdfbebd01a0bd23d32df987"),
+    ("henon_p7.json", "0,0",
+     "ce33ad6b18c28224b4d86c86abc91fd291b3ec0e3a95c05c2fc5af0b6454b379"),
+    (None, "2",
+     "db7615b53a2cbccd27dd87e91929dc650a5c3cfb2d43abd13d58205cc3f450f2")]
+
+
+@pytest.mark.parametrize("name, point, digest", INTERPOLATE_REPORTS,
+                         ids=["henon_p5-5,5", "henon_p5-0,0", "henon_p7-0,0",
+                              "quad-2"])
+def test_interpolate_reports_are_pinned(tmp_path, name, point, digest):
+    mp = (str(MAPS / name) if name is not None
+          else write_map(tmp_path / "m.json", QUAD))
+    out = tmp_path / "report.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["interpolate", "--map", mp, "--point", point,
+                         "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_overrides_take_precedence(tmp_path):

@@ -6,9 +6,12 @@ coefficients and to that ring. It must give the values and precision tags
 of the per-term loop, and raise where that loop raises, in every ring: Q,
 F_q, O/p^s on ints, O with e = 1 and e = 2 and the truncated series; its
 ``iterate(x, t)`` must be t calls of run. On ints mod m (O/p^s and the
-F_p search view) the ints spelling must equal the ring spelling. The
-source names coefficients but never spells them, and its bindings live
-exactly as long as the map. Two maps are generated from a reduced map or
+F_p search view) the ints spelling must equal the ring spelling, from
+unreduced and negative starts too, and return values in [0, m). A
+coefficient -1 is a subtraction in both spellings, and the ints spelling
+leaves unreduced a power that only terms read. The source names
+coefficients but never spells them, and its bindings live exactly as long
+as the map. Two maps are generated from a reduced map or
 from n alone and run on search-view points: the tangent map, whose k-th
 iterate gives the neighborhood's L, must equal the product of FFElement
 Jacobians along the orbit, and the composition of affine maps, which
@@ -190,8 +193,11 @@ def ints_maps_points(draw):
         idx = draw(st.tuples(*[st.integers(0, 2)] * n))
         i = draw(st.integers(0, n - 1))
         nums[i] = nums[i] + MultiPoly(n, {idx: c})
+    # unreduced and negative starts too: the ints spelling leaves powers
+    # that only terms read unreduced, and must still return [0, mod)
     coordinate = st.one_of(st.sampled_from([0, 1, mod - 1]),
-                           st.integers(0, mod - 1))
+                           st.integers(0, mod - 1),
+                           st.integers(-3 * mod, 3 * mod))
     point = tuple(draw(coordinate) for _ in range(n))
     return where, RationalSelfMap(nums, f.denominators), point
 
@@ -221,11 +227,13 @@ def test_the_ints_spelling_equals_the_ring_spelling(case, times):
     ring_run, ring_iterate = _compiled(shape, "ring")(
         tuple(constants), ring.reduce, ring.unit_inverse, ring.one(),
         ring.zero())
-    for got, want in ((outcome(run, point), outcome(ring_run, point)),
-                      (outcome(iterate, point, times),
-                       outcome(ring_iterate, point, times))):
+    for got, want, steps in ((outcome(run, point),
+                              outcome(ring_run, point), 1),
+                             (outcome(iterate, point, times),
+                              outcome(ring_iterate, point, times), times)):
         assert got == want
-        if got is not IndeterminacyError:
+        # iterate at times = 0 is the start itself
+        if got is not IndeterminacyError and steps:
             assert all(type(v) is int and 0 <= v < ring.mod for v in got)
 
 
@@ -261,6 +269,42 @@ def test_the_source_holds_generated_names_and_never_a_coefficient():
                 assert tok.type in (tokenize.OP, tokenize.NEWLINE,
                                     tokenize.NL, tokenize.INDENT,
                                     tokenize.DEDENT, tokenize.ENDMARKER)
+
+
+def test_a_minus_one_is_subtracted_and_only_read_powers_are_reduced():
+    f = RationalSelfMap.from_texts(2, ["x2^2 - x1 + 1", "x1^5 - x2"],
+                                   ["1", "-x1 + 2"])
+    for ring in (IntegersMod(5, 5 ** 8), PadicContext(5, precision=8)):
+        emb = embed_map(f, ring)
+        shape, constants = map_shape(emb, None, ring.from_rational(-1))
+        # each -1 stays among the constants, in its place
+        assert len(constants) == 4
+        assert [unit for _, unit in shape[0][0]] == [1, -1, 1]
+        assert [unit for _, unit in shape[1][1]] == [-1, 0]
+        source = map_source(shape, "ints")
+        run_lines = source.split("    def iterate")[0]
+        # x1^4 feeds x1^5 and is reduced; x1^5 and x2^2 only feed sums
+        assert "x0_4 = x0_2 * x0_2 % mod" in run_lines
+        assert "x0_5 = x0_4 * x0\n" in run_lines
+        assert "x1_2 = x1 * x1\n" in run_lines
+        assert "v0 = (x1_2 - x0 + one) % mod" in run_lines
+        assert "d1 = inv((zero - x0 + c2) % mod)" in run_lines
+        # no product by a -1 in either spelling
+        for spelling in ("ints", "ring"):
+            assert not re.search(r"\bc[013]\b", map_source(shape, spelling)
+                                 .split("= c\n")[1])
+
+
+def test_a_minus_one_in_the_series_ring_caps_tags_as_a_product_does():
+    # -x1 at a center tagged above the precision: c0 * x0 would cap the
+    # constant term's tag at 5, and so must the subtraction
+    f = RationalSelfMap.from_texts(1, ["-x1"])
+    series = SeriesRing(SERIES_CTX, 1, 2)
+    point = series.generic_point([SERIES_CTX.from_int(3, 7)])
+    emb = embed_map(f, series)
+    got, = emb.run(point)
+    assert same(got, reference_apply(series, emb.components, point)[0])
+    assert all(c.prec == 5 for c in got.coeffs.values())
 
 
 def test_a_deleted_map_and_its_bindings_are_collected():

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from padicdyn.certify import run_pipeline
 from padicdyn.errors import PrecisionError, TheoryViolationError
-from padicdyn.mahler import (analyticity_exponent, analyticity_margins,
+from padicdyn.mahler import (AnalyticityReport, MahlerInterpolation,
+                             analyticity_exponent, analyticity_margins,
                              evaluate, mahler_coefficients, orbit)
 from padicdyn.mapfile import load_map_file
-from padicdyn.padics import INFINITY, PadicContext
+from padicdyn.padics import INFINITY, PadicContext, factorial_valuation
 from tests.conftest import build_pipeline
 
 HENON_P5 = (Path(__file__).resolve().parents[1]
@@ -403,6 +404,72 @@ def test_ck_margin_matches_slope_margin_at_l0():
     rep = analyticity_margins(interp, 0)
     for _, main, ck in rep.margins:
         assert main == ck
+
+
+def fraction_margins(interp, l):
+    """The margin report by Fraction arithmetic, row by row: the slope
+    margin v + e (k exponent - v_p(k!)) with exponent (p^l - 1) / ((p - 1)
+    p^l), the C_k margin v + e (l + nested-floor sum - v_p(k!))."""
+    ctx = interp.ctx
+    p, e = ctx.p, ctx.e
+    slope = Fraction(1, 2 * e) - Fraction(1, (p - 1) * p ** l)
+    exponent = Fraction(p ** l - 1, (p - 1) * p ** l)
+    rows = []
+    finite = []
+    for k in range(1, interp.k_max + 1):
+        v = min(interp.valuations[i][k - 1] for i in range(interp.n))
+        if v is INFINITY:
+            rows.append((k, INFINITY, INFINITY))
+            continue
+        vfact = factorial_valuation(k, p)
+        floors = sum((k - 1) // p ** j for j in range(1, l + 1))
+        main = Fraction(v) + e * (k * exponent - vfact)
+        ck = Fraction(v) + e * (l + floors - vfact)
+        rows.append((k, main, ck))
+        finite.append(main)
+    nonneg = all(m >= 0 for m in finite)
+    if len(finite) < 4:
+        increasing = True
+    else:
+        third = max(1, len(finite) // 3)
+        increasing = min(finite[-third:]) > min(finite[:third])
+    return AnalyticityReport(
+        l=l, slope=slope, slope_positive=slope > 0, margins=tuple(rows),
+        margins_nonnegative=nonneg, eventually_increasing=increasing,
+        certified=slope > 0 and nonneg and increasing)
+
+
+@st.composite
+def valuation_profiles(draw):
+    """An interpolation record holding only a context and a valuation
+    table: small valuations (negative margins) to large, and INFINITY
+    often, so that whole columns of it come up too."""
+    ctx = PadicContext(draw(st.sampled_from([3, 5, 7, 11])),
+                       e=draw(st.integers(1, 3)), precision=4)
+    n = draw(st.integers(1, 2))
+    k_max = draw(st.integers(1, 40))
+    entry = st.one_of(st.just(INFINITY), st.integers(0, 3 * k_max))
+    valuations = tuple(tuple(draw(entry) for _ in range(k_max))
+                       for _ in range(n))
+    return MahlerInterpolation(ctx=ctx, omega=(None,) * n, k_max=k_max,
+                               coeffs=(), valuations=valuations,
+                               orbit_points=())
+
+
+@settings(max_examples=300, deadline=None)
+@given(valuation_profiles(), st.integers(0, 3))
+def test_integer_margins_equal_the_fraction_margins(interp, l):
+    got = analyticity_margins(interp, l)
+    want = fraction_margins(interp, l)
+    for name in AnalyticityReport.__slots__:
+        assert getattr(got, name) == getattr(want, name), name
+    assert type(got.slope) is Fraction and str(got.slope) == str(want.slope)
+    for row, want_row in zip(got.margins, want.margins):
+        for m, w in zip(row[1:], want_row[1:]):
+            if w is INFINITY:
+                assert m is INFINITY
+            else:
+                assert type(m) is Fraction and str(m) == str(w)
 
 
 def test_henon_mahler_data_is_pinned():

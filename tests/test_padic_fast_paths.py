@@ -117,7 +117,9 @@ def plain_map_eval(f, point, ctx):
 
 
 def polys(n, coefficients, max_size=4):
-    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    # exponents to 5, whose last square-and-multiply step (x^4 * x) is a
+    # power that only a term reads
+    exponents = st.tuples(*[st.integers(0, 5)] * n)
     return st.dictionaries(exponents, coefficients, min_size=1,
                            max_size=max_size).map(lambda t: MultiPoly(n, t))
 
@@ -126,9 +128,10 @@ def polys(n, coefficients, max_size=4):
 def rational_maps(draw, n):
     """A map of A^n whose denominators are non-constant, constant integers
     (units or not) or 1."""
-    # 1 often, since a coefficient 1 costs no product
+    # 1 and -1 often, since a coefficient 1 costs no product and a
+    # coefficient -1 is a subtraction
     coefficient = st.one_of(
-        st.just(Fraction(1)),
+        st.sampled_from([Fraction(1), Fraction(-1)]),
         st.fractions(min_value=-6, max_value=6,
                      max_denominator=3).filter(bool))
     nums = [draw(polys(n, coefficient)) for _ in range(n)]
